@@ -29,7 +29,6 @@ func main() {
 		jenWorkrs = flag.Int("jen-workers", 30, "JEN workers (one per DataNode)")
 		seed      = flag.Int64("seed", 1, "random seed")
 		zipf      = flag.Float64("zipf", 0, "Zipf exponent s for L's foreign keys (0 = uniform, else s > 1)")
-		skew      = flag.Float64("skew", 0, "skew-resilient shuffle hot-key threshold (0 = off)")
 		adaptive  = flag.Bool("adaptive", false, "mid-query algorithm switching: re-cost the committed plan against observed scan statistics and switch when it mispredicted")
 		check     = flag.Bool("check", false, "verify result shapes against the paper's claims")
 		list      = flag.Bool("list", false, "list experiment ids and exit")
@@ -96,7 +95,7 @@ func main() {
 
 	cfg := experiments.RunConfig{
 		Scale: *scale, DBWorkers: *dbWorkers, JENWorkers: *jenWorkrs, Seed: *seed,
-		ZipfS: *zipf, SkewThreshold: *skew, Adaptive: *adaptive,
+		ZipfS: *zipf, Adaptive: *adaptive,
 	}
 	failures := 0
 	for _, e := range exps {

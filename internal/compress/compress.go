@@ -22,6 +22,12 @@ const (
 	hashShift   = 32 - hashBits
 	tableSize   = 1 << hashBits
 	skipTrigger = 5 // accelerate through incompressible regions
+	// maxDecoded bounds the length a stream may declare, so a consistent but
+	// hostile stream cannot ask for more than this (and no length overflows
+	// int); column chunks and wire frames are orders of magnitude smaller.
+	maxDecoded = 1 << 30
+	// maxPrealloc is the largest declared length Decode allocates on trust.
+	maxPrealloc = 1 << 22
 )
 
 func hash4(b []byte) uint32 {
@@ -75,56 +81,84 @@ func Encode(src []byte) []byte {
 	return dst
 }
 
-// Decode decompresses a buffer produced by Encode.
+// Decode decompresses a buffer produced by Encode. Every length in the stream
+// is untrusted input, the header included: a run or match that would take the
+// output past the declared length is an error before anything is copied, and
+// a declared length too large to be cheap to be wrong about must first prove
+// itself in a dry run over the tokens. Junk therefore costs an error and at
+// most maxPrealloc bytes, never the allocation it asks for.
 func Decode(src []byte) ([]byte, error) {
 	n, sz := binary.Uvarint(src)
 	if sz <= 0 {
 		return nil, fmt.Errorf("compress: truncated header")
 	}
 	src = src[sz:]
-	// The header length is untrusted input: use it as a capacity hint only,
-	// bounded so corrupt headers cannot trigger huge allocations.
-	const maxPrealloc = 1 << 22
-	capHint := n
-	if capHint > maxPrealloc {
-		capHint = maxPrealloc
+	if n > maxDecoded {
+		return nil, fmt.Errorf("compress: declared length %d exceeds the %d-byte limit", n, maxDecoded)
 	}
-	dst := make([]byte, 0, capHint)
+	if n > maxPrealloc {
+		if _, err := decodeTokens(src, n, nil); err != nil {
+			return nil, err
+		}
+	}
+	return decodeTokens(src, n, make([]byte, 0, n))
+}
+
+// decodeTokens walks the token sequence of a stream declaring n bytes,
+// appending the output to dst — or, when dst is nil, only checking that the
+// tokens are well-formed and add up to exactly n.
+func decodeTokens(src []byte, n uint64, dst []byte) ([]byte, error) {
+	dry := dst == nil
+	// Lengths are compared in uint64, before any conversion to int can
+	// overflow, against the room the header leaves.
+	have := uint64(0)
 	for len(src) > 0 {
 		t, sz := binary.Uvarint(src)
 		if sz <= 0 {
 			return nil, fmt.Errorf("compress: truncated token")
 		}
 		src = src[sz:]
+		room := n - have
 		if t&1 == 0 {
 			// Literal run.
-			l := int(t >> 1)
-			if l > len(src) {
+			l := t >> 1
+			if l > room {
+				return nil, fmt.Errorf("compress: literal run of %d exceeds declared length %d", l, n)
+			}
+			if l > uint64(len(src)) {
 				return nil, fmt.Errorf("compress: literal run of %d exceeds input", l)
 			}
-			dst = append(dst, src[:l]...)
+			if !dry {
+				dst = append(dst, src[:l]...)
+			}
 			src = src[l:]
+			have += l
 			continue
 		}
-		length := int(t>>1) + minMatch
-		off64, sz := binary.Uvarint(src)
+		if room < minMatch || t>>1 > room-minMatch {
+			return nil, fmt.Errorf("compress: match of %d+%d exceeds declared length %d", t>>1, minMatch, n)
+		}
+		length := t>>1 + minMatch
+		off, sz := binary.Uvarint(src)
 		if sz <= 0 {
 			return nil, fmt.Errorf("compress: truncated offset")
 		}
 		src = src[sz:]
-		off := int(off64)
-		if off == 0 || off > len(dst) {
-			return nil, fmt.Errorf("compress: offset %d out of range (have %d)", off, len(dst))
+		if off == 0 || off > have {
+			return nil, fmt.Errorf("compress: offset %d out of range (have %d)", off, have)
 		}
-		// Byte-at-a-time copy: matches may overlap their own output
-		// (run-length style), so bulk copy is not safe.
-		pos := len(dst) - off
-		for j := 0; j < length; j++ {
-			dst = append(dst, dst[pos+j])
+		if !dry {
+			// Byte-at-a-time copy: matches may overlap their own output
+			// (run-length style), so bulk copy is not safe.
+			pos := len(dst) - int(off)
+			for j := 0; j < int(length); j++ {
+				dst = append(dst, dst[pos+j])
+			}
 		}
+		have += length
 	}
-	if uint64(len(dst)) != n {
-		return nil, fmt.Errorf("compress: decoded %d bytes, header says %d", len(dst), n)
+	if have != n {
+		return nil, fmt.Errorf("compress: decoded %d bytes, header says %d", have, n)
 	}
 	return dst, nil
 }

@@ -2,7 +2,10 @@ package compress
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -97,6 +100,40 @@ func TestDecodeErrors(t *testing.T) {
 	for i, c := range cases {
 		if _, err := Decode(c); err == nil {
 			t.Errorf("case %d: want error", i)
+		}
+	}
+}
+
+// TestDecodeBoundsTokensByDeclaredLength hand-builds frames whose token
+// lengths disagree with the header (or whose header is past the limit): each
+// must be rejected before Decode allocates or copies what it asks for.
+func TestDecodeBoundsTokensByDeclaredLength(t *testing.T) {
+	frame := func(n uint64, parts ...[]byte) []byte {
+		return append(binary.AppendUvarint(nil, n), bytes.Join(parts, nil)...)
+	}
+	tok := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
+	cases := []struct {
+		name string
+		src  []byte
+	}{
+		{"match of 2^40 at offset 1", frame(8, tok(1<<1), []byte("a"), tok((1<<40-minMatch)<<1|1), tok(1))},
+		{"literal run longer than n", frame(8, tok(9<<1), []byte("abcdefghi"))},
+		{"match length overflows int", frame(8, tok(1<<1), []byte("a"), tok(math.MaxUint64), tok(1))},
+		{"declared length past the limit", frame(maxDecoded+1, tok(1<<1), []byte("a"), tok((maxDecoded-minMatch)<<1|1), tok(1))},
+		{"match fills past a full output", frame(8, tok(8<<1), []byte("abcdefgh"), tok(1), tok(1))},
+	}
+	for _, c := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Decode(c.src)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: want error", c.name)
+		}
+		// Process-wide counter, so leave room for the error string and
+		// the runtime's own noise; trusting any of these lengths costs GBs.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: allocated %d bytes rejecting a %d-byte stream", c.name, grew, len(c.src))
 		}
 	}
 }

@@ -23,9 +23,8 @@ import (
 // fix an advisor misprediction at runtime instead of living with it. The
 // advisor commits to a plan from histograms and bounded samples; those
 // estimates are wrong exactly when the choice matters most. The adaptive
-// layer turns the scan-time telemetry the skew path already collects
-// (Misra-Gries sketches, batch counters, jen.Progress) into a feedback
-// loop, piggybacking on the skew handshake's deferred-shuffle machinery:
+// layer turns scan-time telemetry (a Misra-Gries sketch, batch counters,
+// jen.Progress) into a feedback loop over a briefly deferred shuffle:
 //
 //  1. Each JEN worker scans with plain-hash routing *deferred*: the first
 //     K (Config.AdaptBatches) wire batches are buffered locally while a
@@ -55,19 +54,20 @@ import (
 // runBroadcast's combined layout bit for bit — so results are identical
 // to the never-switch run whatever the decision. Abort safety piggybacks
 // on the standard protocol: snapshots and decisions are sent even on
-// failure paths (mirroring agreeHotSet), every receive selects on
+// failure paths (like the zigzag BF_H fan-in), every receive selects on
 // MsgError and the program context, and the designated worker always
 // broadcasts a fallback keep decision when its fan-in fails so no peer
 // blocks on a handshake that will never complete.
-//
-// When on, the adaptive layer subsumes the static skew path for these
-// algorithms (skewOn() && !adaptiveOn() in the programs): plain hash
-// routing is the committed default and the hybrid partitioner engages
-// only by observed decision.
 
-// adaptiveOn reports whether mid-query switching is active. Row mode keeps
-// the seed's single-pass pipeline untouched, like the skew path.
-func (e *Engine) adaptiveOn() bool { return e.cfg.AdaptiveSwitch && !e.cfg.RowAtATime }
+const (
+	// sketchKeys is the heavy-hitter sketch capacity: exact while a worker
+	// sees fewer than twice this many distinct surviving keys, and past that
+	// the Misra-Gries bound (≤ rows/capacity) still catches every hot key.
+	sketchKeys = 256
+	// adaptMargin is the hysteresis: an alternative must re-cost at least
+	// this fraction cheaper than the committed plan to trigger a switch.
+	adaptMargin = 0.25
+)
 
 // switchKind is the runtime strategy a decision selects.
 type switchKind byte
@@ -218,11 +218,11 @@ func (e *Engine) sendObserved(from, stream string, o obsSnapshot, dest string) e
 }
 
 // recvObserved receives and merges `parts` snapshots at the designated
-// worker. Failure semantics match recvSketches: a bad part is recorded and
+// worker. Failure semantics match recvKeySets: a bad part is recorded and
 // the fan-in keeps draining; MsgError and context cancellation are
 // terminal.
 func (e *Engine) recvObserved(ctx context.Context, at, stream string, parts int) (obsSnapshot, error) {
-	out := obsSnapshot{sketch: skew.NewSketch(e.cfg.SkewSketchKeys)}
+	out := obsSnapshot{sketch: skew.NewSketch(sketchKeys)}
 	r := e.routers[at]
 	ch, err := r.Route(netsim.MsgControl, stream)
 	if err != nil {
@@ -402,11 +402,9 @@ func (e *Engine) decideSwitch(o obsSnapshot, n, m int, lTotal, lRowBytes int64) 
 	mod := costmodel.New(costmodel.Rates{})
 	cur := mod.ShuffleJoinCost(stats, false)
 	bc := mod.BroadcastJoinCost(stats)
-	thr := e.cfg.SkewThreshold
-	if thr <= 0 {
-		thr = 1 / (2 * float64(n))
-	}
-	hot := skew.NewHotSet(o.sketch.Hot(thr))
+	// The hot bar is half a worker's fair share of the observed prefix: past
+	// it, one key alone overloads its hash home.
+	hot := skew.NewHotSet(o.sketch.Hot(1 / (2 * float64(n))))
 	hy := math.Inf(1)
 	if hot.Len() > 0 {
 		hy = mod.ShuffleJoinCost(stats, true)
@@ -416,7 +414,7 @@ func (e *Engine) decideSwitch(o obsSnapshot, n, m int, lTotal, lRowBytes int64) 
 	if hy < bc {
 		alt, kind = hy, switchHybrid
 	}
-	if !costmodel.ShouldSwitch(cur, alt, e.cfg.AdaptMargin) {
+	if !costmodel.ShouldSwitch(cur, alt, adaptMargin) {
 		kind = keepPlan
 	}
 
@@ -432,7 +430,7 @@ func (e *Engine) decideSwitch(o obsSnapshot, n, m int, lTotal, lRowBytes int64) 
 		kind: kind,
 		reason: fmt.Sprintf(
 			"observed σ_L=%.4f (L'≈%d rows), |T'|=%d rows (%d B), hottest key %.0f%% of scan prefix: re-cost keep=%.3gs broadcast=%.3gs hybrid=%.3gs (margin %.0f%%) → %s",
-			sigmaL, lRows, o.tRows, o.tBytes, hotShare*100, cur, bc, hy, e.cfg.AdaptMargin*100, kind),
+			sigmaL, lRows, o.tRows, o.tBytes, hotShare*100, cur, bc, hy, adaptMargin*100, kind),
 	}
 	if kind == switchHybrid {
 		d.hot = hot
@@ -444,7 +442,7 @@ func (e *Engine) decideSwitch(o obsSnapshot, n, m int, lTotal, lRowBytes int64) 
 // worker's observations, decide, record the decision for the facade, and
 // broadcast it. On a fan-in failure it still broadcasts a fallback keep
 // decision so no peer blocks on the handshake — the failure itself travels
-// via MsgError and the context, exactly as in agreeHotSet.
+// via MsgError and the context.
 func (e *Engine) coordinateSwitch(ctx context.Context, qs, me string, n, m int, lTotal, lRowBytes int64, st *adaptState) error {
 	obs, err := e.recvObserved(ctx, me, qs+"adapt.obs", n+m)
 	var d *adaptDecision
@@ -489,7 +487,7 @@ func newAdaptJENWorker(e *Engine, qs string, q *plan.JoinQuery, b *batcher, w, n
 	return &adaptJENWorker{
 		e: e, qs: qs, me: jenName(w), q: q, b: b, w: w, n: n,
 		scanKey: scanKey, watch: watch, destOf: destOf,
-		sketch: skew.NewSketch(e.cfg.SkewSketchKeys),
+		sketch: skew.NewSketch(sketchKeys),
 	}
 }
 
@@ -610,8 +608,8 @@ func (a *adaptJENWorker) takeBuffered() []*batch.Batch {
 }
 
 // finish completes the handshake after the scan: send the snapshot if the
-// scan ended before K batches (even on the failure path, mirroring
-// agreeHotSet, so the designated fan-in always completes), coordinate at
+// scan ended before K batches (even on the failure path, so the
+// designated fan-in always completes), coordinate at
 // the designated worker, then block for the decision and apply it. It does
 // not close the shuffle batcher — the caller's CloseWith still owns stream
 // completion.

@@ -16,8 +16,7 @@ import (
 )
 
 // adaptTestConfig is the fixture engine config with the adaptive layer
-// toggled; everything else matches skewTestConfig so adaptive-on and
-// adaptive-off runs are directly comparable.
+// toggled, so adaptive-on and adaptive-off runs are directly comparable.
 func adaptTestConfig(on bool) Config {
 	return Config{
 		BloomBits: 1 << 14, BloomHashes: 2, BatchRows: 64, WorkerThreads: 1,
@@ -35,8 +34,8 @@ func uniformKeys(rng *rand.Rand) int { return rng.Intn(300) }
 // regime where broadcast must win even for the BF algorithm variants.
 func alignedKeys(rng *rand.Rand) int { return rng.Intn(60) }
 
-// hotKeys90 plants a ~90% heavy hitter — well past the switch bar, where the
-// planted 50% of buildSkewFixture would sit inside the hysteresis margin.
+// hotKeys90 plants a ~90% heavy hitter on join key 7 — well past the switch
+// bar, where a planted 50% would sit inside the hysteresis margin.
 func hotKeys90(rng *rand.Rand) int {
 	if rng.Intn(10) == 0 {
 		return rng.Intn(300)
@@ -130,29 +129,6 @@ func TestAdaptiveSwitchesToBroadcast(t *testing.T) {
 	}
 }
 
-// TestAdaptiveEscalatesToHybridShuffle: hidden skew — the plan assumed a
-// uniform key distribution, but ~90% of the scanned prefix lands on one key.
-// The plain hash shuffle would serialize the build on that key's home
-// worker; the adaptive layer must escalate to the hybrid skew partitioner
-// and keep the results byte-identical.
-func TestAdaptiveEscalatesToHybridShuffle(t *testing.T) {
-	for _, tr := range adaptTransports {
-		for _, alg := range []Algorithm{Repartition, RepartitionBloom, Zigzag} {
-			t.Run(fmt.Sprintf("%s/%s", tr.name, alg), func(t *testing.T) {
-				// tCor=300 keeps T' large enough (~180 rows) that broadcast
-				// is not the cheaper escape; the hot key dominates the build.
-				res := runAdaptivePair(t, tr.newBus, hotKeys90, 2, 3, 600, 9000, 300, 400, alg)
-				if !res.Switched || res.SwitchedTo != "hybrid-shuffle" {
-					t.Fatalf("Switched=%v to %q (%s), want hybrid-shuffle", res.Switched, res.SwitchedTo, res.SwitchReason)
-				}
-				if hot := res.Metrics[metrics.JENShuffleHotTuples]; hot == 0 {
-					t.Error("hybrid switch scattered no hot tuples")
-				}
-			})
-		}
-	}
-}
-
 // TestAdaptiveKeepsGoodPlan: when the observation confirms the plan — T'
 // big enough to justify the shuffle, no skew — the hysteresis margin must
 // hold the committed plan, with the decision recorded but no switch.
@@ -178,11 +154,22 @@ func TestAdaptiveKeepsGoodPlan(t *testing.T) {
 // TestInjectedFailuresAbortAdaptiveSwitch runs the fault matrix through the
 // switch handshake: a worker killed before its observation is sent, during
 // the decision exchange, or inside the post-switch data movement must still
-// produce one classified error within the deadline and leak nothing. The
-// fixture is the broadcast-switch regime, so the kill interleaves with a
+// produce one classified error within the deadline and leak nothing. Both
+// switch regimes run — the broadcast switch (alignedKeys) and the hybrid
+// escalation (hotKeys90), whose post-switch movement is the re-routed
+// shuffle plus the replicated hot T' rows — so every kill interleaves with a
 // real mid-flight switch, and AdaptBatches=2 moves the observation point
-// early enough that every kill lands at a distinct handshake phase.
+// early enough that every kill lands at a distinct handshake phase (by
+// message 12 the endpoint is past the decision and mid-shuffle).
 func TestInjectedFailuresAbortAdaptiveSwitch(t *testing.T) {
+	regimes := []struct {
+		name string
+		keys func(*rand.Rand) int
+		lN   int
+	}{
+		{"broadcast", alignedKeys, 20000},
+		{"hybrid", hotKeys90, 9000},
+	}
 	kills := []struct {
 		name  string
 		kill  string
@@ -190,37 +177,40 @@ func TestInjectedFailuresAbortAdaptiveSwitch(t *testing.T) {
 	}{
 		{"jen-early", cluster.JENName(1), 2},
 		{"jen-mid", cluster.JENName(1), 8},
+		{"jen-post-switch", cluster.JENName(1), 12},
 		{"db-worker", cluster.DBName(1), 2},
 	}
 	for _, tr := range adaptTransports {
 		for _, alg := range []Algorithm{Repartition, Zigzag} {
-			for _, k := range kills {
-				t.Run(fmt.Sprintf("%s/%s/%s", tr.name, alg, k.name), func(t *testing.T) {
-					baseline := runtime.NumGoroutine()
-					ctx, cancel := context.WithTimeout(context.Background(), abortTestDeadline)
-					defer cancel()
-					cfg := adaptTestConfig(true)
-					cfg.AdaptBatches = 2
-					f := buildSkewFixtureKeys(t, tr.newBus(), 2, 3, 600, 20000, cfg, alignedKeys)
-					f.eng.Bus().(netsim.FaultInjector).KillEndpointAfter(k.kill, k.after)
-					q := exampleQuery(t, f, 300, 400)
-					start := time.Now()
-					_, err := f.eng.RunCtx(ctx, q, alg)
-					elapsed := time.Since(start)
-					if err == nil {
-						t.Fatal("query succeeded despite injected failure")
-					}
-					if !errors.Is(err, netsim.ErrEndpointDown) {
-						t.Fatalf("err = %v, want errors.Is netsim.ErrEndpointDown", err)
-					}
-					if elapsed >= abortTestDeadline {
-						t.Fatalf("abort took %v; switch handshake stalled until the deadline", elapsed)
-					}
-					if err := f.eng.Close(); err != nil {
-						t.Logf("engine close after abort: %v", err)
-					}
-					checkNoGoroutineLeak(t, baseline)
-				})
+			for _, rg := range regimes {
+				for _, k := range kills {
+					t.Run(fmt.Sprintf("%s/%s/%s/%s", tr.name, alg, rg.name, k.name), func(t *testing.T) {
+						baseline := runtime.NumGoroutine()
+						ctx, cancel := context.WithTimeout(context.Background(), abortTestDeadline)
+						defer cancel()
+						cfg := adaptTestConfig(true)
+						cfg.AdaptBatches = 2
+						f := buildSkewFixtureKeys(t, tr.newBus(), 2, 3, 600, rg.lN, cfg, rg.keys)
+						f.eng.Bus().(netsim.FaultInjector).KillEndpointAfter(k.kill, k.after)
+						q := exampleQuery(t, f, 300, 400)
+						start := time.Now()
+						_, err := f.eng.RunCtx(ctx, q, alg)
+						elapsed := time.Since(start)
+						if err == nil {
+							t.Fatal("query succeeded despite injected failure")
+						}
+						if !errors.Is(err, netsim.ErrEndpointDown) {
+							t.Fatalf("err = %v, want errors.Is netsim.ErrEndpointDown", err)
+						}
+						if elapsed >= abortTestDeadline {
+							t.Fatalf("abort took %v; switch handshake stalled until the deadline", elapsed)
+						}
+						if err := f.eng.Close(); err != nil {
+							t.Logf("engine close after abort: %v", err)
+						}
+						checkNoGoroutineLeak(t, baseline)
+					})
+				}
 			}
 		}
 	}

@@ -16,9 +16,9 @@ type AdviceStats struct {
 	// frequent join key (0 = unknown/uniform). With a plain hash
 	// repartition, that whole fraction lands on one worker.
 	HotKeyShare float64
-	// SkewHandled reports that the engine's skew-resilient shuffle is
-	// enabled (Config.SkewThreshold > 0), which neutralizes HotKeyShare for
-	// the shuffle-based algorithms.
+	// SkewHandled reports that the engine escalates to the hybrid skew
+	// shuffle on observed skew (Config.AdaptiveSwitch), which neutralizes
+	// HotKeyShare for the shuffle-based algorithms.
 	SkewHandled bool
 	// JENWorkers is the HDFS-side worker count (0 = unknown; skew reasoning
 	// is skipped).

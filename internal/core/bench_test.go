@@ -11,12 +11,7 @@ import (
 )
 
 // BenchmarkScanFilterJoin measures the scan → filter → shuffle → join →
-// aggregate hot path (the repartition algorithm end to end) in both
-// execution modes: the vectorized default and the Config.RowAtATime
-// baseline, which reverts the JEN repartition pipeline to the seed's
-// row-at-a-time semantics. Both modes move identical tuples and bytes (see
-// TestRowModeMatchesBatchMode), so the delta is pure per-row interface
-// overhead — the quantity this PR removes.
+// aggregate hot path (the repartition algorithm end to end).
 //
 // "scale=N" sizes the fixture at N× the unit-test base (300 T / 1000 L
 // rows per unit), so scale=100 joins 30k T rows against 100k L rows across
@@ -31,17 +26,14 @@ func BenchmarkScanFilterJoin(b *testing.B) {
 		tN, lN := 300*scale, 1000*scale
 		for _, mode := range []struct {
 			name    string
-			rowMode bool
 			threads int
 		}{
-			{"batch", false, 1},
-			{"batch-mt", false, runtime.GOMAXPROCS(0)},
-			{"row", true, 1},
+			{"batch", 1},
+			{"batch-mt", runtime.GOMAXPROCS(0)},
 		} {
 			b.Run(fmt.Sprintf("scale=%d/%s", scale, mode.name), func(b *testing.B) {
 				f := buildFixture(b, netsim.NewChanBus(256), 4, 6, tN, lN, format.HWCName)
 				defer f.eng.Close()
-				f.eng.cfg.RowAtATime = mode.rowMode
 				f.eng.cfg.WorkerThreads = mode.threads
 				q := exampleQuery(b, f, 300, 400)
 				b.ResetTimer()
@@ -95,12 +87,13 @@ func BenchmarkAdaptiveMispredict(b *testing.B) {
 }
 
 // BenchmarkSkewedJoin measures the repartition(BF) join over a uniform
-// (zipf=0) and a Zipf(s=1.1) L-key distribution, with the skew-resilient
-// shuffle off (skew=0) and on (skew=0.05). The interesting cells: on
-// uniform keys the hybrid shuffle's only cost is its deferred-shuffle
-// bookkeeping (sketch build, empty hot set), while on Zipf keys it trades
-// that overhead for a balanced receive side. rows/s is scanned input rows
-// per second.
+// (zipf=0) and a Zipf(s=1.1) L-key distribution, on the plain hash shuffle
+// (skew=0, the name its recorded cells have always had) and with the
+// adaptive layer free to escalate to the hybrid partitioner
+// (adaptive=true). The interesting cells: on uniform keys the adaptive
+// layer's only cost is its K-batch observation window and handshake, while
+// on Zipf keys it trades that overhead for a balanced receive side. rows/s
+// is scanned input rows per second.
 func BenchmarkSkewedJoin(b *testing.B) {
 	const tN, lN = 3000, 10000
 	for _, zipfS := range []float64{0, 1.1} {
@@ -120,10 +113,16 @@ func BenchmarkSkewedJoin(b *testing.B) {
 				return int(z.Uint64())
 			}
 		}
-		for _, threshold := range []float64{0, 0.05} {
-			b.Run(fmt.Sprintf("zipf=%v/skew=%v", zipfS, threshold), func(b *testing.B) {
+		for _, mode := range []struct {
+			name     string
+			adaptive bool
+		}{
+			{"skew=0", false},
+			{"adaptive=true", true},
+		} {
+			b.Run(fmt.Sprintf("zipf=%v/%s", zipfS, mode.name), func(b *testing.B) {
 				f := buildSkewFixtureKeys(b, netsim.NewChanBus(256), 4, 6, tN, lN,
-					skewTestConfig(threshold), newKeyGen())
+					adaptTestConfig(mode.adaptive), newKeyGen())
 				defer f.eng.Close()
 				q := exampleQuery(b, f, 300, 400)
 				b.ResetTimer()

@@ -106,12 +106,6 @@ type Config struct {
 	// measured the direct scheme faster and kept it; this option is the
 	// ablation).
 	BroadcastRelay bool
-	// RowAtATime reverts the repartition pipeline on the JEN side to the
-	// seed's row-at-a-time execution: per-row scan yields, sends, hash-table
-	// inserts/probes and aggregation. Counters are identical either way; the
-	// flag exists as the measured baseline for the vectorized batch path
-	// (BenchmarkScanFilterJoin).
-	RowAtATime bool
 	// WorkerThreads is the intra-worker parallelism degree: how many morsel
 	// goroutines each JEN worker runs for its scan→filter→shuffle/build
 	// stage and its probe stage (the paper's multi-threaded JEN worker,
@@ -120,51 +114,20 @@ type Config struct {
 	// degrees keep every deterministic counter (totals, message and byte
 	// counts) and the query result identical, while the per-thread split
 	// (metrics.JENMorselTuples/JoinProbeSplit .max) depends on scheduling.
-	// Row-at-a-time mode and the spilling join ignore it and stay
-	// single-threaded.
+	// The spilling join ignores it and stays single-threaded.
 	WorkerThreads int
-	// SkewThreshold enables skew-resilient shuffling for the repartition
-	// and zigzag joins: any join key holding at least this share of a
-	// worker-set's surviving HDFS rows (as measured by a streaming
-	// heavy-hitter sketch built during the scan) is treated as hot — its L'
-	// rows scatter round-robin across all JEN workers instead of hashing to
-	// one, and its T' rows are replicated to every JEN worker, keeping the
-	// join exact (see internal/skew). 0 disables the machinery entirely and
-	// the shuffle is bit-identical to the plain agreed-hash partitioner.
-	// Sensible values are 1/(2·JENWorkers) .. 0.2. The skew path defers the
-	// shuffle until the scan completes (the hot set must be agreed first),
-	// trading scan/shuffle overlap for balance; row-at-a-time mode ignores
-	// it. At WorkerThreads=1 every counter stays deterministic; with more
-	// threads the round-robin placement of hot rows depends on scan
-	// interleaving, so per-destination shuffle splits (the .max counters)
-	// become diagnostic while totals and results stay exact.
-	SkewThreshold float64
-	// SkewSketchKeys is the heavy-hitter sketch capacity (counters per
-	// thread). The sketch is exact — and the hot set independent of thread
-	// count and merge order — while each thread sees fewer than twice this
-	// many distinct surviving keys; beyond that the Misra-Gries error bound
-	// (≤ rows/capacity) still guarantees every key above SkewThreshold is
-	// caught, with possible borderline extras. Defaults to 256.
-	SkewSketchKeys int
 	// AdaptiveSwitch enables mid-query algorithm switching for the
 	// repartition-based joins (see adaptive.go): after the first
 	// AdaptBatches wire batches of the JEN scan, the observed σ_L, |T'| and
 	// hot-key share re-cost the committed plan against broadcasting T' and
-	// against the hybrid skew partitioner, and the cheaper plan (past an
-	// AdaptMargin hysteresis) takes over mid-flight. Results are exact
-	// either way; row-at-a-time mode ignores it. When on, it subsumes the
-	// static skew path for those algorithms: plain hash routing is the
-	// default and the hybrid partitioner engages only by observed decision
-	// (SkewThreshold still supplies the hot bar, defaulting to
-	// 1/(2·JENWorkers) when zero).
+	// against the hybrid skew partitioner, and the cheaper plan (past the
+	// adaptMargin hysteresis) takes over mid-flight. Results are exact
+	// either way. Plain hash routing is the default; the hybrid partitioner
+	// (see internal/skew) engages only by observed decision.
 	AdaptiveSwitch bool
 	// AdaptBatches is K, the number of wire batches each JEN worker buffers
 	// before contributing its observation snapshot. Defaults to 8.
 	AdaptBatches int
-	// AdaptMargin is the hysteresis: an alternative plan must re-cost at
-	// least this fraction cheaper than the committed plan to trigger a
-	// switch. Defaults to 0.25.
-	AdaptMargin float64
 	// WireCompression frame-compresses every MsgRows payload with
 	// internal/compress before it reaches the bus, trading CPU for
 	// inter-cluster bandwidth (most visible on netsim.TCPBus links). Byte
@@ -189,14 +152,8 @@ func (c Config) withDefaults(j *jen.Cluster) Config {
 	if c.WorkerThreads <= 0 {
 		c.WorkerThreads = runtime.GOMAXPROCS(0)
 	}
-	if c.SkewSketchKeys <= 0 {
-		c.SkewSketchKeys = 256
-	}
 	if c.AdaptBatches <= 0 {
 		c.AdaptBatches = 8
-	}
-	if c.AdaptMargin <= 0 {
-		c.AdaptMargin = 0.25
 	}
 	return c
 }

@@ -527,13 +527,13 @@ func (e *Engine) decideEdgeSwitch(ed *plan.EdgeExec, interRows, interRowBytes in
 	cur := mod.ShuffleJoinCost(stats, false)
 	bc := mod.BroadcastJoinCost(stats)
 	e.rec.Add(metrics.AdaptDecisions, 1)
-	if !costmodel.ShouldSwitch(cur, bc, e.cfg.AdaptMargin) {
+	if !costmodel.ShouldSwitch(cur, bc, adaptMargin) {
 		return 0, ""
 	}
 	e.rec.Add(metrics.AdaptSwitches, 1)
 	return 1, fmt.Sprintf(
 		"edge %s: observed intermediate ≈%d rows vs dim ≈%d rows: re-cost keep=%.3gs broadcast=%.3gs (margin %.0f%%) → broadcast",
-		ed.Dim.Table, interRows, ed.EstDimRows, cur, bc, e.cfg.AdaptMargin*100)
+		ed.Dim.Table, interRows, ed.EstDimRows, cur, bc, adaptMargin*100)
 }
 
 // sendCtl ships one int64 control value — an observed cardinality or an

@@ -1,17 +1,12 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"testing"
-	"time"
 
 	"hybridwh/internal/catalog"
-	"hybridwh/internal/cluster"
 	"hybridwh/internal/edw"
 	"hybridwh/internal/format"
 	"hybridwh/internal/hdfs"
@@ -21,24 +16,12 @@ import (
 	"hybridwh/internal/types"
 )
 
-// buildSkewFixture is buildFixture with a heavily skewed L key
-// distribution — half of L lands on join key 7, the rest stays uniform —
-// and a caller-controlled engine config, so the same data can run with the
-// skew-resilient shuffle on and off. Key 7 survives the fixture's
-// predicates on both sides, so the hot key dominates the surviving shuffle.
-func buildSkewFixture(t testing.TB, bus netsim.Bus, dbWorkers, jenWorkers, tN, lN int, cfg Config) *fixture {
-	t.Helper()
-	return buildSkewFixtureKeys(t, bus, dbWorkers, jenWorkers, tN, lN, cfg, func(rng *rand.Rand) int {
-		if rng.Intn(2) == 0 {
-			return rng.Intn(300)
-		}
-		return 7
-	})
-}
-
-// buildSkewFixtureKeys is buildSkewFixture with a caller-chosen L join-key
-// distribution (the benchmarks draw Zipf keys instead of the planted 50%
-// heavy hitter).
+// buildSkewFixtureKeys is buildFixture with a caller-chosen L join-key
+// distribution (hotKeys90 plants a heavy hitter on join key 7, which
+// survives the fixture's predicates on both sides and so dominates the
+// surviving shuffle; the benchmarks draw Zipf keys) and a caller-controlled
+// engine config, so the same data can run with the adaptive layer on and
+// off.
 func buildSkewFixtureKeys(t testing.TB, bus netsim.Bus, dbWorkers, jenWorkers, tN, lN int, cfg Config, nextKey func(*rand.Rand) int) *fixture {
 	t.Helper()
 	rec := metrics.New()
@@ -105,189 +88,91 @@ func buildSkewFixtureKeys(t testing.TB, bus netsim.Bus, dbWorkers, jenWorkers, t
 	return &fixture{eng: eng, dfs: dfs, tRows: tRows, lRows: lRows, tSch: tSchema(), lSch: lSchema()}
 }
 
-func skewTestConfig(threshold float64) Config {
-	return Config{
-		BloomBits: 1 << 14, BloomHashes: 2, BatchRows: 64, WorkerThreads: 1,
-		SkewThreshold: threshold,
-	}
-}
-
 // TestSkewedJoinMatchesPlainPartitioner is the result-identity guarantee:
-// on identically-seeded skewed data, every algorithm family returns exactly
-// the reference answer with the skew-resilient shuffle on, off, and at a
-// threshold no key reaches (empty agreed hot set) — on both transports.
+// on identically-seeded skewed data every algorithm family returns exactly
+// the reference answer, byte-identical with the adaptive layer off and on,
+// on both transports — and for the shuffle joins "on" means the run
+// escalated to the hybrid partitioner mid-query (the other families have no
+// shuffle to re-route and must not report a switch).
 func TestSkewedJoinMatchesPlainPartitioner(t *testing.T) {
-	transports := []struct {
-		name   string
-		newBus func() netsim.Bus
-	}{
-		{"chan", func() netsim.Bus { return netsim.NewChanBus(256) }},
-		{"tcp", func() netsim.Bus { return netsim.NewTCPBus(256) }},
-	}
 	algs := []Algorithm{DBSideBloom, Broadcast, Repartition, RepartitionBloom, Zigzag}
-	for _, tr := range transports {
-		for _, threshold := range []float64{0, 0.05, 0.999} {
-			t.Run(fmt.Sprintf("%s/threshold=%v", tr.name, threshold), func(t *testing.T) {
-				f := buildSkewFixture(t, tr.newBus(), 2, 3, 600, 3000, skewTestConfig(threshold))
-				defer f.eng.Close()
-				want := reference(t, f, 300, 400)
-				if len(want) == 0 {
-					t.Fatal("reference result empty; fixture too sparse")
-				}
-				q := exampleQuery(t, f, 300, 400)
-				for _, alg := range algs {
-					f.eng.Recorder().Reset()
-					res, err := f.eng.Run(q, alg)
-					if err != nil {
-						t.Fatalf("%v: %v", alg, err)
+	for _, tr := range adaptTransports {
+		for _, alg := range algs {
+			t.Run(fmt.Sprintf("%s/%s", tr.name, alg), func(t *testing.T) {
+				// tCor=300 keeps T' large enough (~180 rows) that broadcast
+				// is not the cheaper escape; the hot key dominates the build.
+				res := runAdaptivePair(t, tr.newBus, hotKeys90, 2, 3, 600, 9000, 300, 400, alg)
+				if alg == DBSideBloom || alg == Broadcast {
+					if res.Switched {
+						t.Fatalf("switched to %q on an algorithm without a shuffle", res.SwitchedTo)
 					}
-					checkResult(t, res, want, alg)
+					return
+				}
+				if !res.Switched || res.SwitchedTo != "hybrid-shuffle" {
+					t.Fatalf("Switched=%v to %q (%s), want hybrid-shuffle", res.Switched, res.SwitchedTo, res.SwitchReason)
+				}
+				if hot := res.Metrics[metrics.JENShuffleHotTuples]; hot == 0 {
+					t.Error("hybrid switch scattered no hot tuples")
 				}
 			})
 		}
 	}
 }
 
-// TestSkewShuffleBalance is the load-balance guarantee: with half of L' on
+// TestSkewShuffleBalance is the load-balance guarantee: with ~90% of L' on
 // one key, the plain agreed-hash partitioner overloads that key's home
-// worker past 3× the mean, while the hybrid partitioner holds every worker
-// within 1.5× — with identical per-destination totals for cold keys and an
-// identical query result.
+// worker past 3× the mean, while the hybrid partitioner the adaptive layer
+// escalates to holds every worker within 1.5× — with the same shuffled
+// total and an identical query result. On uniform keys the adaptive layer
+// decides to keep the plan and reproduces the plain receive vector exactly.
 func TestSkewShuffleBalance(t *testing.T) {
 	const dbW, jenW, tN, lN = 3, 6, 1500, 9000
-	run := func(threshold float64) (*Result, *metrics.Recorder, map[int64][2]int64) {
-		f := buildSkewFixture(t, netsim.NewChanBus(256), dbW, jenW, tN, lN, skewTestConfig(threshold))
+	run := func(adaptive bool, keys func(*rand.Rand) int) (*Result, *metrics.Recorder) {
+		f := buildSkewFixtureKeys(t, netsim.NewChanBus(256), dbW, jenW, tN, lN, adaptTestConfig(adaptive), keys)
 		defer f.eng.Close()
-		want := reference(t, f, 300, 400)
-		q := exampleQuery(t, f, 300, 400)
-		res, err := f.eng.Run(q, RepartitionBloom)
+		res, err := f.eng.Run(exampleQuery(t, f, 300, 400), RepartitionBloom)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, f.eng.Recorder(), want
+		checkResult(t, res, reference(t, f, 300, 400), RepartitionBloom)
+		return res, f.eng.Recorder()
 	}
 
-	plainRes, plainRec, want := run(0)
-	skewRes, skewRec, _ := run(0.05)
+	_, plainRec := run(false, hotKeys90)
+	skewRes, skewRec := run(true, hotKeys90)
 
+	if skewRes.SwitchedTo != "hybrid-shuffle" {
+		t.Fatalf("SwitchedTo = %q (%s), want hybrid-shuffle", skewRes.SwitchedTo, skewRes.SwitchReason)
+	}
 	plainRatio := plainRec.BalanceRatio(metrics.JENRecvTuples)
 	skewRatio := skewRec.BalanceRatio(metrics.JENRecvTuples)
 	if plainRatio <= 3 {
 		t.Errorf("plain partitioner balance ratio %.2f; fixture not skewed enough (want > 3)", plainRatio)
 	}
 	if skewRatio > 1.5 {
-		t.Errorf("skew-resilient shuffle balance ratio %.2f, want ≤ 1.5", skewRatio)
+		t.Errorf("hybrid shuffle balance ratio %.2f, want ≤ 1.5", skewRatio)
 	}
 	if plainRec.Get(metrics.JENRecvTuples) != skewRec.Get(metrics.JENRecvTuples) {
-		t.Errorf("total shuffled tuples changed: %d plain vs %d skew — routing must only move rows, not drop them",
+		t.Errorf("total shuffled tuples changed: %d plain vs %d hybrid — routing must only move rows, not drop them",
 			plainRec.Get(metrics.JENRecvTuples), skewRec.Get(metrics.JENRecvTuples))
 	}
-	if skewRec.Get(metrics.SkewHotKeys) == 0 {
-		t.Error("no hot keys agreed despite the planted heavy hitter")
-	}
 	if hot := skewRec.Get(metrics.JENShuffleHotTuples); hot < int64(lN)/4 {
-		t.Errorf("only %d hot tuples scattered; the planted key holds ~half of L", hot)
+		t.Errorf("only %d hot tuples scattered; the planted key holds most of L", hot)
 	}
-	checkResult(t, plainRes, want, RepartitionBloom)
-	checkResult(t, skewRes, want, RepartitionBloom)
 
-	// An unreachable threshold produces an empty hot set: the deferred
-	// shuffle must reproduce the plain partitioner's receive vector exactly.
-	_, inertRec, _ := run(0.999)
-	if !reflect.DeepEqual(inertRec.Vector(metrics.JENRecvTuples), plainRec.Vector(metrics.JENRecvTuples)) {
-		t.Errorf("empty hot set changed the shuffle: recv %v vs plain %v",
-			inertRec.Vector(metrics.JENRecvTuples), plainRec.Vector(metrics.JENRecvTuples))
+	// No hot key, nothing to re-route: the keep decision flushes the
+	// buffered prefix through the agreed hash and must reproduce the plain
+	// partitioner's receive vector exactly.
+	_, uniformRec := run(false, uniformKeys)
+	keepRes, keepRec := run(true, uniformKeys)
+	if keepRes.Switched || keepRes.SwitchReason == "" {
+		t.Fatalf("uniform keys: Switched=%v to %q (%q), want a recorded keep decision", keepRes.Switched, keepRes.SwitchedTo, keepRes.SwitchReason)
 	}
-	if inertRec.Get(metrics.SkewHotKeys) != 0 {
-		t.Errorf("hot set not empty at threshold 0.999: %d keys", inertRec.Get(metrics.SkewHotKeys))
+	if !reflect.DeepEqual(keepRec.Vector(metrics.JENRecvTuples), uniformRec.Vector(metrics.JENRecvTuples)) {
+		t.Errorf("keep decision changed the shuffle: recv %v vs plain %v",
+			keepRec.Vector(metrics.JENRecvTuples), uniformRec.Vector(metrics.JENRecvTuples))
 	}
-}
-
-// TestSkewedJoinDeterministicCounters: at WorkerThreads=1 the whole skew
-// machinery — sketch, hot set, round-robin placement — is deterministic, so
-// two identically-seeded engines produce bit-identical counter snapshots.
-func TestSkewedJoinDeterministicCounters(t *testing.T) {
-	sweep := func() []map[string]int64 {
-		f := buildSkewFixture(t, netsim.NewChanBus(256), 2, 3, 600, 3000, skewTestConfig(0.05))
-		defer f.eng.Close()
-		q := exampleQuery(t, f, 300, 400)
-		var out []map[string]int64
-		for _, alg := range []Algorithm{Repartition, RepartitionBloom, Zigzag} {
-			f.eng.Recorder().Reset()
-			res, err := f.eng.Run(q, alg)
-			if err != nil {
-				t.Fatalf("%v: %v", alg, err)
-			}
-			out = append(out, res.Metrics)
-		}
-		return out
-	}
-	first, second := sweep(), sweep()
-	for i := range first {
-		if !reflect.DeepEqual(first[i], second[i]) {
-			t.Errorf("run %d: skewed-join counter snapshots differ between identically-seeded sweeps", i)
-			for k, v := range second[i] {
-				if first[i][k] != v {
-					t.Errorf("run %d counter %s: %d vs %d", i, k, first[i][k], v)
-				}
-			}
-		}
-	}
-}
-
-// TestInjectedFailuresAbortSkewedShuffle extends the fault matrix across
-// the skew path's extra protocol phases (sketch fan-in, hot-set broadcast,
-// deferred shuffle): a worker dying mid skew-shuffle must still produce one
-// classified error, within the deadline, with no leaked goroutines.
-func TestInjectedFailuresAbortSkewedShuffle(t *testing.T) {
-	transports := []struct {
-		name   string
-		newBus func() netsim.Bus
-	}{
-		{"chan", func() netsim.Bus { return netsim.NewChanBus(64) }},
-		{"tcp", func() netsim.Bus { return netsim.NewTCPBus(64) }},
-	}
-	// The kill counts put the death in different phases: 4 lands around the
-	// early Bloom/sketch/hot-set exchange, 12 inside the deferred shuffle
-	// (the skew path sends nothing row-bearing before the hot set arrives,
-	// so by message 12 the endpoint is mid skew-shuffle).
-	kills := []struct {
-		name  string
-		kill  string
-		after int64
-	}{
-		{"jen-early", cluster.JENName(1), 4},
-		{"jen-mid-shuffle", cluster.JENName(1), 12},
-		{"db-worker", cluster.DBName(1), 4},
-	}
-	for _, tr := range transports {
-		for _, alg := range []Algorithm{Repartition, Zigzag} {
-			for _, k := range kills {
-				t.Run(fmt.Sprintf("%s/%s/%s", tr.name, alg, k.name), func(t *testing.T) {
-					baseline := runtime.NumGoroutine()
-					ctx, cancel := context.WithTimeout(context.Background(), abortTestDeadline)
-					defer cancel()
-					f := buildSkewFixture(t, tr.newBus(), 2, 3, 600, 3000, skewTestConfig(0.05))
-					f.eng.Bus().(netsim.FaultInjector).KillEndpointAfter(k.kill, k.after)
-					q := exampleQuery(t, f, 300, 400)
-					start := time.Now()
-					_, err := f.eng.RunCtx(ctx, q, alg)
-					elapsed := time.Since(start)
-					if err == nil {
-						t.Fatal("query succeeded despite injected failure")
-					}
-					if !errors.Is(err, netsim.ErrEndpointDown) {
-						t.Fatalf("err = %v, want errors.Is netsim.ErrEndpointDown", err)
-					}
-					if elapsed >= abortTestDeadline {
-						t.Fatalf("abort took %v; protocol stalled until the deadline", elapsed)
-					}
-					if err := f.eng.Close(); err != nil {
-						t.Logf("engine close after abort: %v", err)
-					}
-					checkNoGoroutineLeak(t, baseline)
-				})
-			}
-		}
+	if hot := keepRec.Get(metrics.JENShuffleHotTuples); hot != 0 {
+		t.Errorf("keep decision scattered %d hot tuples", hot)
 	}
 }

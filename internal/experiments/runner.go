@@ -23,9 +23,6 @@ type RunConfig struct {
 	// ZipfS skews L's foreign keys (datagen.Data.ZipfS): 0 = the paper's
 	// uniform draw, s > 1 = Zipf(s) heavy hitters.
 	ZipfS float64
-	// SkewThreshold passes through to the engine's skew-resilient shuffle
-	// (core.Config.SkewThreshold); 0 = off.
-	SkewThreshold float64
 	// Adaptive enables mid-query algorithm switching
 	// (core.Config.AdaptiveSwitch): the engine re-costs the committed plan
 	// against the first scanned batches and switches when it mispredicted.
@@ -94,7 +91,6 @@ func Run(exp Experiment, cfg RunConfig) (*Report, error) {
 			Scale:          cfg.Scale,
 			Format:         f,
 			Seed:           cfg.Seed,
-			SkewThreshold:  cfg.SkewThreshold,
 			AdaptiveSwitch: cfg.Adaptive,
 		})
 		if err != nil {

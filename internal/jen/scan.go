@@ -11,7 +11,6 @@ import (
 	"hybridwh/internal/mem"
 	"hybridwh/internal/metrics"
 	"hybridwh/internal/par"
-	"hybridwh/internal/skew"
 	"hybridwh/internal/types"
 )
 
@@ -67,19 +66,11 @@ type ScanSpec struct {
 	// same geometry; the privates are OR-ed into BuildBloom at the end, so
 	// the final filter is independent of batch interleaving.
 	BuildBloom *bloom.Filter
-	// BuildSketch, when set, receives the join key of every surviving row —
-	// the heavy-hitter detection pass for the skew-resilient shuffle. Like
-	// BuildBloom, with Threads > 1 each process goroutine fills a private
-	// clone and the privates merge at the end; the sketch's merge is a
-	// pointwise counter sum, so the result is independent of batch
-	// interleaving whenever the per-thread sketches stay exact (see
-	// skew.Sketch).
-	BuildSketch *skew.Sketch
 	// BloomKeyIdx is the join-key column in the projected layout.
 	BloomKeyIdx int
 	// Progress, when set, receives live (processed, survived) row counts as
 	// each batch clears the filter stage — the mid-scan observation tap for
-	// adaptive execution. Unlike BuildBloom/BuildSketch it is shared across
+	// adaptive execution. Unlike BuildBloom it is shared across
 	// threads directly (it is atomic), so its counts are visible while the
 	// scan is still running.
 	Progress *Progress
@@ -189,16 +180,11 @@ func (c *Cluster) ScanFilterBatches(spec ScanSpec, yield func(*batch.Batch) erro
 		threads = 1
 	}
 	locals := make([]*bloom.Filter, threads)
-	sketches := make([]*skew.Sketch, threads)
 	work := func(t int) error {
 		tspec := spec
 		if spec.BuildBloom != nil && threads > 1 {
 			tspec.BuildBloom = bloom.New(spec.BuildBloom.MBits(), spec.BuildBloom.K())
 			locals[t] = tspec.BuildBloom
-		}
-		if spec.BuildSketch != nil && threads > 1 {
-			tspec.BuildSketch = spec.BuildSketch.Clone()
-			sketches[t] = tspec.BuildSketch
 		}
 		var procErr error
 		var processed int64
@@ -247,13 +233,6 @@ func (c *Cluster) ScanFilterBatches(spec ScanSpec, yield func(*batch.Batch) erro
 					procErr = err
 					break
 				}
-			}
-		}
-		if spec.BuildSketch != nil && procErr == nil {
-			// Counter addition is commutative too; see skew.Sketch.Merge for
-			// when the merged summary is fully interleaving-independent.
-			for _, sk := range sketches {
-				spec.BuildSketch.Merge(sk)
 			}
 		}
 	}
@@ -322,23 +301,16 @@ func (c *Cluster) filterBatch(spec ScanSpec, b *batch.Batch, hashes *[]uint64, h
 		*hashes = hs
 		spec.BuildBloom.AddHashes(hs)
 	}
-	if spec.BuildSketch != nil && b.Len() > 0 {
-		keys := b.Col(spec.BloomKeyIdx)
-		_ = b.Each(func(i int) error {
-			spec.BuildSketch.Add(keys[i].Int())
-			return nil
-		})
-	}
 	return nil
 }
 
-// ScanFilter is the row-at-a-time baseline over the batch scan: the shared
+// ScanFilter is the row-at-a-time adapter over the batch scan: the shared
 // readers still decode columnar batches, but everything downstream runs per
 // row — each physical row is materialized, the predicate goes through
 // expr.EvalPred (one interface dispatch per tree node per row), and the key
-// filter and BF_H construction hash one key at a time. This reproduces the
-// seed's per-row pipeline for core.Config.RowAtATime and the
-// BenchmarkScanFilterJoin baseline. Counters are unaffected: the scan and
+// filter and BF_H construction hash one key at a time. It is the reference
+// the batch kernels are tested against and what the samplers use, where
+// per-row cost does not matter. Counters are unaffected: the scan and
 // process counters charge physical rows before any filtering, and the
 // surviving row set is identical. Yielded rows are freshly materialized, so
 // callers may retain them (send buffers and hash tables do).
@@ -346,9 +318,8 @@ func (c *Cluster) ScanFilter(spec ScanSpec, yield func(types.Row) error) error {
 	rowSpec := spec
 	rowSpec.Pred, rowSpec.DBFilter, rowSpec.BuildBloom = nil, nil, nil
 	rowSpec.Cascade = nil
-	rowSpec.BuildSketch = nil // skew handling is a batch-mode feature
-	rowSpec.Progress = nil    // adaptive execution is too; batch counts would miscount survivors here
-	rowSpec.Threads = 1       // the seed pipeline is strictly single-threaded
+	rowSpec.Progress = nil // batch counts would miscount survivors here
+	rowSpec.Threads = 1    // per-row yields are strictly single-threaded
 	return c.ScanFilterBatches(rowSpec, func(b *batch.Batch) error {
 		return b.Each(func(i int) error {
 			row := b.CloneRow(i)

@@ -11,8 +11,7 @@
 // The shipper's own internals are exempt: a method whose receiver is the
 // shipper may loop over rows calling its sibling per-row methods — that is
 // the sanctioned implementation of the slice-granularity API, not a hot
-// path regression. Deliberate row-at-a-time baselines (Config.RowAtATime)
-// carry a reasoned //lint:ignore rowloop directive.
+// path regression.
 package rowloop
 
 import (

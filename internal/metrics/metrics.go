@@ -261,12 +261,10 @@ const (
 	JENProcessTuples = "jen.process.tuples" // vector: rows through the process thread
 	JENRecvTuples    = "jen.recv.tuples"    // vector: shuffled rows received
 
-	// Skew handling (core.Config.SkewThreshold). Hot tuples are counted at
-	// the sender; the receive-side balance is BalanceRatio(JENRecvTuples).
-	JENShuffleHotTuples = "jen.shuffle.hot"   // vector: hot-key tuples scattered per sending JEN worker
-	SkewHotKeys         = "skew.hot.keys"     // scalar: agreed hot-set size
-	SkewHotPermille     = "skew.hot.permille" // scalar: hottest key's share of surviving HDFS rows, ×1000
-	SkewBytes           = "skew.bytes"        // scalar: sketch and hot-set bytes moved
+	// Hybrid skew partitioner (an adaptive decision, see core/adaptive.go).
+	// Hot tuples are counted at the sender; the receive-side balance is
+	// BalanceRatio(JENRecvTuples).
+	JENShuffleHotTuples = "jen.shuffle.hot" // vector: hot-key tuples scattered per sending JEN worker
 
 	// Intra-worker parallelism accounting. Slots index the morsel/probe
 	// thread, not the worker: the sum equals the corresponding per-worker

@@ -117,8 +117,7 @@ func (w *Warehouse) starEnv() (*analyzer.Env, error) {
 		a := core.Advise(core.AdviceStats{
 			TRows: es.DimRows, SigmaT: 1,
 			LRows: es.FactRows, SigmaL: 1,
-			JENWorkers:  es.Workers,
-			SkewHandled: w.cfg.SkewThreshold > 0,
+			JENWorkers: es.Workers,
 		}, w.cfg.Scale)
 		if a.Algorithm == core.Broadcast {
 			return plan.EdgeBroadcast, a.Reason

@@ -86,32 +86,20 @@ type Config struct {
 	// BroadcastRelay switches the broadcast join to the §4.3 relay transfer
 	// scheme (each DB worker ships to one JEN worker, which relays).
 	BroadcastRelay bool
-	// RowAtATime reverts the JEN repartition pipeline to row-at-a-time
-	// execution (the pre-vectorization baseline; counters are identical).
-	RowAtATime bool
-	// SkewThreshold enables the skew-resilient shuffle: join keys holding at
-	// least this share of the surviving HDFS scan get hybrid treatment
-	// (their L rows scattered round-robin, the matching T' rows replicated).
-	// 0 disables it with bit-identical plain-repartition behaviour. See
-	// core.Config.SkewThreshold.
-	SkewThreshold float64
-	// SkewSketchKeys sizes the per-worker heavy-hitter sketch (default 256).
-	SkewSketchKeys int
 	// AdaptiveSwitch enables mid-query algorithm switching for the
 	// HDFS-side shuffle joins: after the first AdaptBatches wire batches of
 	// the JEN scan the engine compares the observed selectivity, |T'| and
 	// hot-key share against the committed plan's assumptions and, when an
-	// alternative is cheaper by more than AdaptMargin, switches to a
-	// broadcast of T' or escalates to the hybrid skew partitioner without
-	// restarting the query. Results are identical to the never-switch run.
+	// alternative is cheaper by more than a fixed 25 % margin, switches to
+	// a broadcast of T' or escalates to the hybrid skew partitioner (hot
+	// join keys scattered round-robin, the matching T' rows replicated)
+	// without restarting the query. Results are identical to the
+	// never-switch run.
 	// See core.Config.AdaptiveSwitch.
 	AdaptiveSwitch bool
 	// AdaptBatches is the per-worker scan prefix (in wire batches) observed
 	// before the switch decision (default 8).
 	AdaptBatches int
-	// AdaptMargin is the hysteresis margin: an alternative plan must be at
-	// least this fraction cheaper to trigger a switch (default 0.25).
-	AdaptMargin float64
 	// QueryTimeout bounds each query's wall-clock time. When it expires the
 	// query aborts across both clusters and Query returns an error wrapping
 	// context.DeadlineExceeded. Zero means no deadline; QueryCtx offers
@@ -244,12 +232,8 @@ func Open(cfg Config) (*Warehouse, error) {
 		SpillBudgetBytes: cfg.SpillBudgetBytes,
 		SpillDir:         cfg.SpillDir,
 		BroadcastRelay:   cfg.BroadcastRelay,
-		RowAtATime:       cfg.RowAtATime,
-		SkewThreshold:    cfg.SkewThreshold,
-		SkewSketchKeys:   cfg.SkewSketchKeys,
 		AdaptiveSwitch:   cfg.AdaptiveSwitch,
 		AdaptBatches:     cfg.AdaptBatches,
-		AdaptMargin:      cfg.AdaptMargin,
 	})
 	if err != nil {
 		if cerr := bus.Close(); cerr != nil {
@@ -396,7 +380,7 @@ type Result struct {
 	EstimatedTime costmodel.Breakdown
 	// ShuffleBalance is the max/mean ratio of per-worker received shuffle
 	// tuples (1.0 = perfectly balanced; 0 when the algorithm did not
-	// shuffle). The skew-resilient shuffle exists to pull this toward 1.
+	// shuffle). The hybrid skew shuffle exists to pull this toward 1.
 	ShuffleBalance float64
 	// Switched reports the adaptive layer (Config.AdaptiveSwitch) changed
 	// the plan mid-query; SwitchedTo names the strategy it switched to
@@ -517,11 +501,9 @@ func (w *Warehouse) resolve(jq *plan.JoinQuery, opts []Option) (queryOpts, core.
 // run's measurements.
 func (w *Warehouse) buildResult(res *core.Result, alg core.Algorithm, advice string) (*Result, error) {
 	est, err := w.model.Estimate(alg.String(), w.rec, w.bus.Counters(), costmodel.Params{
-		Scale:       w.cfg.Scale,
-		Format:      w.cfg.Format,
-		JENWorkers:  w.cfg.JENWorkers,
-		HotKeyShare: float64(w.rec.Get(metrics.SkewHotPermille)) / 1000,
-		SkewHandled: w.cfg.SkewThreshold > 0,
+		Scale:      w.cfg.Scale,
+		Format:     w.cfg.Format,
+		JENWorkers: w.cfg.JENWorkers,
 	})
 	if err != nil {
 		return nil, err
@@ -651,11 +633,12 @@ func (w *Warehouse) advise(jq *plan.JoinQuery, o queryOpts) core.Advice {
 		SigmaT:      1,
 		SigmaL:      o.sigmaL,
 		JENWorkers:  w.cfg.JENWorkers,
-		SkewHandled: w.cfg.SkewThreshold > 0,
+		SkewHandled: w.cfg.AdaptiveSwitch,
 	}
 	if !stats.SkewHandled {
-		// The hybrid shuffle would neutralize skew, so only sample for it
-		// when it is off and the hot-key share can sway the decision.
+		// The adaptive layer escalates to the hybrid shuffle on observed
+		// skew, so only sample for it when that layer is off and the
+		// hot-key share can sway the decision.
 		if est, err := w.EstimateHotKeyShare(jq, 0); err == nil {
 			stats.HotKeyShare = est
 		}

@@ -8,7 +8,6 @@ import (
 	"hybridwh/internal/core"
 	"hybridwh/internal/datagen"
 	"hybridwh/internal/format"
-	"hybridwh/internal/metrics"
 	"hybridwh/internal/types"
 )
 
@@ -106,17 +105,22 @@ func TestEndToEndSQLAllAlgorithmsAgree(t *testing.T) {
 }
 
 // TestSkewShuffleEndToEnd drives the whole public path: Zipf-skewed L, the
-// skew-resilient shuffle toggled via Config, identical rows either way, a
-// better ShuffleBalance with it on, and the sampling estimator spotting the
-// hot key the advisor would act on.
+// adaptive layer toggled via Config and escalating to the hybrid skew
+// shuffle, identical rows either way, a better ShuffleBalance with it on,
+// and the sampling estimator spotting the hot key the advisor would act on.
 func TestSkewShuffleEndToEnd(t *testing.T) {
 	data := smallData()
-	data.ZipfS = 1.3 // hottest key holds roughly a quarter of L
+	data.ZipfS = 1.3 // hottest key holds roughly a third of L'
+	// Re-costing escalates when the hot key's build (share·|L'|) outweighs
+	// both an even shuffle and the T' transfer by the switch margin: eight
+	// workers a side put the bar near a quarter of L', and doubling L keeps
+	// the T' transfer from being the floor under every plan.
+	data.LRows *= 2
 
-	run := func(threshold float64) *Result {
+	run := func(adaptive bool) *Result {
 		w, err := Open(Config{
-			DBWorkers: 3, JENWorkers: 4, BlockSize: 64 << 10,
-			SkewThreshold: threshold,
+			DBWorkers: 8, JENWorkers: 8, BlockSize: 64 << 10,
+			AdaptiveSwitch: adaptive,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -130,7 +134,7 @@ func TestSkewShuffleEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if threshold == 0 {
+		if !adaptive {
 			// While the plain warehouse is open, check the sampler sees the
 			// skew that motivates the whole subsystem.
 			jq, err := w.Plan(PaperQuerySQL(wl))
@@ -156,8 +160,8 @@ func TestSkewShuffleEndToEnd(t *testing.T) {
 		return res
 	}
 
-	plain := run(0)
-	skew := run(0.05)
+	plain := run(false)
+	skew := run(true)
 
 	if len(plain.Rows) != len(skew.Rows) {
 		t.Fatalf("row counts differ: %d plain vs %d skew", len(plain.Rows), len(skew.Rows))
@@ -167,8 +171,8 @@ func TestSkewShuffleEndToEnd(t *testing.T) {
 			t.Errorf("row %d: %s != %s", i, plain.Rows[i], skew.Rows[i])
 		}
 	}
-	if skew.Counters[metrics.SkewHotKeys] == 0 {
-		t.Error("no hot keys agreed despite Zipf data")
+	if skew.SwitchedTo != "hybrid-shuffle" {
+		t.Errorf("SwitchedTo = %q (%s), want hybrid-shuffle", skew.SwitchedTo, skew.SwitchReason)
 	}
 	if plain.ShuffleBalance <= 1.2 {
 		t.Errorf("plain ShuffleBalance = %.2f; Zipf fixture not skewed enough", plain.ShuffleBalance)
