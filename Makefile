@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check fmt build vet lint lint-strict test race bench bench-smoke perf perf-compare
+.PHONY: check fmt build vet lint lint-strict test race bench bench-smoke perf perf-compare idle
 
 check: fmt build vet lint test
 
@@ -76,3 +76,11 @@ perf-compare:
 	@out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
 	bash bench/run.sh -workload all -seed 1 -repeat 3 -o "$$out" && \
 	bash bench/run.sh -compare bench/results/baseline/runs_a.json "$$out"
+
+# The ROADMAP's end-of-session check: list any benchmark, shell, test binary
+# or go command still running and fail if there is one. Run it last, after
+# every foreground go test, make target and bench/run.sh. The bracketed
+# first letters keep the pattern from matching this recipe's own shell.
+idle:
+	@if pgrep -fa '[h]wperf|[h]wbench|[h]wshell|[.]test|[g]o (test|build|run|vet)'; then \
+		echo "idle: the processes above are still running"; exit 1; fi

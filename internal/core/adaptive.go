@@ -16,7 +16,6 @@ import (
 	"hybridwh/internal/plan"
 	"hybridwh/internal/relop"
 	"hybridwh/internal/skew"
-	"hybridwh/internal/types"
 )
 
 // Adaptive execution (Config.AdaptiveSwitch): the repartition-based joins
@@ -558,7 +557,7 @@ func (a *adaptJENWorker) applyLocked(d *adaptDecision) error {
 	}
 	route := a.routeFnLocked()
 	for _, wb := range a.buffered {
-		if err := a.b.scatterBatch(wb, nil, a.q.HDFSWireKey, route); err != nil {
+		if err := a.b.scatterBatch(wb, nil, a.q.HDFSWireKey, nil, route); err != nil {
 			return err
 		}
 	}
@@ -584,7 +583,7 @@ func (a *adaptJENWorker) routeFnLocked() func(key int64) string {
 // routeLiveLocked scatters a live scan batch under the installed decision.
 // Callers hold mu.
 func (a *adaptJENWorker) routeLiveLocked(sb *batch.Batch) error {
-	return a.b.scatterBatch(sb, a.q.HDFSWire, a.scanKey, a.routeFnLocked())
+	return a.b.scatterBatch(sb, a.q.HDFSWire, a.scanKey, nil, a.routeFnLocked())
 }
 
 // decided returns the installed decision kind (keepPlan when none arrived,
@@ -655,32 +654,12 @@ func (e *Engine) probeLocalBroadcast(buffered, dbBatches []*batch.Batch, q *plan
 	defer bud.Release(charged)
 	ht.Build()
 
-	cmb := &combiner{e: e, q: q, agg: agg}
 	var probes int64
-	wire := make(types.Row, len(q.HDFSWire))
 	for _, lb := range buffered {
 		probes += int64(lb.Len())
-		keys := lb.Col(q.HDFSWireKey)
-		err := lb.Each(func(i int) error {
-			bucket := ht.Probe(keys[i].Int())
-			if len(bucket) == 0 {
-				return nil
-			}
-			for j := 0; j < lb.NumCols(); j++ {
-				wire[j] = lb.Col(j)[i]
-			}
-			for _, dbr := range bucket {
-				if err := cmb.add(wire, dbr); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
 	}
-	if err := cmb.flush(); err != nil {
+	cmb := e.newCombiner(q.PostJoin, agg)
+	if err := cmb.probeAll(ht, buffered, q.HDFSWireKey); err != nil {
 		return err
 	}
 	e.rec.AddAt(metrics.JoinProbeTuples, w, probes)
@@ -689,33 +668,32 @@ func (e *Engine) probeLocalBroadcast(buffered, dbBatches []*batch.Batch, q *plan
 }
 
 // adaptObserveT contributes one DB worker's observed |T'| to the
-// designated fan-in. It is sent even on the failure path (tw may be nil)
-// so the fan-in always completes; in the zigzag program it goes out before
-// the BF_H wait, because the designated worker broadcasts BF_H only after
-// coordinating the switch — waiting first would deadlock the handshake.
-func (e *Engine) adaptObserveT(pr *prog, qs string, q *plan.JoinQuery, i int, tw []types.Row) {
+// designated fan-in. It is sent even on the failure path so the fan-in
+// always completes; in the zigzag program it goes out before the BF_H wait,
+// because the designated worker broadcasts BF_H only after coordinating the
+// switch — waiting first would deadlock the handshake.
+func (e *Engine) adaptObserveT(pr *prog, qs string, q *plan.JoinQuery, i int, tRows int64) {
 	o := obsSnapshot{
-		tRows:  int64(len(tw)),
-		tBytes: int64(len(tw)) * 16 * int64(len(q.DBProj)),
+		tRows:  tRows,
+		tBytes: tRows * 16 * int64(len(q.DBProj)),
 	}
 	pr.fail(e.sendObserved(dbName(i), qs+"adapt.obs", o, jenName(e.jen.DesignatedWorker())))
 }
 
-// adaptRouteRows blocks for the agreed decision and routes T' accordingly.
-// On the failure path it still drains the decision — under the aborted
-// program context, so it cannot block — and ships nothing.
-func (e *Engine) adaptRouteRows(ctx context.Context, pr *prog, qs string, q *plan.JoinQuery, b *batcher, i int, tw []types.Row, destOf func(key int64) string, runErr *error) {
+// adaptRouteT blocks for the agreed decision and routes T' accordingly:
+// broadcast, or scattered by the agreed hash with the decision's hot rows
+// (empty unless hybrid) replicated. On the failure path it still drains the
+// decision — under the aborted program context, so it cannot block — and
+// ships nothing.
+func (e *Engine) adaptRouteT(ctx context.Context, pr *prog, qs string, q *plan.JoinQuery, b *batcher, i int, tw []*batch.Batch, destOf func(key int64) string, runErr *error) {
 	d, err := e.recvDecision(ctx, dbName(i), qs+"adapt.dec")
 	pr.fail(err)
 	if *runErr != nil {
 		return
 	}
-	switch d.kind {
-	case switchBroadcast:
-		pr.fail(b.broadcastRows(tw))
-	case switchHybrid:
-		pr.fail(b.scatterRowsHybrid(tw, q.DBWireKey, d.hot, destOf))
-	default:
-		pr.fail(b.scatterRows(tw, q.DBWireKey, destOf))
+	if d.kind == switchBroadcast {
+		pr.fail(b.broadcastBatches(tw))
+		return
 	}
+	pr.fail(b.scatterBatches(tw, q.DBWireKey, d.hot, destOf))
 }

@@ -24,16 +24,10 @@ import (
 // partitioning function is opaque to JEN (Section 4.3).
 func (e *Engine) runDBSide(ctx context.Context, qs string, q *plan.JoinQuery, useBF bool) (*Result, error) {
 	n, m := e.jen.Workers(), e.db.Workers()
-	tbl, err := e.db.Table(q.DBTable)
+	tbl, scanPlan, accessPlan, err := e.resolve(q)
 	if err != nil {
 		return nil, err
 	}
-	scanPlan, err := e.jen.PlanScan(q.HDFSTable)
-	if err != nil {
-		return nil, err
-	}
-	need := append(append([]int(nil), q.DBProj...), colSet(q.DBPred)...)
-	accessPlan := e.db.PlanAccess(tbl, q.DBPred, need)
 
 	if useBF {
 		bfdb, err := e.db.BuildBloom(tbl, q.DBPred, q.DBJoinColBase, e.cfg.BloomBits, e.cfg.BloomHashes)
@@ -63,16 +57,7 @@ func (e *Engine) runDBSide(ctx context.Context, qs string, q *plan.JoinQuery, us
 		}
 	}
 
-	// The optimizer's strategy choice, from T' and L' cardinality estimates
-	// (the paper passes a cardinality hint to the read_hdfs UDF).
-	estT := int64(float64(tbl.Rows()) * accessPlan.EstSelectivity)
-	estL := q.HDFSCardHint
-	if estL == 0 {
-		if cat, err := e.jen.Catalog().Lookup(q.HDFSTable); err == nil {
-			estL = cat.Rows
-		}
-	}
-	strategy := edw.ChooseJoinStrategy(estT, estL, m)
+	strategy := e.dbStrategy(q, tbl, accessPlan)
 
 	g, ctx := par.WithContext(ctx)
 	var resultRows []types.Row
@@ -95,6 +80,20 @@ func (e *Engine) runDBSide(ctx context.Context, qs string, q *plan.JoinQuery, us
 		return nil, err
 	}
 	return &Result{Rows: resultRows, DBJoinStrategy: strategy}, nil
+}
+
+// dbStrategy is the database optimizer's final-join choice, from T' and L'
+// cardinality estimates (the paper passes a cardinality hint to the
+// read_hdfs UDF).
+func (e *Engine) dbStrategy(q *plan.JoinQuery, tbl *edw.Table, ap edw.AccessPlan) edw.JoinStrategy {
+	estT := int64(float64(tbl.Rows()) * ap.EstSelectivity)
+	estL := q.HDFSCardHint
+	if estL == 0 {
+		if cat, err := e.jen.Catalog().Lookup(q.HDFSTable); err == nil {
+			estL = cat.Rows
+		}
+	}
+	return edw.ChooseJoinStrategy(estT, estL, e.db.Workers())
 }
 
 // jenIngestProgram is a JEN worker's role in the DB-side join: scan, filter,
@@ -127,6 +126,21 @@ func (e *Engine) jenIngestProgram(ctx context.Context, qs string, q *plan.JoinQu
 	return runErr
 }
 
+// materialize filters and projects worker w's partition of tbl into cloned
+// batches, returning their live row count alongside: the T' (or dimension)
+// a DB program must hold before it can route it — for a Bloom filter still
+// to arrive, a switch decision, or a DB-side pre-join.
+func (e *Engine) materialize(tbl *edw.Table, w int, ap edw.AccessPlan, proj []int) ([]*batch.Batch, int64, error) {
+	var out []*batch.Batch
+	var n int64
+	err := e.db.FilterProjectBatches(tbl, w, ap, proj, e.cfg.BatchRows, e.cfg.WorkerThreads, func(b *batch.Batch) error {
+		out = append(out, b.Clone())
+		n += int64(b.Len())
+		return nil
+	})
+	return out, n, err
+}
+
 // dbJoinProgram is a DB worker's role in the DB-side join. It always
 // completes the wire protocol (EOS to every peer) before reporting errors.
 // bfh, when set, further prunes the local T' (the dismissed DB-side zigzag
@@ -141,10 +155,10 @@ func (e *Engine) dbJoinProgram(ctx context.Context, qs string, q *plan.JoinQuery
 	// Local T' first. It is materialized: depending on the strategy it is
 	// inserted locally, reshuffled or broadcast, and the zigzag variant
 	// prunes it with BF_H before any of that.
-	tw, err := e.db.FilterProject(tbl, i, ap, q.DBProj)
+	tw, _, err := e.materialize(tbl, i, ap, q.DBProj)
 	pr.fail(err)
 	if err == nil && bfh != nil {
-		tw, _ = e.db.ApplyBloom(tw, q.DBWireKey, bfh)
+		e.db.ApplyBloomBatches(tw, q.DBWireKey, bfh)
 	}
 
 	// Background receivers registered before anything is sent. Their errors
@@ -166,8 +180,8 @@ func (e *Engine) dbJoinProgram(ctx context.Context, qs string, q *plan.JoinQuery
 		})
 	case edw.BroadcastIngested:
 		// The hash table is the local T' partition; no T reshuffle.
-		for _, r := range tw {
-			if err := ht.Insert(r); err != nil {
+		for _, b := range tw {
+			if err := ht.InsertBatch(b); err != nil {
 				pr.fail(err)
 				break
 			}
@@ -185,19 +199,18 @@ func (e *Engine) dbJoinProgram(ctx context.Context, qs string, q *plan.JoinQuery
 	}
 
 	// Ship T' per strategy.
+	destOf := func(key int64) string { return dbName(cluster.PartitionFor(key, m)) }
 	switch strategy {
 	case edw.RepartitionBoth:
 		tb := e.newBatcher(ctx, me, qs+"treshuf", e.dbNames(), metrics.DBReshuffleTuples, metrics.DBReshuffleBytes, i)
 		if runErr == nil {
-			pr.fail(tb.scatterRows(tw, q.DBWireKey, func(key int64) string {
-				return dbName(cluster.PartitionFor(key, m))
-			}))
+			pr.fail(tb.scatterBatches(tw, q.DBWireKey, nil, destOf))
 		}
 		pr.fail(tb.CloseWith(runErr))
 	case edw.BroadcastDB:
 		tb := e.newBatcher(ctx, me, qs+"treshuf", e.dbNames(), metrics.DBReshuffleTuples, metrics.DBReshuffleBytes, i)
 		if runErr == nil {
-			pr.fail(tb.broadcastRows(tw))
+			pr.fail(tb.broadcastBatches(tw))
 		}
 		pr.fail(tb.CloseWith(runErr))
 	}
@@ -208,9 +221,7 @@ func (e *Engine) dbJoinProgram(ctx context.Context, qs string, q *plan.JoinQuery
 	case edw.RepartitionBoth:
 		lb := e.newBatcher(ctx, me, qs+"lreshuf", e.dbNames(), metrics.DBIngestTuples, metrics.DBIngestBytes, i)
 		err := e.recvBatches(ctx, me, qs+"ingest", ingestSenders, func(b *batch.Batch) error {
-			return lb.scatterBatch(b, nil, q.HDFSWireKey, func(key int64) string {
-				return dbName(cluster.PartitionFor(key, m))
-			})
+			return lb.scatterBatch(b, nil, q.HDFSWireKey, nil, destOf)
 		})
 		pr.fail(err)
 		pr.fail(lb.CloseWith(runErr))
@@ -248,29 +259,8 @@ func (e *Engine) dbJoinProgram(ctx context.Context, qs string, q *plan.JoinQuery
 	agg.SetBudget(bud)
 	defer func() { bud.Release(agg.MemBytes()) }()
 	if runErr == nil {
-		cmb := &combiner{e: e, q: q, agg: agg}
-		var scratch types.Row
-		for _, pb := range lbatches {
-			keys := pb.Col(q.HDFSWireKey)
-			err := pb.Each(func(r int) error {
-				bucket := ht.Probe(keys[r].Int())
-				if len(bucket) == 0 {
-					return nil
-				}
-				scratch = pb.RowAt(r, scratch)
-				for _, dbr := range bucket {
-					if err := cmb.add(scratch, dbr); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				pr.fail(err)
-				break
-			}
-		}
-		pr.fail(cmb.flush())
+		cmb := e.newCombiner(q.PostJoin, agg)
+		pr.fail(cmb.probeAll(ht, lbatches, q.HDFSWireKey))
 		e.rec.Add(metrics.JoinOutputTuples, cmb.output)
 	}
 
@@ -284,12 +274,10 @@ func (e *Engine) dbJoinProgram(ctx context.Context, qs string, q *plan.JoinQuery
 	if i != 0 {
 		return nil, runErr
 	}
-	final := relop.NewHashAgg(q.GroupBy, q.Aggs)
-	err = e.recvRows(ctx, me, qs+"partial", m, func(r types.Row) error {
-		return final.MergePartial(r)
-	})
+	partials, err := e.collectRows(ctx, me, qs+"partial", m)
 	pr.fail(err)
-	rows := final.FinalRows()
+	rows, err := mergePartials(q.GroupBy, q.Aggs, partials)
+	pr.fail(err)
 	e.rec.Add(metrics.AggGroups, int64(len(rows)))
 	return rows, runErr
 }

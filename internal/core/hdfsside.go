@@ -36,16 +36,10 @@ func (e *Engine) runHDFSSide(ctx context.Context, qs string, q *plan.JoinQuery, 
 	zig := alg == Zigzag
 	n, m := e.jen.Workers(), e.db.Workers()
 
-	tbl, err := e.db.Table(q.DBTable)
+	tbl, scanPlan, accessPlan, err := e.resolve(q)
 	if err != nil {
 		return nil, err
 	}
-	scanPlan, err := e.jen.PlanScan(q.HDFSTable)
-	if err != nil {
-		return nil, err
-	}
-	need := append(append([]int(nil), q.DBProj...), colSet(q.DBPred)...)
-	accessPlan := e.db.PlanAccess(tbl, q.DBPred, need)
 
 	// Steps 1–2: build the global BF_DB and send it to every JEN worker.
 	// This is blocking — everything on the HDFS side depends on it.
@@ -71,9 +65,8 @@ func (e *Engine) runHDFSSide(ctx context.Context, qs string, q *plan.JoinQuery, 
 
 	// The designated JEN worker returns the final aggregate to one DB node
 	// (step 9 of Figure 4).
-	g.Go(func() error {
-		rows, err := e.collectRows(ctx, dbName(0), qs+"final", 1)
-		resultRows = rows
+	g.Go(func() (err error) {
+		resultRows, err = e.collectRows(ctx, dbName(0), qs+"final", 1)
 		return err
 	})
 
@@ -110,68 +103,44 @@ func (e *Engine) dbShipProgram(ctx context.Context, qs string, q *plan.JoinQuery
 	ctx = pr.ctx
 	destOf := func(key int64) string { return jenName(cluster.PartitionFor(key, n)) }
 	b := e.newBatcher(ctx, dbName(i), qs+"dbrows", e.jenNames(), metrics.DBSentTuples, metrics.DBSentBytes, i)
-
-	if !zig {
-		if e.cfg.AdaptiveSwitch {
-			// Adaptive: T' is materialized so its observed size can feed
-			// the switch decision, and routing waits for that decision —
-			// hash home, hybrid scatter, or full broadcast.
-			tw, err := e.db.FilterProject(tbl, i, ap, q.DBProj)
-			pr.fail(err)
-			e.adaptObserveT(pr, qs, q, i, tw)
-			e.adaptRouteRows(ctx, pr, qs, q, b, i, tw, destOf, &runErr)
-		} else {
-			// No Bloom filter to wait for: T' streams out batch-at-a-time as
-			// the partition scan produces it.
-			pr.fail(e.db.FilterProjectBatches(tbl, i, ap, q.DBProj, e.cfg.BatchRows, e.cfg.WorkerThreads, func(fb *batch.Batch) error {
-				return b.scatterBatch(fb, nil, q.DBWireKey, destOf)
-			}))
-		}
-		pr.fail(b.CloseWith(runErr))
-		return runErr
-	}
-
-	// Zigzag: T' must be materialized — BF_H arrives only after the whole
-	// HDFS scan completes, and it prunes what is shipped (steps 4–5).
 	adaptOn := e.cfg.AdaptiveSwitch
-	tw, err := e.db.FilterProject(tbl, i, ap, q.DBProj)
-	if err != nil {
-		// Protocol obligation: JEN workers expecting this worker's stream
-		// must learn of the failure, the observation fan-in must still be
-		// fed, and the BF_H/decision receives must be drained — under the
-		// aborted program context, so they cannot block even when the
-		// payloads will never arrive.
-		pr.fail(err)
+
+	if !zig && !adaptOn {
+		// Nothing to wait for: T' streams out batch-at-a-time as the
+		// partition scan produces it.
+		pr.fail(e.db.FilterProjectBatches(tbl, i, ap, q.DBProj, e.cfg.BatchRows, e.cfg.WorkerThreads, func(fb *batch.Batch) error {
+			return b.scatterBatch(fb, nil, q.DBWireKey, nil, destOf)
+		}))
 		pr.fail(b.CloseWith(runErr))
-		if adaptOn {
-			e.adaptObserveT(pr, qs, q, i, nil)
-		}
-		if _, berr := e.recvBloom(ctx, dbName(i), qs+"bfh", 1); berr != nil {
-			pr.fail(berr)
-		}
-		if adaptOn {
-			e.adaptRouteRows(ctx, pr, qs, q, b, i, nil, destOf, &runErr)
-		}
 		return runErr
 	}
+
+	// T' must be materialized: zigzag's BF_H arrives only after the whole
+	// HDFS scan completes and prunes what is shipped (steps 4–5), and the
+	// adaptive layer routes T' only once the switch decision lands — hash
+	// home, hybrid scatter, or full broadcast. On a failure every receive
+	// below runs under the aborted program context, so the protocol
+	// obligations (observation fan-in, BF_H and decision drains, MsgError to
+	// the JEN workers) complete without blocking.
+	tw, tRows, err := e.materialize(tbl, i, ap, q.DBProj)
+	pr.fail(err)
 	if adaptOn {
 		// The snapshot goes out before the BF_H wait (see adaptObserveT);
 		// |T'| is reported pre-pruning — an upper bound, which is what the
 		// committed plan would ship if BF_H turned out useless.
-		e.adaptObserveT(pr, qs, q, i, tw)
+		e.adaptObserveT(pr, qs, q, i, tRows)
 	}
-	bfh, berr := e.recvBloom(ctx, dbName(i), qs+"bfh", 1)
-	if berr != nil {
-		pr.fail(berr)
-	} else {
-		// The optimizer decides whether T' was worth materializing; in
-		// either case BF_H prunes what is shipped (zigzag step 5).
-		tw, _ = e.db.ApplyBloom(tw, q.DBWireKey, bfh)
+	if zig {
+		bfh, err := e.recvBloom(ctx, dbName(i), qs+"bfh", 1)
+		pr.fail(err)
+		if err == nil {
+			e.db.ApplyBloomBatches(tw, q.DBWireKey, bfh)
+		}
 	}
 	if adaptOn {
-		e.adaptRouteRows(ctx, pr, qs, q, b, i, tw, destOf, &runErr)
+		e.adaptRouteT(ctx, pr, qs, q, b, i, tw, destOf, &runErr)
 	} else if runErr == nil {
-		pr.fail(b.scatterRows(tw, q.DBWireKey, destOf))
+		pr.fail(b.scatterBatches(tw, q.DBWireKey, nil, destOf))
 	}
 	pr.fail(b.CloseWith(runErr))
 	return runErr
@@ -264,7 +233,7 @@ func (e *Engine) jenRepartitionProgram(ctx context.Context, qs string, q *plan.J
 	}
 	if runErr == nil {
 		onBatch := func(sb *batch.Batch) error {
-			return b.scatterBatch(sb, q.HDFSWire, scanKey, destOf)
+			return b.scatterBatch(sb, q.HDFSWire, scanKey, nil, destOf)
 		}
 		if aw != nil {
 			onBatch = aw.onBatch
@@ -332,7 +301,7 @@ func (e *Engine) jenRepartitionProgram(ctx context.Context, qs string, q *plan.J
 		e.recordSpillStats(ht, w)
 	}
 
-	return e.finishHDFSAggregation(ctx, qs, q, agg, w, n, runErr)
+	return e.finishAggregation(ctx, qs, q.GroupBy, q.Aggs, agg, w, n, runErr)
 }
 
 // newJoinTable builds the HDFS-side join table for the query: a dynamic
@@ -349,21 +318,33 @@ func (e *Engine) newJoinTable(qs string, keyIdx int) (relop.JoinTable, error) {
 	return relop.NewMemJoinTable(keyIdx), nil
 }
 
-// combiner accumulates join matches (build row ++ probe row) into a
-// combined-layout batch; when the batch fills, the post-join predicate runs
-// as a batch filter and the survivors fold into the partial aggregate
-// batch-at-a-time. output counts survivors.
+// combiner accumulates join matches (left row ++ right row) into
+// combined-layout batches of BatchRows rows. When a batch fills, the
+// post-join predicate runs over it as a batch filter and the survivors fold
+// into agg — or, for a stage whose output is the next stage's input (agg
+// nil), the batch is kept whole. output counts survivors. probe may run on
+// several goroutines at once (morsel threads probing one sealed table): it
+// probes lock-free and serializes on mu once per probe batch. add and flush
+// are single-goroutine.
 type combiner struct {
-	e      *Engine
-	q      *plan.JoinQuery
-	agg    *relop.HashAgg
+	size int
+	post expr.Expr
+	agg  *relop.HashAgg
+
+	mu     sync.Mutex // serializes concurrent probe calls
 	out    *batch.Batch
+	kept   []*batch.Batch
 	output int64
 }
 
+func (e *Engine) newCombiner(post expr.Expr, agg *relop.HashAgg) *combiner {
+	return &combiner{size: e.cfg.BatchRows, post: post, agg: agg}
+}
+
+// add appends one match; it is the emit callback of relop.JoinTable probes.
 func (c *combiner) add(left, right types.Row) error {
 	if c.out == nil {
-		c.out = batch.New(len(left)+len(right), c.e.cfg.BatchRows)
+		c.out = batch.New(len(left)+len(right), c.size)
 	}
 	c.out.AppendConcat(left, right)
 	if c.out.Full() {
@@ -372,14 +353,71 @@ func (c *combiner) add(left, right types.Row) error {
 	return nil
 }
 
+// probeHit is one probe row with a non-empty bucket.
+type probeHit struct {
+	i      int
+	bucket []types.Row
+}
+
+// probe joins every live row of pb, projected through proj (nil keeps pb's
+// layout), against the sealed table ht on pb's key column keyIdx: every
+// match adds probe row ++ build row.
+func (c *combiner) probe(ht *relop.HashTable, pb *batch.Batch, keyIdx int, proj []int) error {
+	keys := pb.Col(keyIdx)
+	var hits []probeHit
+	_ = pb.Each(func(i int) error {
+		if bucket := ht.Probe(keys[i].Int()); len(bucket) > 0 {
+			hits = append(hits, probeHit{i, bucket})
+		}
+		return nil
+	})
+	if len(hits) == 0 {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var row types.Row
+	for _, h := range hits {
+		if proj == nil {
+			row = pb.RowAt(h.i, row)
+		} else {
+			row = row[:0]
+			for _, p := range proj {
+				row = append(row, pb.Col(p)[h.i])
+			}
+		}
+		for _, br := range h.bucket {
+			if err := c.add(row, br); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// probeAll probes ht with every batch of bs (see probe), then flushes.
+func (c *combiner) probeAll(ht *relop.HashTable, bs []*batch.Batch, keyIdx int) error {
+	for _, pb := range bs {
+		if err := c.probe(ht, pb, keyIdx, nil); err != nil {
+			return err
+		}
+	}
+	return c.flush()
+}
+
 func (c *combiner) flush() error {
 	if c.out == nil || c.out.Size() == 0 {
 		return nil
 	}
-	if err := expr.FilterBatch(c.q.PostJoin, c.out); err != nil {
+	if err := expr.FilterBatch(c.post, c.out); err != nil {
 		return err
 	}
 	c.output += int64(c.out.Len())
+	if c.agg == nil {
+		c.kept = append(c.kept, c.out)
+		c.out = nil
+		return nil
+	}
 	if err := c.agg.AddBatch(c.out); err != nil {
 		return err
 	}
@@ -398,7 +436,7 @@ func (e *Engine) probeAndAggregateBatches(ht relop.JoinTable, probes []*batch.Ba
 	if mem, isMem := ht.(*relop.MemJoinTable); isMem && threads > 1 && len(probes) > 1 {
 		return e.probeAndAggregateParallel(mem, probes, q, agg, threads)
 	}
-	cmb := &combiner{e: e, q: q, agg: agg}
+	cmb := e.newCombiner(q.PostJoin, agg)
 	for _, pb := range probes {
 		if err := ht.ProbeBatch(pb, q.DBWireKey, cmb.add); err != nil {
 			return err
@@ -435,7 +473,7 @@ func (e *Engine) probeAndAggregateParallel(mem *relop.MemJoinTable, probes []*ba
 	var g par.Group
 	for t := 0; t < threads; t++ {
 		t := t
-		cmbs[t] = &combiner{e: e, q: q, agg: relop.NewHashAgg(q.GroupBy, q.Aggs)}
+		cmbs[t] = e.newCombiner(q.PostJoin, relop.NewHashAgg(q.GroupBy, q.Aggs))
 		g.Go(func() error {
 			var rows int64
 			for {
@@ -468,17 +506,11 @@ func (e *Engine) probeAndAggregateParallel(mem *relop.MemJoinTable, probes []*ba
 	return nil
 }
 
-// finishHDFSAggregation ships this worker's partial aggregate to the
-// designated worker; the designated worker merges all partials and sends the
-// final rows to a single DB node (steps 7–9 of Figures 2–4). It always
-// completes the protocol, then reports runErr.
-func (e *Engine) finishHDFSAggregation(ctx context.Context, qs string, q *plan.JoinQuery, agg *relop.HashAgg, w, n int, runErr error) error {
-	return e.finishAggregation(ctx, qs, q.GroupBy, q.Aggs, agg, w, n, runErr)
-}
-
-// finishAggregation is the fan-in shared by the two-table algorithms and
-// the N-way executor: it only needs the grouping spec, not a full
-// plan.JoinQuery.
+// finishAggregation ships this worker's partial aggregate to the designated
+// worker; the designated worker merges all partials and sends the final rows
+// to a single DB node (steps 7–9 of Figures 2–4). The two-table algorithms
+// and the N-way executor share it. It always completes the protocol, then
+// reports runErr.
 func (e *Engine) finishAggregation(ctx context.Context, qs string, groupBy []expr.Expr, aggs []relop.AggSpec, agg *relop.HashAgg, w, n int, runErr error) error {
 	// A worker that arrives here already failing must not block in the
 	// aggregation fan-in waiting for partials that will never come: the
@@ -496,11 +528,10 @@ func (e *Engine) finishAggregation(ctx context.Context, qs string, groupBy []exp
 	pr.fail(pb.CloseWith(runErr))
 
 	if w == desig {
-		final := relop.NewHashAgg(groupBy, aggs)
-		pr.fail(e.recvRows(ctx, jenName(w), qs+"partial", n, func(r types.Row) error {
-			return final.MergePartial(r)
-		}))
-		rows := final.FinalRows()
+		partials, err := e.collectRows(ctx, jenName(w), qs+"partial", n)
+		pr.fail(err)
+		rows, err := mergePartials(groupBy, aggs, partials)
+		pr.fail(err)
 		e.rec.Add(metrics.AggGroups, int64(len(rows)))
 		fb := e.newBatcher(ctx, jenName(w), qs+"final", []string{dbName(0)}, "", "", w)
 		if runErr == nil {
@@ -511,12 +542,35 @@ func (e *Engine) finishAggregation(ctx context.Context, qs string, groupBy []exp
 	return runErr
 }
 
-// colSet returns the columns a predicate references.
-func colSet(e2 interface{ Cols([]int) []int }) []int {
-	if e2 == nil {
-		return nil
+// mergePartials folds partial aggregate rows into the final groups.
+func mergePartials(groupBy []expr.Expr, aggs []relop.AggSpec, partials []types.Row) ([]types.Row, error) {
+	final := relop.NewHashAgg(groupBy, aggs)
+	for _, r := range partials {
+		if err := final.MergePartial(r); err != nil {
+			return nil, err
+		}
 	}
-	return e2.Cols(nil)
+	return final.FinalRows(), nil
+}
+
+// resolve looks up a two-table query's inputs: the DB table, the HDFS scan
+// plan and the optimizer's access plan for T'.
+func (e *Engine) resolve(q *plan.JoinQuery) (*edw.Table, *jen.ScanPlan, edw.AccessPlan, error) {
+	tbl, err := e.db.Table(q.DBTable)
+	if err != nil {
+		return nil, nil, edw.AccessPlan{}, err
+	}
+	scanPlan, err := e.jen.PlanScan(q.HDFSTable)
+	if err != nil {
+		return nil, nil, edw.AccessPlan{}, err
+	}
+	return tbl, scanPlan, e.accessPlan(tbl, q.DBPred, q.DBProj), nil
+}
+
+// accessPlan plans a filtered projection of tbl; the optimizer sees every
+// column the predicate and the projection touch.
+func (e *Engine) accessPlan(tbl *edw.Table, pred expr.Expr, proj []int) edw.AccessPlan {
+	return e.db.PlanAccess(tbl, pred, append(expr.ColumnSet(pred), proj...))
 }
 
 // runBroadcast executes the HDFS-side broadcast join (Figure 2): every DB
@@ -529,16 +583,10 @@ func colSet(e2 interface{ Cols([]int) []int }) []int {
 func (e *Engine) runBroadcast(ctx context.Context, qs string, q *plan.JoinQuery) (*Result, error) {
 	n, m := e.jen.Workers(), e.db.Workers()
 	relay := e.cfg.BroadcastRelay
-	tbl, err := e.db.Table(q.DBTable)
+	tbl, scanPlan, accessPlan, err := e.resolve(q)
 	if err != nil {
 		return nil, err
 	}
-	scanPlan, err := e.jen.PlanScan(q.HDFSTable)
-	if err != nil {
-		return nil, err
-	}
-	need := append(append([]int(nil), q.DBProj...), colSet(q.DBPred)...)
-	accessPlan := e.db.PlanAccess(tbl, q.DBPred, need)
 
 	// Relay mode: DB worker i feeds JEN worker i%n; directSenders counts
 	// the DB workers feeding each JEN worker.
@@ -549,9 +597,8 @@ func (e *Engine) runBroadcast(ctx context.Context, qs string, q *plan.JoinQuery)
 
 	g, ctx := par.WithContext(ctx)
 	var resultRows []types.Row
-	g.Go(func() error {
-		rows, err := e.collectRows(ctx, dbName(0), qs+"final", 1)
-		resultRows = rows
+	g.Go(func() (err error) {
+		resultRows, err = e.collectRows(ctx, dbName(0), qs+"final", 1)
 		return err
 	})
 
@@ -600,14 +647,13 @@ func (e *Engine) runBroadcast(ctx context.Context, qs string, q *plan.JoinQuery)
 
 			// Scan and probe in the pipeline; partial aggregation inline.
 			// Probe rows never leave the scan batch: the wire projection is
-			// materialized into scratch only for rows with a non-empty bucket.
-			// Morsel workers probe the sealed table lock-free and serialize
-			// only on the combiner; totals are independent of the interleaving.
+			// materialized only for rows with a non-empty bucket. Morsel
+			// workers probe the sealed table lock-free and serialize only on
+			// the combiner; totals are independent of the interleaving.
 			agg := relop.NewHashAgg(q.GroupBy, q.Aggs)
 			agg.SetBudget(bud)
 			defer func() { bud.Release(agg.MemBytes()) }()
-			cmb := &combiner{e: e, q: q, agg: agg}
-			var cmbMu sync.Mutex
+			cmb := e.newCombiner(q.PostJoin, agg)
 			scanKey := q.HDFSWire[q.HDFSWireKey]
 			var probes atomic.Int64
 			if runErr == nil {
@@ -619,28 +665,7 @@ func (e *Engine) runBroadcast(ctx context.Context, qs string, q *plan.JoinQuery)
 					Mem:     bud,
 				}, func(sb *batch.Batch) error {
 					probes.Add(int64(sb.Len()))
-					keys := sb.Col(scanKey)
-					var wire types.Row
-					return sb.Each(func(i int) error {
-						bucket := ht.Probe(keys[i].Int())
-						if len(bucket) == 0 {
-							return nil
-						}
-						if cap(wire) < len(q.HDFSWire) {
-							wire = make(types.Row, len(q.HDFSWire))
-						}
-						for j, p := range q.HDFSWire {
-							wire[j] = sb.Col(p)[i]
-						}
-						cmbMu.Lock()
-						defer cmbMu.Unlock()
-						for _, dbr := range bucket {
-							if err := cmb.add(wire, dbr); err != nil {
-								return err
-							}
-						}
-						return nil
-					})
+					return cmb.probe(ht, sb, scanKey, q.HDFSWire)
 				})
 				firstErr(&runErr, err)
 				firstErr(&runErr, cmb.flush())
@@ -648,7 +673,7 @@ func (e *Engine) runBroadcast(ctx context.Context, qs string, q *plan.JoinQuery)
 			e.rec.AddAt(metrics.JoinProbeTuples, w, probes.Load())
 			e.rec.Add(metrics.JoinOutputTuples, cmb.output)
 
-			return e.finishHDFSAggregation(ctx, qs, q, agg, w, n, runErr)
+			return e.finishAggregation(ctx, qs, q.GroupBy, q.Aggs, agg, w, n, runErr)
 		})
 	}
 

@@ -5,12 +5,12 @@ import (
 	"hybridwh/internal/mem"
 	"hybridwh/internal/metrics"
 	"hybridwh/internal/relop"
-	"hybridwh/internal/types"
 )
 
 // This file is the execution layer's memory-governance glue: the worker
-// programs charge their materialized state — buffered probe batches, hash
-// aggregation groups, hash-table builds — against the query's mem.Budget
+// programs charge their materialized state — buffered probe batches and
+// intermediates, hash aggregation groups, hash-table builds — against the
+// query's mem.Budget
 // when one is registered (RunOpts.Budget), and record the dynamic hybrid
 // hash join's spill activity. With no budget every helper is a no-op, so
 // ungoverned runs keep byte-identical counter snapshots.
@@ -35,20 +35,6 @@ func chargeBatches(bud *mem.Budget, bs []*batch.Batch) int64 {
 	var n int64
 	for _, b := range bs {
 		n += approxBatchBytes(b)
-	}
-	bud.Force(n)
-	return n
-}
-
-// chargeRows is chargeBatches for materialized rows (the N-way executor's
-// intermediates).
-func chargeRows(bud *mem.Budget, rows []types.Row) int64 {
-	if bud == nil || len(rows) == 0 {
-		return 0
-	}
-	var n int64
-	for _, r := range rows {
-		n += int64(types.EncodedRowSize(r)) + 48
 	}
 	bud.Force(n)
 	return n

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"hybridwh/internal/batch"
 	"hybridwh/internal/bloom"
@@ -52,8 +53,7 @@ type MultiResult struct {
 
 // RunMulti executes an analyzed multi-join query. The fact table streams
 // from HDFS; every dimension edge joins with its independently chosen
-// algorithm. Row-at-a-time mode does not apply to the N-way executor — the
-// pipeline always runs batch-at-a-time.
+// algorithm.
 func (e *Engine) RunMulti(q *plan.MultiQuery) (*MultiResult, error) {
 	return e.RunMultiCtx(context.Background(), q)
 }
@@ -96,7 +96,7 @@ func (e *Engine) RunMultiOpts(ctx context.Context, q *plan.MultiQuery, opts RunO
 // dimMat is one materialized dimension component: the DB workers'
 // filter/project (and snowflake pre-join) output, partitioned as stored.
 type dimMat struct {
-	parts [][]types.Row // per DB worker, component wire rows
+	parts [][]*batch.Batch // per DB worker, component wire batches
 }
 
 // multiAdaptState collects the per-edge switch decisions for the facade.
@@ -156,13 +156,17 @@ func (e *Engine) runMulti(ctx context.Context, qs string, q *plan.MultiQuery) (*
 		}
 		dims[ei] = dm
 		for _, part := range dm.parts {
-			charged += chargeRows(bud, part)
+			charged += chargeBatches(bud, part)
 		}
 		if ed.UseBloom {
 			bf := bloom.New(e.cfg.BloomBits, e.cfg.BloomHashes)
 			for _, part := range dm.parts {
-				for _, r := range part {
-					bf.AddHash(types.BloomHashKey(r[ed.DimKeyWire].Int()))
+				for _, b := range part {
+					keys := b.Col(ed.DimKeyWire)
+					_ = b.Each(func(i int) error {
+						bf.AddHash(types.BloomHashKey(keys[i].Int()))
+						return nil
+					})
 				}
 			}
 			e.rec.Add(metrics.BloomBuildKeys, int64(bf.EstimateCardinality()))
@@ -186,9 +190,8 @@ func (e *Engine) runMulti(ctx context.Context, qs string, q *plan.MultiQuery) (*
 
 	g, ctx := par.WithContext(ctx)
 	var resultRows []types.Row
-	g.Go(func() error {
-		rows, err := e.collectRows(ctx, dbName(0), qs+"final", 1)
-		resultRows = rows
+	g.Go(func() (err error) {
+		resultRows, err = e.collectRows(ctx, dbName(0), qs+"final", 1)
 		return err
 	})
 	for i := 0; i < m; i++ {
@@ -225,8 +228,7 @@ func (e *Engine) materializeDim(ed *plan.EdgeExec) (*dimMat, error) {
 	if err != nil {
 		return nil, err
 	}
-	need := append(append([]int(nil), ed.Dim.Proj...), colSet(ed.Dim.Pred)...)
-	ap := e.db.PlanAccess(tbl, ed.Dim.Pred, need)
+	ap := e.accessPlan(tbl, ed.Dim.Pred, ed.Dim.Proj)
 
 	// Snowflake: materialize the (small) sub-dimension fully and hash it on
 	// its join key so every parent partition can probe it locally.
@@ -236,21 +238,20 @@ func (e *Engine) materializeDim(ed *plan.EdgeExec) (*dimMat, error) {
 		if err != nil {
 			return nil, err
 		}
-		subNeed := append(append([]int(nil), sub.Proj...), colSet(sub.Pred)...)
-		subAp := e.db.PlanAccess(subTbl, sub.Pred, subNeed)
+		subAp := e.accessPlan(subTbl, sub.Pred, sub.Proj)
 		subHT = relop.NewHashTable(0) // sub wire leads with its join key
-		subParts := make([][]types.Row, e.db.Workers())
+		subParts := make([][]*batch.Batch, e.db.Workers())
 		err = par.ForEach(e.db.Workers(), func(w int) error {
-			rows, err := e.db.FilterProject(subTbl, w, subAp, sub.Proj)
-			subParts[w] = rows
+			bs, _, err := e.materialize(subTbl, w, subAp, sub.Proj)
+			subParts[w] = bs
 			return err
 		})
 		if err != nil {
 			return nil, err
 		}
-		for _, rows := range subParts {
-			for _, r := range rows {
-				if err := subHT.Insert(r); err != nil {
+		for _, bs := range subParts {
+			for _, b := range bs {
+				if err := subHT.InsertBatch(b); err != nil {
 					return nil, err
 				}
 			}
@@ -258,35 +259,27 @@ func (e *Engine) materializeDim(ed *plan.EdgeExec) (*dimMat, error) {
 		subHT.Build()
 	}
 
-	dm := &dimMat{parts: make([][]types.Row, e.db.Workers())}
-	var dimJoined int64
-	var mu sync.Mutex
+	dm := &dimMat{parts: make([][]*batch.Batch, e.db.Workers())}
+	var dimJoined atomic.Int64
 	err = par.ForEach(e.db.Workers(), func(w int) error {
-		rows, err := e.db.FilterProject(tbl, w, ap, ed.Dim.Proj)
-		if err != nil {
+		bs, _, err := e.materialize(tbl, w, ap, ed.Dim.Proj)
+		if err != nil || subHT == nil {
+			dm.parts[w] = bs
 			return err
 		}
-		if subHT != nil {
-			fk := ed.Dim.Sub.ParentFKWire
-			joined := make([]types.Row, 0, len(rows))
-			for _, r := range rows {
-				for _, sr := range subHT.Probe(r[fk].Int()) {
-					joined = append(joined, r.Concat(sr))
-				}
-			}
-			rows = joined
-			mu.Lock()
-			dimJoined += int64(len(joined))
-			mu.Unlock()
+		cmb := e.newCombiner(nil, nil)
+		if err := cmb.probeAll(subHT, bs, ed.Dim.Sub.ParentFKWire); err != nil {
+			return err
 		}
-		dm.parts[w] = rows
+		dm.parts[w] = cmb.kept
+		dimJoined.Add(cmb.output)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	if subHT != nil {
-		e.rec.Add(metrics.DBDimJoinTuples, dimJoined)
+		e.rec.Add(metrics.DBDimJoinTuples, dimJoined.Load())
 	}
 	return dm, nil
 }
@@ -306,18 +299,18 @@ func (e *Engine) multiDBProgram(ctx context.Context, qs string, q *plan.MultiQue
 		b := e.newBatcher(ctx, dbName(i), mstream(qs, "dim", ei), e.jenNames(), metrics.DBSentTuples, metrics.DBSentBytes, i)
 		alg := ed.Algorithm
 		if gated[ei] {
-			d, err := e.recvCtl(ctx, dbName(i), mstream(qs, "dec", ei))
+			d, err := e.recvCtl(ctx, dbName(i), mstream(qs, "dec", ei), 1)
 			pr.fail(err)
 			if err == nil && d == 1 {
 				alg = plan.EdgeBroadcast
 			}
 		}
 		if runErr == nil {
-			rows := dims[ei].parts[i]
+			part := dims[ei].parts[i]
 			if alg == plan.EdgeBroadcast {
-				pr.fail(b.broadcastRows(rows))
+				pr.fail(b.broadcastBatches(part))
 			} else {
-				pr.fail(b.scatterRows(rows, ed.DimKeyWire, destOf))
+				pr.fail(b.scatterBatches(part, ed.DimKeyWire, nil, destOf))
 			}
 		}
 		// Closed even when failing so every JEN receiver learns the fate of
@@ -332,7 +325,9 @@ func (e *Engine) multiDBProgram(ctx context.Context, qs string, q *plan.MultiQue
 // applied, then run the join edges as pipeline stages — repartition stages
 // reshuffle the intermediate result by the next edge's key, broadcast
 // stages probe the full dimension locally — and finish with the shared
-// aggregation fan-in.
+// aggregation fan-in. The last stage's matches fold straight into the
+// partial aggregate; every earlier stage's output replaces the live
+// intermediate, whose budget charge is released as it is replaced.
 func (e *Engine) multiJENProgram(ctx context.Context, qs string, q *plan.MultiQuery, scanPlan *jen.ScanPlan, w, n, m int, gated []bool, st *multiAdaptState) error {
 	me := jenName(w)
 	var runErr error
@@ -340,10 +335,37 @@ func (e *Engine) multiJENProgram(ctx context.Context, qs string, q *plan.MultiQu
 	defer pr.release()
 	ctx = pr.ctx
 	bud := e.budget(qs)
-	var charged int64
+	var charged int64 // dimension builds, held to the end
 	defer func() { bud.Release(charged) }()
 	destOf := func(key int64) string { return jenName(cluster.PartitionFor(key, n)) }
 	desig := e.jen.DesignatedWorker()
+
+	// The live intermediate, its row count and its budget charge.
+	var cur []*batch.Batch
+	var curRows, live int64
+	defer func() { bud.Release(live) }()
+	replace := func(next []*batch.Batch, rows int64) {
+		bud.Release(live)
+		cur, curRows, live = next, rows, chargeBatches(bud, next)
+	}
+	// reshuffle scatters the intermediate by keyIdx into stage ei's shuffle
+	// stream (feed, when set, fills the stream instead — the fact scan) and
+	// replaces it with what this worker receives.
+	reshuffle := func(ei, keyIdx int, feed func(b *batcher) error) {
+		b := e.newBatcher(ctx, me, mstream(qs, "shuffle", ei), e.jenNames(), metrics.JENShuffleTuples, metrics.JENShuffleBytes, w)
+		if runErr == nil {
+			if feed != nil {
+				pr.fail(feed(b))
+			} else {
+				pr.fail(b.scatterBatches(cur, keyIdx, nil, destOf))
+			}
+		}
+		pr.fail(b.CloseWith(runErr))
+		bs, rows, err := e.collectBatches(ctx, me, mstream(qs, "shuffle", ei), n)
+		pr.fail(err)
+		e.rec.AddAt(metrics.JENRecvTuples, w, rows)
+		replace(bs, rows)
+	}
 
 	// Blocking: the cascaded dimension Bloom filters, in edge order (the
 	// multi-join counterpart of the two-table BF_DB wait).
@@ -372,23 +394,18 @@ func (e *Engine) multiJENProgram(ctx context.Context, qs string, q *plan.MultiQu
 
 	// Stage 0: the fact scan feeds the first edge directly — scattered by
 	// its key for a repartition edge, kept local for a broadcast edge.
-	var cur []types.Row
 	first := &q.Edges[0]
 	if first.Algorithm == plan.EdgeRepartition {
-		b := e.newBatcher(ctx, me, mstream(qs, "shuffle", 0), e.jenNames(), metrics.JENShuffleTuples, metrics.JENShuffleBytes, w)
 		scanKey := q.FactWire[first.FactKeyCol]
-		if runErr == nil {
-			pr.fail(e.jen.ScanFilterBatches(spec, func(sb *batch.Batch) error {
-				return b.scatterBatch(sb, q.FactWire, scanKey, destOf)
-			}))
-		}
-		pr.fail(b.CloseWith(runErr))
-		rows, err := e.collectRows(ctx, me, mstream(qs, "shuffle", 0), n)
-		pr.fail(err)
-		e.rec.AddAt(metrics.JENRecvTuples, w, int64(len(rows)))
-		cur = rows
+		reshuffle(0, scanKey, func(b *batcher) error {
+			return e.jen.ScanFilterBatches(spec, func(sb *batch.Batch) error {
+				return b.scatterBatch(sb, q.FactWire, scanKey, nil, destOf)
+			})
+		})
 	} else {
 		var mu sync.Mutex // morsel workers yield concurrently
+		var local []*batch.Batch
+		var rows int64
 		if runErr == nil {
 			pr.fail(e.jen.ScanFilterBatches(spec, func(sb *batch.Batch) error {
 				wb := batch.New(len(q.FactWire), sb.Len())
@@ -396,15 +413,19 @@ func (e *Engine) multiJENProgram(ctx context.Context, qs string, q *plan.MultiQu
 					wb.AppendFrom(sb, i, q.FactWire)
 					return nil
 				})
-				rows := wb.Rows()
 				mu.Lock()
-				cur = append(cur, rows...)
+				local = append(local, wb)
+				rows += int64(wb.Len())
 				mu.Unlock()
 				return perr
 			}))
 		}
+		replace(local, rows)
 	}
-	charged += chargeRows(bud, cur)
+
+	agg := relop.NewHashAgg(q.GroupBy, q.Aggs)
+	agg.SetBudget(bud)
+	defer func() { bud.Release(agg.MemBytes()) }()
 
 	// Join stages. Width tracks the combined layout for the adaptive
 	// re-cost's bytes-per-row estimate.
@@ -418,9 +439,9 @@ func (e *Engine) multiJENProgram(ctx context.Context, qs string, q *plan.MultiQu
 			// observed intermediate size — unconditionally, even when
 			// failing, so the designated fan-in always completes — and the
 			// decision reaches the JEN and DB workers alike.
-			pr.fail(e.sendCtl(me, mstream(qs, "obs", ei), int64(len(cur)), []string{jenName(desig)}))
+			pr.fail(e.sendCtl(me, mstream(qs, "obs", ei), curRows, []string{jenName(desig)}))
 			if w == desig {
-				total, err := e.recvCtlSum(ctx, me, mstream(qs, "obs", ei), n)
+				total, err := e.recvCtl(ctx, me, mstream(qs, "obs", ei), n)
 				pr.fail(err)
 				var dec int64
 				if err == nil {
@@ -432,7 +453,7 @@ func (e *Engine) multiJENProgram(ctx context.Context, qs string, q *plan.MultiQu
 				}
 				pr.fail(e.sendCtl(me, mstream(qs, "dec", ei), dec, append(e.jenNames(), e.dbNames()...)))
 			}
-			d, err := e.recvCtl(ctx, me, mstream(qs, "dec", ei))
+			d, err := e.recvCtl(ctx, me, mstream(qs, "dec", ei), 1)
 			pr.fail(err)
 			if err == nil && d == 1 {
 				alg = plan.EdgeBroadcast
@@ -442,74 +463,42 @@ func (e *Engine) multiJENProgram(ctx context.Context, qs string, q *plan.MultiQu
 		// Reshuffle the intermediate result by this edge's key (the first
 		// edge was already routed by the scan).
 		if ei > 0 && alg == plan.EdgeRepartition {
-			b := e.newBatcher(ctx, me, mstream(qs, "shuffle", ei), e.jenNames(), metrics.JENShuffleTuples, metrics.JENShuffleBytes, w)
-			if runErr == nil {
-				pr.fail(b.scatterRows(cur, ed.FactKeyCol, destOf))
-			}
-			pr.fail(b.CloseWith(runErr))
-			rows, err := e.collectRows(ctx, me, mstream(qs, "shuffle", ei), n)
-			pr.fail(err)
-			e.rec.AddAt(metrics.JENRecvTuples, w, int64(len(rows)))
-			cur = rows
-			charged += chargeRows(bud, cur)
+			reshuffle(ei, ed.FactKeyCol, nil)
 		}
 
 		// Receive this edge's dimension — the hash-local share under
 		// repartition, the full dimension under broadcast — and probe.
-		dimRows, err := e.collectRows(ctx, me, mstream(qs, "dim", ei), m)
+		dimBatches, dimRows, err := e.collectBatches(ctx, me, mstream(qs, "dim", ei), m)
 		pr.fail(err)
 		if runErr == nil {
 			ht := relop.NewHashTable(ed.DimKeyWire)
-			for _, r := range dimRows {
-				if err := ht.Insert(r); err != nil {
+			for _, b := range dimBatches {
+				if err := ht.InsertBatch(b); err != nil {
 					pr.fail(err)
 					break
 				}
 			}
 			ht.Build()
-			charged += chargeJoinBuild(bud, int64(len(dimRows)), ed.DimWireSchema.Len())
-			e.rec.AddAt(metrics.JoinBuildTuples, w, int64(len(dimRows)))
-			e.rec.AddAt(metrics.JoinProbeTuples, w, int64(len(cur)))
+			charged += chargeJoinBuild(bud, dimRows, ed.DimWireSchema.Len())
+			e.rec.AddAt(metrics.JoinBuildTuples, w, dimRows)
+			e.rec.AddAt(metrics.JoinProbeTuples, w, curRows)
 			if runErr == nil {
-				next := make([]types.Row, 0, len(cur))
-				for _, r := range cur {
-					for _, dr := range ht.Probe(r[ed.FactKeyCol].Int()) {
-						next = append(next, r.Concat(dr))
-					}
+				// Earlier stages keep their output whole as the next
+				// intermediate; the last folds into the partial aggregate.
+				last := ei == len(q.Edges)-1
+				cmb := e.newCombiner(nil, nil)
+				if last {
+					cmb = e.newCombiner(q.PostJoin, agg)
 				}
-				cur = next
-				charged += chargeRows(bud, cur)
+				pr.fail(cmb.probeAll(ht, cur, ed.FactKeyCol))
+				if last {
+					e.rec.Add(metrics.JoinOutputTuples, cmb.output)
+				} else {
+					replace(cmb.kept, cmb.output)
+				}
 			}
 		}
 		width += ed.DimWireSchema.Len()
-	}
-
-	// Post-join filter and partial aggregation, then the shared fan-in.
-	agg := relop.NewHashAgg(q.GroupBy, q.Aggs)
-	agg.SetBudget(bud)
-	defer func() { bud.Release(agg.MemBytes()) }()
-	if runErr == nil {
-		var output int64
-		for _, r := range cur {
-			ok := true
-			if q.PostJoin != nil {
-				v, err := q.PostJoin.Eval(r)
-				if err != nil {
-					pr.fail(err)
-					break
-				}
-				ok = v.Truth()
-			}
-			if !ok {
-				continue
-			}
-			output++
-			if err := agg.Add(r); err != nil {
-				pr.fail(err)
-				break
-			}
-		}
-		e.rec.Add(metrics.JoinOutputTuples, output)
 	}
 	return e.finishAggregation(ctx, qs, q.GroupBy, q.Aggs, agg, w, n, runErr)
 }
@@ -550,18 +539,10 @@ func (e *Engine) sendCtl(from, stream string, v int64, dests []string) error {
 	return nil
 }
 
-// recvCtl blocks for one control value, with the standard abort semantics.
-func (e *Engine) recvCtl(ctx context.Context, at, stream string) (int64, error) {
-	return e.recvCtlParts(ctx, at, stream, 1)
-}
-
-// recvCtlSum receives `parts` control values and returns their sum — the
-// observation fan-in at the designated worker.
-func (e *Engine) recvCtlSum(ctx context.Context, at, stream string, parts int) (int64, error) {
-	return e.recvCtlParts(ctx, at, stream, parts)
-}
-
-func (e *Engine) recvCtlParts(ctx context.Context, at, stream string, parts int) (int64, error) {
+// recvCtl receives `parts` control values and returns their sum (one part
+// for a decision, n for the observation fan-in at the designated worker),
+// with the standard abort semantics.
+func (e *Engine) recvCtl(ctx context.Context, at, stream string, parts int) (int64, error) {
 	r := e.routers[at]
 	ch, err := r.Route(netsim.MsgControl, stream)
 	if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"hybridwh/internal/format"
 	"hybridwh/internal/hdfs"
 	"hybridwh/internal/jen"
+	"hybridwh/internal/mem"
 	"hybridwh/internal/metrics"
 	"hybridwh/internal/netsim"
 	"hybridwh/internal/plan"
@@ -292,6 +294,51 @@ func TestMultiAdaptiveSwitch(t *testing.T) {
 	}
 	if !switched {
 		t.Errorf("tiny dimensions on repartition edges: expected at least one mid-query switch, got %+v", res.Edges)
+	}
+}
+
+// TestMultiBudgetReleasesIntermediates: each N-way stage's intermediate
+// replaces the previous one, so the query budget may hold the live
+// intermediate and the one being built, never every stage's at once. In a
+// 3-edge all-repartition star whose dimensions keep every fact row, every
+// stage holds n rows, and the executor materializes five of them (the scan
+// output, then edge 0's and edge 1's probe output and its reshuffle by the
+// next key). Any accounting charges a held row at least 48 bytes (a row
+// header, or 16 bytes per value of a row at least three wide), so the
+// stacked intermediates would reserve at least 5 × 48 × n bytes — the peak
+// must stay below that, and every charge must come back.
+func TestMultiBudgetReleasesIntermediates(t *testing.T) {
+	s := smallStar()
+	f := buildStarFixture(t, netsim.NewChanBus(256), 3, 4, s, Config{})
+	defer f.eng.Close()
+	f.env.Advise = func(analyzer.EdgeStats) (plan.EdgeAlg, string) {
+		return plan.EdgeRepartition, "forced repartition"
+	}
+	const sql = `select f.grp, count(*), sum(f.measure)
+		from fact f
+		join customer c on f.fk_customer = c.key
+		join product p on f.fk_product = p.key
+		join store s on f.fk_store = s.key
+		group by f.grp`
+	mq := f.multiPlan(t, sql)
+	if len(mq.Edges) != 3 || len(mq.FactWire) < 3 {
+		t.Fatalf("want 3 edges over a fact wire of at least 3 columns, got %d over %d", len(mq.Edges), len(mq.FactWire))
+	}
+	bud := mem.NewBudget(1 << 40)
+	res, err := f.eng.RunMultiOpts(context.Background(), mq, RunOpts{Budget: bud})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertRowsEqual(t, res.Rows, f.multiReference(t, sql))
+	n := s.FactRows
+	if got := res.Metrics[metrics.JoinOutputTuples]; got != n {
+		t.Fatalf("join output %d rows, want every fact row (%d)", got, n)
+	}
+	if stacked := 5 * 48 * n; bud.Peak() >= stacked {
+		t.Errorf("budget peak %d B, want below the %d B of every stage's intermediate stacked", bud.Peak(), stacked)
+	}
+	if bud.Used() != 0 {
+		t.Errorf("%d B still reserved after the query", bud.Used())
 	}
 }
 

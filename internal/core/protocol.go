@@ -79,10 +79,11 @@ func (b *batcher) bufLocked(dest string, ncols int) *batch.Batch {
 	return bb
 }
 
-// sendLocked queues one row for dest, flushing a full batch. Callers hold mu.
-func (b *batcher) sendLocked(dest string, row types.Row) error {
-	bb := b.bufLocked(dest, len(row))
-	bb.AppendRow(row)
+// appendLocked queues physical row i of src, projected through proj, for
+// dest, flushing a full batch. Callers hold mu.
+func (b *batcher) appendLocked(dest string, src *batch.Batch, i int, proj []int, ncols int) error {
+	bb := b.bufLocked(dest, ncols)
+	bb.AppendFrom(src, i, proj)
 	b.tuples++
 	if bb.Full() {
 		return b.flushLocked(dest)
@@ -90,81 +91,17 @@ func (b *batcher) sendLocked(dest string, row types.Row) error {
 	return nil
 }
 
-// send queues one row for dest, flushing a full batch.
-func (b *batcher) send(dest string, row types.Row) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.sendLocked(dest, row)
-}
-
-// broadcast queues one row for every destination.
-func (b *batcher) broadcast(row types.Row) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for _, d := range b.dests {
-		if err := b.sendLocked(d, row); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// sendRows queues a materialized row slice for one destination.
+// sendRows queues a materialized row slice for one destination — the
+// aggregation fan-in, where relop.HashAgg hands out partial and final rows.
 func (b *batcher) sendRows(dest string, rows []types.Row) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for _, r := range rows {
-		if err := b.sendLocked(dest, r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// scatterRows routes each row by its key column through destOf.
-func (b *batcher) scatterRows(rows []types.Row, keyIdx int, destOf func(key int64) string) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for _, r := range rows {
-		if err := b.sendLocked(destOf(r[keyIdx].Int()), r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// scatterRowsHybrid routes cold rows by destOf and replicates hot rows to
-// every destination — the small side of the hybrid skew treatment: a hot
-// T' row must be present wherever its scattered L' partners landed.
-// Tuples count once per copy, exactly as broadcast does, so the counters
-// reflect what actually crossed the interconnect.
-func (b *batcher) scatterRowsHybrid(rows []types.Row, keyIdx int, hot *skew.HotSet, destOf func(key int64) string) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for _, r := range rows {
-		k := r[keyIdx].Int()
-		if hot.Contains(k) {
-			for _, d := range b.dests {
-				if err := b.sendLocked(d, r); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		if err := b.sendLocked(destOf(k), r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// broadcastRows queues a materialized row slice for every destination.
-func (b *batcher) broadcastRows(rows []types.Row) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for _, r := range rows {
-		for _, d := range b.dests {
-			if err := b.sendLocked(d, r); err != nil {
+		bb := b.bufLocked(dest, len(r))
+		bb.AppendRow(r)
+		b.tuples++
+		if bb.Full() {
+			if err := b.flushLocked(dest); err != nil {
 				return err
 			}
 		}
@@ -174,18 +111,9 @@ func (b *batcher) broadcastRows(rows []types.Row) error {
 
 // sendBatchLocked queues every live row of src for dest. Callers hold mu.
 func (b *batcher) sendBatchLocked(dest string, src *batch.Batch, proj []int) error {
-	ncols := src.NumCols()
-	if proj != nil {
-		ncols = len(proj)
-	}
-	bb := b.bufLocked(dest, ncols)
+	ncols := projWidth(src, proj)
 	return src.Each(func(i int) error {
-		bb.AppendFrom(src, i, proj)
-		b.tuples++
-		if bb.Full() {
-			return b.flushLocked(dest)
-		}
-		return nil
+		return b.appendLocked(dest, src, i, proj, ncols)
 	})
 }
 
@@ -200,29 +128,44 @@ func (b *batcher) sendBatch(dest string, src *batch.Batch, proj []int) error {
 
 // scatterBatch routes every live row of src by its key column (an index
 // into src's physical layout, read before projection) through destOf,
-// projecting each row through proj into the destination buffer.
-func (b *batcher) scatterBatch(src *batch.Batch, proj []int, keyIdx int, destOf func(key int64) string) error {
-	ncols := src.NumCols()
-	if proj != nil {
-		ncols = len(proj)
-	}
+// projecting each row through proj into the destination buffer. A row whose
+// key is in hot (nil or empty for none) goes to every destination instead —
+// the small side of the hybrid skew treatment: a hot T' row must be present
+// wherever its scattered L' partners landed. Tuples count once per copy,
+// exactly as broadcastBatch counts them.
+func (b *batcher) scatterBatch(src *batch.Batch, proj []int, keyIdx int, hot *skew.HotSet, destOf func(key int64) string) error {
+	ncols := projWidth(src, proj)
 	keys := src.Col(keyIdx)
+	replicate := hot.Len() > 0
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return src.Each(func(i int) error {
-		dest := destOf(keys[i].Int())
-		bb := b.bufLocked(dest, ncols)
-		bb.AppendFrom(src, i, proj)
-		b.tuples++
-		if bb.Full() {
-			return b.flushLocked(dest)
+		k := keys[i].Int()
+		if !replicate || !hot.Contains(k) {
+			return b.appendLocked(destOf(k), src, i, proj, ncols)
+		}
+		for _, d := range b.dests {
+			if err := b.appendLocked(d, src, i, proj, ncols); err != nil {
+				return err
+			}
 		}
 		return nil
 	})
 }
 
+// scatterBatches is scatterBatch over a materialized T', dimension or
+// intermediate, whose batches already carry the wire layout.
+func (b *batcher) scatterBatches(bs []*batch.Batch, keyIdx int, hot *skew.HotSet, destOf func(key int64) string) error {
+	for _, src := range bs {
+		if err := b.scatterBatch(src, nil, keyIdx, hot, destOf); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // broadcastBatch queues every live row of src for every destination.
-// Tuples are counted once per copy, exactly as per-row broadcast does.
+// Tuples are counted once per copy.
 func (b *batcher) broadcastBatch(src *batch.Batch, proj []int) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -232,6 +175,24 @@ func (b *batcher) broadcastBatch(src *batch.Batch, proj []int) error {
 		}
 	}
 	return nil
+}
+
+// broadcastBatches is broadcastBatch over a materialized slice.
+func (b *batcher) broadcastBatches(bs []*batch.Batch) error {
+	for _, src := range bs {
+		if err := b.broadcastBatch(src, nil); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// projWidth is the column count of src's rows projected through proj.
+func projWidth(src *batch.Batch, proj []int) int {
+	if proj != nil {
+		return len(proj)
+	}
+	return src.NumCols()
 }
 
 // flushLocked ships dest's buffered rows as one framed message. Callers
@@ -391,22 +352,15 @@ func (e *Engine) recvBatches(ctx context.Context, at, stream string, senders int
 	}
 }
 
-// recvRows is the row-at-a-time adapter over recvBatches: every received
-// row is materialized into fresh storage, so fn may retain it.
-func (e *Engine) recvRows(ctx context.Context, at, stream string, senders int, fn func(row types.Row) error) error {
-	return e.recvBatches(ctx, at, stream, senders, func(b *batch.Batch) error {
-		return b.Each(func(i int) error {
-			return fn(b.CloneRow(i))
-		})
-	})
-}
-
-// collectRows is recvRows into a slice.
+// collectRows receives a stream into materialized rows — the aggregation
+// fan-in, whose partial and final rows feed relop.HashAgg.
 func (e *Engine) collectRows(ctx context.Context, at, stream string, senders int) ([]types.Row, error) {
 	var out []types.Row
-	err := e.recvRows(ctx, at, stream, senders, func(r types.Row) error {
-		out = append(out, r)
-		return nil
+	err := e.recvBatches(ctx, at, stream, senders, func(b *batch.Batch) error {
+		return b.Each(func(i int) error {
+			out = append(out, b.CloneRow(i))
+			return nil
+		})
 	})
 	return out, err
 }

@@ -147,16 +147,10 @@ func (e *Engine) recvKeySets(ctx context.Context, at, stream string, parts int) 
 // sets in place of Bloom filters.
 func (e *Engine) runSemiJoin(ctx context.Context, qs string, q *plan.JoinQuery) (*Result, error) {
 	n, m := e.jen.Workers(), e.db.Workers()
-	tbl, err := e.db.Table(q.DBTable)
+	tbl, scanPlan, accessPlan, err := e.resolve(q)
 	if err != nil {
 		return nil, err
 	}
-	scanPlan, err := e.jen.PlanScan(q.HDFSTable)
-	if err != nil {
-		return nil, err
-	}
-	need := append(append([]int(nil), q.DBProj...), colSet(q.DBPred)...)
-	accessPlan := e.db.PlanAccess(tbl, q.DBPred, need)
 
 	// Exact T' key set to every JEN worker (blocking, like BF_DB).
 	tKeys, err := e.db.BuildKeySet(tbl, q.DBPred, q.DBJoinColBase)
@@ -173,9 +167,8 @@ func (e *Engine) runSemiJoin(ctx context.Context, qs string, q *plan.JoinQuery) 
 
 	g, ctx := par.WithContext(ctx)
 	var resultRows []types.Row
-	g.Go(func() error {
-		rows, err := e.collectRows(ctx, dbName(0), qs+"final", 1)
-		resultRows = rows
+	g.Go(func() (err error) {
+		resultRows, err = e.collectRows(ctx, dbName(0), qs+"final", 1)
 		return err
 	})
 
@@ -200,22 +193,17 @@ func (e *Engine) dbSemiProgram(ctx context.Context, qs string, q *plan.JoinQuery
 	pr := newProg(ctx, &runErr)
 	defer pr.release()
 	ctx = pr.ctx
-	tw, err := e.db.FilterProject(tbl, i, ap, q.DBProj)
+	tw, _, err := e.materialize(tbl, i, ap, q.DBProj)
 	pr.fail(err)
 	lKeys, kerr := e.recvKeySets(ctx, dbName(i), qs+"lkeys", 1)
 	pr.fail(kerr)
-	if runErr == nil {
-		kept := tw[:0:0]
-		for _, row := range tw {
-			if lKeys.TestKey(row[q.DBWireKey].Int()) {
-				kept = append(kept, row)
-			}
-		}
-		tw = kept
-	}
 	b := e.newBatcher(ctx, dbName(i), qs+"dbrows", e.jenNames(), metrics.DBSentTuples, metrics.DBSentBytes, i)
 	if runErr == nil {
-		pr.fail(b.scatterRows(tw, q.DBWireKey, func(key int64) string {
+		for _, tb := range tw {
+			keys := tb.Col(q.DBWireKey)
+			tb.Filter(func(r int) bool { return lKeys.TestKey(keys[r].Int()) })
+		}
+		pr.fail(b.scatterBatches(tw, q.DBWireKey, nil, func(key int64) string {
 			return jenName(cluster.PartitionFor(key, n))
 		}))
 	}
@@ -279,7 +267,7 @@ func (e *Engine) jenSemiProgram(ctx context.Context, qs string, q *plan.JoinQuer
 				localKeys[keys[i].Int()] = struct{}{}
 				return nil
 			})
-			return b.scatterBatch(sb, q.HDFSWire, scanKey, func(key int64) string {
+			return b.scatterBatch(sb, q.HDFSWire, scanKey, nil, func(key int64) string {
 				return jenName(cluster.PartitionFor(key, n))
 			})
 		})
@@ -315,5 +303,5 @@ func (e *Engine) jenSemiProgram(ctx context.Context, qs string, q *plan.JoinQuer
 		pr.fail(e.probeAndAggregateBatches(ht, dbBatches, q, agg, e.cfg.WorkerThreads))
 	}
 	e.recordSpillStats(ht, w)
-	return e.finishHDFSAggregation(ctx, qs, q, agg, w, n, runErr)
+	return e.finishAggregation(ctx, qs, q.GroupBy, q.Aggs, agg, w, n, runErr)
 }

@@ -5,7 +5,6 @@ import (
 
 	"hybridwh/internal/batch"
 	"hybridwh/internal/bloom"
-	"hybridwh/internal/edw"
 	"hybridwh/internal/jen"
 	"hybridwh/internal/metrics"
 	"hybridwh/internal/par"
@@ -33,16 +32,10 @@ const ZigzagDBVariant Algorithm = 101
 //     the DB-side join does.
 func (e *Engine) runZigzagDB(ctx context.Context, qs string, q *plan.JoinQuery) (*Result, error) {
 	n, m := e.jen.Workers(), e.db.Workers()
-	tbl, err := e.db.Table(q.DBTable)
+	tbl, scanPlan, accessPlan, err := e.resolve(q)
 	if err != nil {
 		return nil, err
 	}
-	scanPlan, err := e.jen.PlanScan(q.HDFSTable)
-	if err != nil {
-		return nil, err
-	}
-	need := append(append([]int(nil), q.DBProj...), colSet(q.DBPred)...)
-	accessPlan := e.db.PlanAccess(tbl, q.DBPred, need)
 
 	bfdb, err := e.db.BuildBloom(tbl, q.DBPred, q.DBJoinColBase, e.cfg.BloomBits, e.cfg.BloomHashes)
 	if err != nil {
@@ -88,14 +81,7 @@ func (e *Engine) runZigzagDB(ctx context.Context, qs string, q *plan.JoinQuery) 
 		jenToDB[i] = d
 		groupSize[d]++
 	}
-	estT := int64(float64(tbl.Rows()) * accessPlan.EstSelectivity)
-	estL := q.HDFSCardHint
-	if estL == 0 {
-		if cat, err := e.jen.Catalog().Lookup(q.HDFSTable); err == nil {
-			estL = cat.Rows
-		}
-	}
-	strategy := edw.ChooseJoinStrategy(estT, estL, m)
+	strategy := e.dbStrategy(q, tbl, accessPlan)
 
 	g, ctx := par.WithContext(ctx)
 	var resultRows []types.Row

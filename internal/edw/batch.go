@@ -11,10 +11,10 @@ import (
 	"hybridwh/internal/types"
 )
 
-// Batch-at-a-time variants of the per-worker access primitives. They charge
-// exactly the counters their row-at-a-time counterparts do (DBFilteredRows,
-// DBBloomFiltered, and the scan/index counters inside scanPartition), so an
-// engine may switch between the two paths without moving any Table 1 number.
+// Batch-at-a-time access primitives: the engine's only way to read T'. They
+// charge exactly the counters the row-at-a-time FilterProject does
+// (DBFilteredRows, and the scan/index counters inside scanPartition), so
+// moving the engine onto them moved no Table 1 number.
 
 // FilterProjectBatches streams worker w's filtered, projected partition (T'
 // for that worker) as dense batches of up to batchRows rows. Batches are on
@@ -117,16 +117,20 @@ func (db *DB) scanPartitionMorsels(t *Table, w int, plan AccessPlan, threads int
 	return nil
 }
 
-// ApplyBloomBatch narrows b's selection to the rows whose join key survives
-// the HDFS Bloom filter BF_H (zigzag join step 5), reporting how many rows
-// the filter removed. The DBBloomFiltered accounting matches ApplyBloom.
-func (db *DB) ApplyBloomBatch(b *batch.Batch, keyIdx int, bf *bloom.Filter) int64 {
-	before := b.Len()
-	keys := b.Col(keyIdx)
-	b.Filter(func(i int) bool {
-		return bf.TestHash(types.BloomHashKey(keys[i].Int()))
-	})
-	dropped := int64(before - b.Len())
+// ApplyBloomBatches narrows each batch's selection to the rows whose join
+// key survives the HDFS Bloom filter BF_H (zigzag join step 5), reporting how
+// many rows the filter removed. The drop is recorded once per call, as
+// DBBloomFiltered, even when there are no batches.
+func (db *DB) ApplyBloomBatches(bs []*batch.Batch, keyIdx int, bf *bloom.Filter) int64 {
+	var dropped int64
+	for _, b := range bs {
+		before := b.Len()
+		keys := b.Col(keyIdx)
+		b.Filter(func(i int) bool {
+			return bf.TestHash(types.BloomHashKey(keys[i].Int()))
+		})
+		dropped += int64(before - b.Len())
+	}
 	db.rec.Add(metrics.DBBloomFiltered, dropped)
 	return dropped
 }

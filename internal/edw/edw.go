@@ -326,7 +326,9 @@ func (db *DB) BuildKeySet(t *Table, pred expr.Expr, keyCol int) ([]int64, error)
 
 // FilterProject evaluates pred over worker w's partition and returns the
 // projected surviving rows (T' for that worker). The access plan must come
-// from PlanAccess so every worker follows the optimizer's choice.
+// from PlanAccess so every worker follows the optimizer's choice. The engine
+// reads T' through FilterProjectBatches; this row form is the reference the
+// edw tests and the benchmark's layer replay use.
 func (db *DB) FilterProject(t *Table, w int, plan AccessPlan, proj []int) ([]types.Row, error) {
 	var out []types.Row
 	err := db.scanPartition(t, w, plan, func(row types.Row) error {
@@ -384,20 +386,4 @@ func (db *DB) scanPartition(t *Table, w int, plan AccessPlan, fn func(types.Row)
 	default:
 		return fmt.Errorf("edw: unknown access path %d", plan.Path)
 	}
-}
-
-// ApplyBloom filters rows by testing keyIdx against the HDFS Bloom filter
-// BF_H (zigzag join step 5). It reports how many rows the filter removed.
-func (db *DB) ApplyBloom(rows []types.Row, keyIdx int, bf *bloom.Filter) ([]types.Row, int64) {
-	out := rows[:0:0]
-	var dropped int64
-	for _, r := range rows {
-		if bf.TestHash(types.BloomHashKey(r[keyIdx].Int())) {
-			out = append(out, r)
-		} else {
-			dropped++
-		}
-	}
-	db.rec.Add(metrics.DBBloomFiltered, dropped)
-	return out, dropped
 }

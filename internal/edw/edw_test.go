@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"hybridwh/internal/batch"
 	"hybridwh/internal/bloom"
 	"hybridwh/internal/expr"
 	"hybridwh/internal/metrics"
@@ -281,10 +282,15 @@ func TestApplyBloom(t *testing.T) {
 	bf := bloom.New(1<<12, 2)
 	bf.AddHash(types.BloomHashKey(1))
 	bf.AddHash(types.BloomHashKey(3))
-	rows := []types.Row{
-		{types.Int32(1)}, {types.Int32(2)}, {types.Int32(3)}, {types.Int32(4)},
+	bs := []*batch.Batch{batch.New(1, 2), batch.New(1, 2)}
+	for i, k := range []int32{1, 2, 3, 4} {
+		bs[i/2].AppendRow(types.Row{types.Int32(k)})
 	}
-	kept, dropped := db.ApplyBloom(rows, 0, bf)
+	dropped := db.ApplyBloomBatches(bs, 0, bf)
+	var kept []types.Row
+	for _, b := range bs {
+		kept = append(kept, b.Rows()...)
+	}
 	if len(kept)+int(dropped) != 4 {
 		t.Fatalf("kept %d dropped %d", len(kept), dropped)
 	}
@@ -296,6 +302,15 @@ func TestApplyBloom(t *testing.T) {
 	}
 	if dropped < 1 {
 		t.Error("expected at least one drop")
+	}
+	if got := db.Recorder().Get(metrics.DBBloomFiltered); got != dropped {
+		t.Errorf("%s = %d, want %d", metrics.DBBloomFiltered, got, dropped)
+	}
+	// No batches still records the (zero) drop, as the zigzag counters expect.
+	db.Recorder().Reset()
+	db.ApplyBloomBatches(nil, 0, bf)
+	if _, ok := db.Recorder().Snapshot()[metrics.DBBloomFiltered]; !ok {
+		t.Errorf("%s not recorded for an empty T'", metrics.DBBloomFiltered)
 	}
 }
 

@@ -19,11 +19,10 @@ import (
 	"hybridwh/internal/lint/nondet"
 	"hybridwh/internal/lint/poolsafe"
 	"hybridwh/internal/lint/protocol"
-	"hybridwh/internal/lint/rowloop"
 )
 
 // Analyzers returns every hwlint analyzer, in reporting order. The first
-// seven are syntactic/lexical; the last four (PR 6) are flow-sensitive,
+// six are syntactic/lexical; the last four (PR 6) are flow-sensitive,
 // built on internal/lint/cfg and internal/lint/callgraph.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
@@ -32,7 +31,6 @@ func Analyzers() []*analysis.Analyzer {
 		protocol.Analyzer,
 		errwrap.Analyzer,
 		mutexguard.Analyzer,
-		rowloop.Analyzer,
 		hotalloc.Analyzer,
 		ctxflow.Analyzer,
 		lockorder.Analyzer,
@@ -51,15 +49,6 @@ var deterministicPkgs = map[string]bool{
 	"hybridwh/internal/datagen":     true,
 	"hybridwh/internal/experiments": true,
 	"hybridwh/internal/costmodel":   true,
-}
-
-// batchPlanePkgs are the packages whose data planes ship columnar batches;
-// only they are subject to the rowloop analyzer (the batcher internals are
-// exempted structurally, by receiver, inside the analyzer itself).
-var batchPlanePkgs = map[string]bool{
-	"hybridwh/internal/core": true,
-	"hybridwh/internal/jen":  true,
-	"hybridwh/internal/edw":  true,
 }
 
 // hotPathPkgs are the packages holding the batch join hot paths (the flat
@@ -96,8 +85,6 @@ func Applies(a *analysis.Analyzer, pkg *load.Package) bool {
 	switch a.Name {
 	case "nondet":
 		return deterministicPkgs[path]
-	case "rowloop":
-		return batchPlanePkgs[path]
 	case "hotalloc":
 		return hotPathPkgs[path]
 	case "poolsafe":

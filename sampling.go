@@ -3,6 +3,7 @@ package hybridwh
 import (
 	"errors"
 
+	"hybridwh/internal/batch"
 	"hybridwh/internal/expr"
 	"hybridwh/internal/jen"
 	"hybridwh/internal/plan"
@@ -22,9 +23,11 @@ var errEnoughSample = errors.New("sample complete")
 // clustered or range-partitioned data worker 0's slice is a biased picture of
 // L (a hot key resident in worker 0's blocks looks cluster-dominant; one
 // elsewhere is invisible). The per-worker budget splits sampleRows evenly so
-// the total stays bounded, and each worker's scan stops early on its own
-// errEnoughSample. Counters touched here are reset before the query proper
-// runs, same as before.
+// the total stays bounded, and each worker's scan stops after exactly that
+// many rows — single-threaded, so the sample is the same prefix of the
+// worker's batches whatever the batch boundaries. row sees each sampled row
+// in a scratch buffer it must not retain. Counters touched here are reset
+// before the query proper runs, same as before.
 func (w *Warehouse) sampleScan(jq *plan.JoinQuery, sampleRows int, row func(r types.Row) error) error {
 	if sampleRows <= 0 {
 		sampleRows = sampleRowsDefault
@@ -34,23 +37,24 @@ func (w *Warehouse) sampleScan(jq *plan.JoinQuery, sampleRows int, row func(r ty
 		return err
 	}
 	workers := w.jenc.Workers()
-	perWorker := sampleRows / workers
-	if perWorker < 1 {
-		perWorker = 1
-	}
+	perWorker := int64(max(sampleRows/workers, 1))
+	var scratch types.Row
 	for wk := 0; wk < workers; wk++ {
 		var scanned int64
-		err := w.jenc.ScanFilter(jen.ScanSpec{
-			Plan: scanPlan, Worker: wk, Proj: jq.HDFSScanProj,
-		}, func(r types.Row) error {
-			scanned++
-			if err := row(r); err != nil {
-				return err
-			}
-			if scanned >= int64(perWorker) {
-				return errEnoughSample
-			}
-			return nil
+		err := w.jenc.ScanFilterBatches(jen.ScanSpec{
+			Plan: scanPlan, Worker: wk, Proj: jq.HDFSScanProj, Threads: 1,
+		}, func(b *batch.Batch) error {
+			return b.Each(func(i int) error {
+				scratch = b.RowAt(i, scratch)
+				scanned++
+				if err := row(scratch); err != nil {
+					return err
+				}
+				if scanned >= perWorker {
+					return errEnoughSample
+				}
+				return nil
+			})
 		})
 		if err != nil && !errors.Is(err, errEnoughSample) {
 			return err

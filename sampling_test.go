@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"hybridwh/internal/batch"
 	"hybridwh/internal/expr"
 	"hybridwh/internal/jen"
 	"hybridwh/internal/metrics"
@@ -80,21 +81,23 @@ func worker0Estimate(t *testing.T, w *Warehouse, jq *plan.JoinQuery, sampleRows 
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = w.jenc.ScanFilter(jen.ScanSpec{
-		Plan: scanPlan, Worker: 0, Proj: jq.HDFSScanProj,
-	}, func(r types.Row) error {
-		scanned++
-		ok, err := hit(r)
-		if err != nil {
-			return err
-		}
-		if ok {
-			passed++
-		}
-		if scanned >= int64(sampleRows) {
-			return errEnoughSample
-		}
-		return nil
+	err = w.jenc.ScanFilterBatches(jen.ScanSpec{
+		Plan: scanPlan, Worker: 0, Proj: jq.HDFSScanProj, Threads: 1,
+	}, func(b *batch.Batch) error {
+		return b.Each(func(i int) error {
+			scanned++
+			ok, err := hit(b.CloneRow(i))
+			if err != nil {
+				return err
+			}
+			if ok {
+				passed++
+			}
+			if scanned >= int64(sampleRows) {
+				return errEnoughSample
+			}
+			return nil
+		})
 	})
 	if err != nil && !errors.Is(err, errEnoughSample) {
 		t.Fatal(err)
@@ -189,5 +192,41 @@ func TestSamplingStridesAcrossWorkers(t *testing.T) {
 	}
 	if math.Abs(hot-truthHot) > math.Abs(oldHot-truthHot) {
 		t.Errorf("strided hot share %.3f is further from truth %.1f than worker-0-only %.3f", hot, truthHot, oldHot)
+	}
+}
+
+// TestSamplingDefaultBudgetPinned pins both estimators at the default budget
+// (sampleRowsDefault over four workers: 500 of each worker's 2000 rows), on
+// predicates whose pass rate and hottest key shift if a worker's sample
+// stops one batch early or late. The values were captured from the
+// row-at-a-time sampler the batch sampler replaced; the advisor's σ_L picks
+// the algorithm, so the sample must not move.
+func TestSamplingDefaultBudgetPinned(t *testing.T) {
+	w := openClusteredSample(t)
+	jq, err := w.Plan("select count(*) from pt, ev where pt.k = ev.uid and ev.uid >= 150")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sigma, err := w.EstimateSigmaL(jq, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jqCold, err := w.Plan("select count(*) from pt, ev where pt.k = ev.uid and ev.v >= 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hot, err := w.EstimateHotKeyShare(jqCold, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// σ_L: the two all-fail workers contribute 0 of 1000 rows; each all-pass
+	// worker's first 500 rows cycle through 16 uids, 3 of them ≥ 150, for 93
+	// passes. Hot share: the same two workers' first 500 rows put at most 32
+	// on any one key, out of 1000 passing.
+	if want := 186.0 / 2000; sigma != want {
+		t.Errorf("σ_L = %v, want %v", sigma, want)
+	}
+	if want := 32.0 / 1000; hot != want {
+		t.Errorf("hot share = %v, want %v", hot, want)
 	}
 }
