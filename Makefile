@@ -77,10 +77,13 @@ perf-compare:
 	bash bench/run.sh -workload all -seed 1 -repeat 3 -o "$$out" && \
 	bash bench/run.sh -compare bench/results/baseline/runs_a.json "$$out"
 
-# The ROADMAP's end-of-session check: list any benchmark, shell, test binary
-# or go command still running and fail if there is one. Run it last, after
-# every foreground go test, make target and bench/run.sh. The bracketed
-# first letters keep the pattern from matching this recipe's own shell.
+# The ROADMAP's end-of-session check: list any repo binary (every cmd/*
+# command, hwperf), test binary, `go run` executable or go command still
+# running and fail if there is one. Run it last, after every foreground go
+# test, make target and bench/run.sh. The command names are read from cmd/
+# at run time and every name is written with a bracketed first letter, so
+# the pattern never matches this recipe's own shell.
 idle:
-	@if pgrep -fa '[h]wperf|[h]wbench|[h]wshell|[.]test|[g]o (test|build|run|vet)'; then \
+	@pat=$$(for d in cmd/*/; do n=$${d#cmd/}; n=$${n%/}; printf '[%.1s]%s|' "$$n" "$${n#?}"; done); \
+	if pgrep -fa "$${pat}[h]wperf|[.]test|[g]o-build[^ ]*/exe/|[g]o (test|build|run|vet)"; then \
 		echo "idle: the processes above are still running"; exit 1; fi

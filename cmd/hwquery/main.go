@@ -31,7 +31,7 @@ import (
 func main() {
 	var (
 		sqlFlag = flag.String("sql", "", "SQL to run (default: the paper's example query)")
-		algFlag = flag.String("alg", "", "force algorithm: db | db(BF) | broadcast | repartition | repartition(BF) | zigzag (default: advisor)")
+		algFlag = flag.String("alg", "", "force algorithm: "+algList(" | ")+" (default: advisor)")
 		sigmaT  = flag.Float64("sigmaT", 0.1, "σ_T for the default query")
 		sigmaL  = flag.Float64("sigmaL", 0.4, "σ_L for the default query")
 		st      = flag.Float64("st", 0.2, "S_T' for the default query")
@@ -186,6 +186,15 @@ join product p on f.fk_product = p.key
 join store s on f.fk_store = s.key
 where c.attr < 300 and p.attr < 500 and s.attr < 700
 group by f.grp`
+
+// algList names every algorithm -alg accepts, joined by sep.
+func algList(sep string) string {
+	var names []string
+	for _, a := range core.Algorithms() {
+		names = append(names, a.String())
+	}
+	return strings.Join(names, sep)
+}
 
 func parseAlg(s string) (core.Algorithm, error) {
 	for _, a := range core.Algorithms() {

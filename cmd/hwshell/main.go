@@ -88,7 +88,7 @@ func main() {
 		if buf.Len() == 0 && strings.HasPrefix(line, `\`) {
 			switch {
 			case line == `\help`:
-				fmt.Println(`  \alg <name>   force an algorithm (db, db(BF), broadcast, repartition, repartition(BF), zigzag, semijoin)`)
+				fmt.Printf("  \\alg <name>   force an algorithm (%s)\n", algList(", "))
 				fmt.Println(`  \alg auto     let the advisor choose (default)`)
 				fmt.Println(`  \explain      explain the next statement instead of running it`)
 				fmt.Println(`  \trace        toggle the analyzer rule trace on star-mode explains`)
@@ -209,4 +209,13 @@ func run(w *hybridwh.Warehouse, sql string, forced *core.Algorithm, explain, sta
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, err)
 	os.Exit(1)
+}
+
+// algList names every algorithm \alg accepts, joined by sep.
+func algList(sep string) string {
+	var names []string
+	for _, a := range core.Algorithms() {
+		names = append(names, a.String())
+	}
+	return strings.Join(names, sep)
 }

@@ -26,7 +26,7 @@ import (
 // jen.Progress) into a feedback loop over a briefly deferred shuffle:
 //
 //  1. Each JEN worker scans with plain-hash routing *deferred*: the first
-//     K (Config.AdaptBatches) wire batches are buffered locally while a
+//     K (adaptBatches) wire batches are buffered locally while a
 //     sketch and live σ_L counters accumulate over them.
 //  2. At K batches (or end of scan, whichever first) the worker sends an
 //     observation snapshot — physical/surviving row counts plus its sketch
@@ -59,6 +59,9 @@ import (
 // blocks on a handshake that will never complete.
 
 const (
+	// adaptBatches is K, the number of wire batches each JEN worker buffers
+	// before contributing its observation snapshot.
+	adaptBatches = 8
 	// sketchKeys is the heavy-hitter sketch capacity: exact while a worker
 	// sees fewer than twice this many distinct surviving keys, and past that
 	// the Misra-Gries bound (≤ rows/capacity) still catches every hot key.
@@ -184,119 +187,6 @@ func unmarshalDecision(b []byte) (*adaptDecision, error) {
 	return &adaptDecision{kind: kind, reason: reason, hot: hot}, nil
 }
 
-// adaptState carries the agreed decision from the designated worker's
-// program out to the facade (Result.Switched). One per adaptive query.
-type adaptState struct {
-	mu  sync.Mutex
-	dec *adaptDecision // guarded by mu
-}
-
-func (s *adaptState) store(d *adaptDecision) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.dec = d
-	s.mu.Unlock()
-}
-
-func (s *adaptState) load() *adaptDecision {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dec
-}
-
-// sendObserved ships one observation snapshot to the designated worker.
-func (e *Engine) sendObserved(from, stream string, o obsSnapshot, dest string) error {
-	payload := o.marshal()
-	e.rec.Add(metrics.AdaptBytes, int64(len(payload)))
-	return e.bus.Send(from, dest, netsim.Msg{Type: netsim.MsgControl, Stream: stream, Payload: payload})
-}
-
-// recvObserved receives and merges `parts` snapshots at the designated
-// worker. Failure semantics match recvKeySets: a bad part is recorded and
-// the fan-in keeps draining; MsgError and context cancellation are
-// terminal.
-func (e *Engine) recvObserved(ctx context.Context, at, stream string, parts int) (obsSnapshot, error) {
-	out := obsSnapshot{sketch: skew.NewSketch(sketchKeys)}
-	r := e.routers[at]
-	ch, err := r.Route(netsim.MsgControl, stream)
-	if err != nil {
-		return out, err
-	}
-	abort, err := r.Route(netsim.MsgError, stream)
-	if err != nil {
-		r.Unroute(netsim.MsgControl, stream)
-		return out, err
-	}
-	defer r.Unroute(netsim.MsgControl, stream)
-	defer r.Unroute(netsim.MsgError, stream)
-	var consumeErr error
-	for i := 0; i < parts; i++ {
-		select {
-		case env := <-ch:
-			if consumeErr != nil {
-				continue // already failed; keep draining the protocol
-			}
-			o, err := unmarshalObs(env.Payload)
-			if err != nil {
-				consumeErr = fmt.Errorf("core: %s observation %s from %s: %w", at, stream, env.From, err)
-				continue
-			}
-			out.merge(o)
-		case env := <-abort:
-			return out, decodeAbort(at, stream, env)
-		case <-ctx.Done():
-			return out, ctxAbort(ctx, at, stream)
-		}
-	}
-	return out, consumeErr
-}
-
-// sendDecision broadcasts the agreed decision.
-func (e *Engine) sendDecision(from, stream string, d *adaptDecision, dests []string) error {
-	payload := d.marshal()
-	for _, dest := range dests {
-		e.rec.Add(metrics.AdaptBytes, int64(len(payload)))
-		if err := e.bus.Send(from, dest, netsim.Msg{Type: netsim.MsgControl, Stream: stream, Payload: payload}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// recvDecision blocks for the agreed decision (one part, from the
-// designated worker) — the DB workers' side of the handshake.
-func (e *Engine) recvDecision(ctx context.Context, at, stream string) (*adaptDecision, error) {
-	r := e.routers[at]
-	ch, err := r.Route(netsim.MsgControl, stream)
-	if err != nil {
-		return nil, err
-	}
-	abort, err := r.Route(netsim.MsgError, stream)
-	if err != nil {
-		r.Unroute(netsim.MsgControl, stream)
-		return nil, err
-	}
-	defer r.Unroute(netsim.MsgControl, stream)
-	defer r.Unroute(netsim.MsgError, stream)
-	select {
-	case env := <-ch:
-		d, err := unmarshalDecision(env.Payload)
-		if err != nil {
-			return nil, fmt.Errorf("core: %s decision %s from %s: %w", at, stream, env.From, err)
-		}
-		return d, nil
-	case env := <-abort:
-		return nil, decodeAbort(at, stream, env)
-	case <-ctx.Done():
-		return nil, ctxAbort(ctx, at, stream)
-	}
-}
-
 // decisionWatch is the JEN workers' side of the decision receive: the
 // routes are opened before the scan starts, so the scan loop can poll for
 // the decision between batches without blocking, and the program can block
@@ -380,35 +270,18 @@ func (w *decisionWatch) close() {
 	w.r.Unroute(netsim.MsgError, w.stream)
 }
 
-// decideSwitch is the decision point: extrapolate the merged observations
-// to full-query statistics, re-cost the committed shuffle plan against the
-// alternatives, and apply the hysteresis margin. lTotal is the full L row
-// count (the catalog cardinality the σ_L extrapolation multiplies), and
-// lRowBytes the wire width of one L' row.
-func (e *Engine) decideSwitch(o obsSnapshot, n, m int, lTotal, lRowBytes int64) *adaptDecision {
-	sigmaL := 1.0
-	if o.scanned > 0 {
-		sigmaL = float64(o.survived) / float64(o.scanned)
-	}
-	lRows := int64(sigmaL * float64(lTotal))
-	hotShare := o.sketch.HottestShare()
-	stats := costmodel.PlanStats{
-		TPrimeRows: o.tRows, TPrimeBytes: o.tBytes,
-		LPrimeRows: lRows, LPrimeBytes: lRows * lRowBytes,
-		HotKeyShare: hotShare,
-		JENWorkers:  n, DBWorkers: m,
-	}
+// decideSwitch is the adaptive decision rule of both executors: re-cost
+// the committed shuffle join against broadcasting the small side — and,
+// with hybrid, against the hybrid skew partitioner — and switch only past
+// the adaptMargin hysteresis. It records adapt.decisions and
+// adapt.switches and returns the choice with the three costs (hy is +Inf
+// without hybrid).
+func (e *Engine) decideSwitch(stats costmodel.PlanStats, hybrid bool) (kind switchKind, cur, bc, hy float64) {
 	mod := costmodel.New(costmodel.Rates{})
-	cur := mod.ShuffleJoinCost(stats, false)
-	bc := mod.BroadcastJoinCost(stats)
-	// The hot bar is half a worker's fair share of the observed prefix: past
-	// it, one key alone overloads its hash home.
-	hot := skew.NewHotSet(o.sketch.Hot(1 / (2 * float64(n))))
-	hy := math.Inf(1)
-	if hot.Len() > 0 {
+	cur, bc, hy = mod.ShuffleJoinCost(stats, false), mod.BroadcastJoinCost(stats), math.Inf(1)
+	if hybrid {
 		hy = mod.ShuffleJoinCost(stats, true)
 	}
-
 	alt, kind := bc, switchBroadcast
 	if hy < bc {
 		alt, kind = hy, switchHybrid
@@ -416,42 +289,61 @@ func (e *Engine) decideSwitch(o obsSnapshot, n, m int, lTotal, lRowBytes int64) 
 	if !costmodel.ShouldSwitch(cur, alt, adaptMargin) {
 		kind = keepPlan
 	}
-
 	e.rec.Add(metrics.AdaptDecisions, 1)
-	e.rec.Add(metrics.AdaptObsSigmaLPermille, int64(sigmaL*1000))
-	e.rec.Add(metrics.AdaptObsTPrimeRows, o.tRows)
-	e.rec.Add(metrics.AdaptObsHotPermille, int64(hotShare*1000))
 	if kind != keepPlan {
 		e.rec.Add(metrics.AdaptSwitches, 1)
 	}
-
-	d := &adaptDecision{
-		kind: kind,
-		reason: fmt.Sprintf(
-			"observed σ_L=%.4f (L'≈%d rows), |T'|=%d rows (%d B), hottest key %.0f%% of scan prefix: re-cost keep=%.3gs broadcast=%.3gs hybrid=%.3gs (margin %.0f%%) → %s",
-			sigmaL, lRows, o.tRows, o.tBytes, hotShare*100, cur, bc, hy, adaptMargin*100, kind),
-	}
-	if kind == switchHybrid {
-		d.hot = hot
-	}
-	return d
+	return kind, cur, bc, hy
 }
 
 // coordinateSwitch runs at the designated JEN worker: collect every
-// worker's observations, decide, record the decision for the facade, and
-// broadcast it. On a fan-in failure it still broadcasts a fallback keep
-// decision so no peer blocks on the handshake — the failure itself travels
-// via MsgError and the context.
-func (e *Engine) coordinateSwitch(ctx context.Context, qs, me string, n, m int, lTotal, lRowBytes int64, st *adaptState) error {
-	obs, err := e.recvObserved(ctx, me, qs+"adapt.obs", n+m)
-	var d *adaptDecision
-	if err != nil {
-		d = &adaptDecision{kind: keepPlan, reason: "observation fan-in failed; keeping the committed plan"}
-	} else {
-		d = e.decideSwitch(obs, n, m, lTotal, lRowBytes)
+// worker's observations, extrapolate them to full-query statistics, decide,
+// store the decision in *decided for the facade, and broadcast it. lTotal is
+// the full L row count (the catalog cardinality the σ_L extrapolation
+// multiplies), and lRowBytes the wire width of one L' row. On a fan-in
+// failure it still broadcasts a fallback keep decision so no peer blocks on
+// the handshake — the failure itself travels via MsgError and the context.
+func (e *Engine) coordinateSwitch(ctx context.Context, qs, me string, n, m int, lTotal, lRowBytes int64, decided **adaptDecision) error {
+	o := obsSnapshot{sketch: skew.NewSketch(sketchKeys)}
+	err := e.recvControl(ctx, me, netsim.MsgControl, qs+"adapt.obs", n+m, func(p []byte) error {
+		part, err := unmarshalObs(p)
+		if err == nil {
+			o.merge(part)
+		}
+		return err
+	})
+	d := &adaptDecision{kind: keepPlan, reason: "observation fan-in failed; keeping the committed plan"}
+	if err == nil {
+		sigmaL := 1.0
+		if o.scanned > 0 {
+			sigmaL = float64(o.survived) / float64(o.scanned)
+		}
+		lRows := int64(sigmaL * float64(lTotal))
+		hotShare := o.sketch.HottestShare()
+		// The hot bar is half a worker's fair share of the observed prefix:
+		// past it, one key alone overloads its hash home.
+		hot := skew.NewHotSet(o.sketch.Hot(1 / (2 * float64(n))))
+		kind, cur, bc, hy := e.decideSwitch(costmodel.PlanStats{
+			TPrimeRows: o.tRows, TPrimeBytes: o.tBytes,
+			LPrimeRows: lRows, LPrimeBytes: lRows * lRowBytes,
+			HotKeyShare: hotShare,
+			JENWorkers:  n, DBWorkers: m,
+		}, hot.Len() > 0)
+		e.rec.Add(metrics.AdaptObsSigmaLPermille, int64(sigmaL*1000))
+		e.rec.Add(metrics.AdaptObsTPrimeRows, o.tRows)
+		e.rec.Add(metrics.AdaptObsHotPermille, int64(hotShare*1000))
+		d = &adaptDecision{
+			kind: kind,
+			reason: fmt.Sprintf(
+				"observed σ_L=%.4f (L'≈%d rows), |T'|=%d rows (%d B), hottest key %.0f%% of scan prefix: re-cost keep=%.3gs broadcast=%.3gs hybrid=%.3gs (margin %.0f%%) → %s",
+				sigmaL, lRows, o.tRows, o.tBytes, hotShare*100, cur, bc, hy, adaptMargin*100, kind),
+		}
+		if kind == switchHybrid {
+			d.hot = hot
+		}
 	}
-	st.store(d)
-	firstErr(&err, e.sendDecision(me, qs+"adapt.dec", d, append(e.jenNames(), e.dbNames()...)))
+	*decided = d
+	firstErr(&err, e.sendControl(me, netsim.MsgControl, qs+"adapt.dec", d.marshal(), metrics.AdaptBytes, append(e.jenNames(), e.dbNames()...)))
 	return err
 }
 
@@ -524,7 +416,7 @@ func (a *adaptJENWorker) onBatch(sb *batch.Batch) error {
 	a.buffered = append(a.buffered, wb)
 	if a.dec == nil {
 		a.batches++
-		if !a.obsSent && a.batches >= a.e.cfg.AdaptBatches {
+		if !a.obsSent && a.batches >= adaptBatches {
 			if err := a.sendObsLocked(); err != nil {
 				return err
 			}
@@ -542,7 +434,7 @@ func (a *adaptJENWorker) sendObsLocked() error {
 		survived: a.progress.Survived(),
 		sketch:   a.sketch,
 	}
-	return a.e.sendObserved(a.me, a.qs+"adapt.obs", o, jenName(a.e.jen.DesignatedWorker()))
+	return a.e.sendControl(a.me, netsim.MsgControl, a.qs+"adapt.obs", o.marshal(), metrics.AdaptBytes, []string{jenName(a.e.jen.DesignatedWorker())})
 }
 
 // applyLocked installs the decision and, for keep/hybrid, flushes the
@@ -612,14 +504,14 @@ func (a *adaptJENWorker) takeBuffered() []*batch.Batch {
 // the designated worker, then block for the decision and apply it. It does
 // not close the shuffle batcher — the caller's CloseWith still owns stream
 // completion.
-func (a *adaptJENWorker) finish(ctx context.Context, pr *prog, lTotal, lRowBytes int64, st *adaptState) {
+func (a *adaptJENWorker) finish(ctx context.Context, pr *prog, lTotal, lRowBytes int64, decided **adaptDecision) {
 	a.mu.Lock()
 	if !a.obsSent {
 		pr.fail(a.sendObsLocked())
 	}
 	a.mu.Unlock()
 	if a.w == a.e.jen.DesignatedWorker() {
-		pr.fail(a.e.coordinateSwitch(ctx, a.qs, a.me, a.n, a.e.db.Workers(), lTotal, lRowBytes, st))
+		pr.fail(a.e.coordinateSwitch(ctx, a.qs, a.me, a.n, a.e.db.Workers(), lTotal, lRowBytes, decided))
 	}
 	d, err := a.watch.wait(ctx)
 	pr.fail(err)
@@ -677,7 +569,7 @@ func (e *Engine) adaptObserveT(pr *prog, qs string, q *plan.JoinQuery, i int, tR
 		tRows:  tRows,
 		tBytes: tRows * 16 * int64(len(q.DBProj)),
 	}
-	pr.fail(e.sendObserved(dbName(i), qs+"adapt.obs", o, jenName(e.jen.DesignatedWorker())))
+	pr.fail(e.sendControl(dbName(i), netsim.MsgControl, qs+"adapt.obs", o.marshal(), metrics.AdaptBytes, []string{jenName(e.jen.DesignatedWorker())}))
 }
 
 // adaptRouteT blocks for the agreed decision and routes T' accordingly:
@@ -686,8 +578,11 @@ func (e *Engine) adaptObserveT(pr *prog, qs string, q *plan.JoinQuery, i int, tR
 // decision — under the aborted program context, so it cannot block — and
 // ships nothing.
 func (e *Engine) adaptRouteT(ctx context.Context, pr *prog, qs string, q *plan.JoinQuery, b *batcher, i int, tw []*batch.Batch, destOf func(key int64) string, runErr *error) {
-	d, err := e.recvDecision(ctx, dbName(i), qs+"adapt.dec")
-	pr.fail(err)
+	var d *adaptDecision
+	pr.fail(e.recvControl(ctx, dbName(i), netsim.MsgControl, qs+"adapt.dec", 1, func(p []byte) (err error) {
+		d, err = unmarshalDecision(p)
+		return err
+	}))
 	if *runErr != nil {
 		return
 	}

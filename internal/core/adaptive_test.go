@@ -158,9 +158,11 @@ func TestAdaptiveKeepsGoodPlan(t *testing.T) {
 // switch regimes run — the broadcast switch (alignedKeys) and the hybrid
 // escalation (hotKeys90), whose post-switch movement is the re-routed
 // shuffle plus the replicated hot T' rows — so every kill interleaves with a
-// real mid-flight switch, and AdaptBatches=2 moves the observation point
-// early enough that every kill lands at a distinct handshake phase (by
-// message 12 the endpoint is past the decision and mid-shuffle).
+// real mid-flight switch. These are the golden table's adaptive fixtures,
+// which switch at the engine's K = 8 observation point: no L' row moves
+// before the decision, so the kill points count the same handshake
+// messages whatever K is (by message 12 the endpoint is past the decision
+// and mid-shuffle).
 func TestInjectedFailuresAbortAdaptiveSwitch(t *testing.T) {
 	regimes := []struct {
 		name string
@@ -188,9 +190,7 @@ func TestInjectedFailuresAbortAdaptiveSwitch(t *testing.T) {
 						baseline := runtime.NumGoroutine()
 						ctx, cancel := context.WithTimeout(context.Background(), abortTestDeadline)
 						defer cancel()
-						cfg := adaptTestConfig(true)
-						cfg.AdaptBatches = 2
-						f := buildSkewFixtureKeys(t, tr.newBus(), 2, 3, 600, rg.lN, cfg, rg.keys)
+						f := buildSkewFixtureKeys(t, tr.newBus(), 2, 3, 600, rg.lN, adaptTestConfig(true), rg.keys)
 						f.eng.Bus().(netsim.FaultInjector).KillEndpointAfter(k.kill, k.after)
 						q := exampleQuery(t, f, 300, 400)
 						start := time.Now()

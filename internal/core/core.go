@@ -48,6 +48,28 @@ const (
 	Zigzag
 )
 
+// The extensions, for ablation studies; neither is one of the paper's
+// evaluated algorithms.
+const (
+	// SemiJoin is the classic exact two-way semijoin baseline the literature
+	// contrasts Bloom joins against (the paper cites Mullin's semijoins and
+	// PERF join as the predecessors): the zigzag dataflow exchanging exact
+	// join-key sets instead of Bloom filters. No false positives, but the
+	// key sets are far larger than 16 MB Bloom filters, so the
+	// cross-cluster filter exchange costs more — the trade-off the paper's
+	// Section 6 discusses.
+	SemiJoin Algorithm = 100
+	// ZigzagDBVariant is the variant the paper dismisses in Section 3.4: a
+	// zigzag-style two-way Bloom filter exchange whose *final join runs in
+	// the database*. It must scan the HDFS table twice — once to build
+	// BF_H, once (after BF_H has pruned T') to ship the doubly-filtered L”
+	// into the database — and "scanning the HDFS table twice, without the
+	// help of indexes, is expected to introduce significant overhead."
+	// Implemented so the claim is checkable; see
+	// BenchmarkAblationZigzagDBSide.
+	ZigzagDBVariant Algorithm = 101
+)
+
 // String names the algorithm as the paper's figures do.
 func (a Algorithm) String() string {
 	switch a {
@@ -118,16 +140,13 @@ type Config struct {
 	WorkerThreads int
 	// AdaptiveSwitch enables mid-query algorithm switching for the
 	// repartition-based joins (see adaptive.go): after the first
-	// AdaptBatches wire batches of the JEN scan, the observed σ_L, |T'| and
+	// adaptBatches wire batches of the JEN scan, the observed σ_L, |T'| and
 	// hot-key share re-cost the committed plan against broadcasting T' and
 	// against the hybrid skew partitioner, and the cheaper plan (past the
 	// adaptMargin hysteresis) takes over mid-flight. Results are exact
 	// either way. Plain hash routing is the default; the hybrid partitioner
 	// (see internal/skew) engages only by observed decision.
 	AdaptiveSwitch bool
-	// AdaptBatches is K, the number of wire batches each JEN worker buffers
-	// before contributing its observation snapshot. Defaults to 8.
-	AdaptBatches int
 	// WireCompression frame-compresses every MsgRows payload with
 	// internal/compress before it reaches the bus, trading CPU for
 	// inter-cluster bandwidth (most visible on netsim.TCPBus links). Byte
@@ -151,9 +170,6 @@ func (c Config) withDefaults(j *jen.Cluster) Config {
 	}
 	if c.WorkerThreads <= 0 {
 		c.WorkerThreads = runtime.GOMAXPROCS(0)
-	}
-	if c.AdaptBatches <= 0 {
-		c.AdaptBatches = 8
 	}
 	return c
 }
@@ -236,6 +252,25 @@ func (e *Engine) budget(qs string) *mem.Budget {
 	return e.budgets[qs]
 }
 
+// begin starts a query: it allocates the query's stream prefix and
+// registers its memory budget, which done unregisters.
+func (e *Engine) begin(ctx context.Context, opts RunOpts) (qs string, done func(), err error) {
+	if err := ctx.Err(); err != nil {
+		return "", nil, fmt.Errorf("core: query not started: %w", err)
+	}
+	qs = fmt.Sprintf("q%d/", e.qid.Add(1))
+	e.budMu.Lock()
+	defer e.budMu.Unlock()
+	if opts.Budget != nil {
+		e.budgets[qs] = opts.Budget
+	}
+	return qs, func() {
+		e.budMu.Lock()
+		delete(e.budgets, qs)
+		e.budMu.Unlock()
+	}, nil
+}
+
 // Result is a completed query, returned at the database side.
 type Result struct {
 	Rows      []types.Row
@@ -287,35 +322,19 @@ func (e *Engine) RunCtxOpts(ctx context.Context, q *plan.JoinQuery, alg Algorith
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: query not started: %w", err)
+	qs, done, err := e.begin(ctx, opts)
+	if err != nil {
+		return nil, err
 	}
-	qs := fmt.Sprintf("q%d/", e.qid.Add(1))
-	if opts.Budget != nil {
-		e.budMu.Lock()
-		e.budgets[qs] = opts.Budget
-		e.budMu.Unlock()
-		defer func() {
-			e.budMu.Lock()
-			delete(e.budgets, qs)
-			e.budMu.Unlock()
-		}()
-	}
-	var (
-		res *Result
-		err error
-	)
+	defer done()
+	var res *Result
 	switch alg {
-	case DBSide, DBSideBloom:
-		res, err = e.runDBSide(ctx, qs, q, alg == DBSideBloom)
+	case DBSide, DBSideBloom, ZigzagDBVariant:
+		res, err = e.runDBSide(ctx, qs, q, alg)
 	case Broadcast:
 		res, err = e.runBroadcast(ctx, qs, q)
-	case Repartition, RepartitionBloom, Zigzag:
+	case Repartition, RepartitionBloom, Zigzag, SemiJoin:
 		res, err = e.runHDFSSide(ctx, qs, q, alg)
-	case SemiJoin:
-		res, err = e.runSemiJoin(ctx, qs, q)
-	case ZigzagDBVariant:
-		res, err = e.runZigzagDB(ctx, qs, q)
 	default:
 		return nil, fmt.Errorf("core: unknown algorithm %d", alg)
 	}

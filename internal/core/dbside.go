@@ -22,28 +22,43 @@ import (
 // the final join strategy (broadcast either side or repartition both), which
 // may reshuffle the ingested HDFS rows again because the database's
 // partitioning function is opaque to JEN (Section 4.3).
-func (e *Engine) runDBSide(ctx context.Context, qs string, q *plan.JoinQuery, useBF bool) (*Result, error) {
+//
+// db(BF) sends BF_DB to every JEN worker. zigzag-db (ZigzagDBVariant) adds
+// §3.4's first HDFS scan: every JEN worker scans with BF_DB, building BF_H
+// only, and the union crosses to the database, where it prunes T' before
+// the final join; the second scan then ships L' exactly as db(BF) does.
+func (e *Engine) runDBSide(ctx context.Context, qs string, q *plan.JoinQuery, alg Algorithm) (*Result, error) {
 	n, m := e.jen.Workers(), e.db.Workers()
 	tbl, scanPlan, accessPlan, err := e.resolve(q)
 	if err != nil {
 		return nil, err
 	}
 
-	if useBF {
-		bfdb, err := e.db.BuildBloom(tbl, q.DBPred, q.DBJoinColBase, e.cfg.BloomBits, e.cfg.BloomHashes)
+	var bfdb, bfh *bloom.Filter
+	if alg != DBSide {
+		bfdb, err = e.db.BuildBloom(tbl, q.DBPred, q.DBJoinColBase, e.cfg.BloomBits, e.cfg.BloomHashes)
 		if err != nil {
 			return nil, err
 		}
-		if err := e.sendBloom(dbName(0), qs+"bfdb", bfdb, e.jenNames()); err != nil {
+	}
+	switch alg {
+	case DBSideBloom:
+		if err := e.sendFilter(dbName(0), qs+"bfdb", jen.BloomKeyFilter{F: bfdb}, e.jenNames()); err != nil {
+			return nil, err
+		}
+	case ZigzagDBVariant:
+		if bfh, err = e.scanBFH(qs, q, scanPlan, bfdb); err != nil {
 			return nil, err
 		}
 	}
 
 	// JEN worker → DB worker grouping (Figure 5). With n ≥ m, the n JEN
 	// workers divide into m groups; otherwise JEN worker j feeds DB worker j.
+	// zigzag-db deals the JEN workers out round-robin (j mod m), the layout
+	// its pinned counters were measured with.
 	jenToDB := make([]int, n)
 	groupSize := make([]int, m)
-	if n >= m {
+	if n >= m && alg != ZigzagDBVariant {
 		for i, group := range cluster.Groups(n, m) {
 			for _, j := range group {
 				jenToDB[j] = i
@@ -52,8 +67,8 @@ func (e *Engine) runDBSide(ctx context.Context, qs string, q *plan.JoinQuery, us
 		}
 	} else {
 		for j := 0; j < n; j++ {
-			jenToDB[j] = j
-			groupSize[j]++
+			jenToDB[j] = j % m
+			groupSize[j%m]++
 		}
 	}
 
@@ -64,12 +79,12 @@ func (e *Engine) runDBSide(ctx context.Context, qs string, q *plan.JoinQuery, us
 
 	for w := 0; w < n; w++ {
 		w := w
-		g.Go(func() error { return e.jenIngestProgram(ctx, qs, q, scanPlan, w, jenToDB[w], useBF) })
+		g.Go(func() error { return e.jenIngestProgram(ctx, qs, q, scanPlan, w, jenToDB[w], alg == DBSideBloom, bfdb) })
 	}
 	for i := 0; i < m; i++ {
 		i := i
 		g.Go(func() error {
-			rows, err := e.dbJoinProgram(ctx, qs, q, tbl, accessPlan, strategy, i, m, groupSize[i], nil)
+			rows, err := e.dbJoinProgram(ctx, qs, q, tbl, accessPlan, strategy, i, m, groupSize[i], bfh)
 			if i == 0 {
 				resultRows = rows
 			}
@@ -96,16 +111,51 @@ func (e *Engine) dbStrategy(q *plan.JoinQuery, tbl *edw.Table, ap edw.AccessPlan
 	return edw.ChooseJoinStrategy(estT, estL, e.db.Workers())
 }
 
+// scanBFH is zigzag-db's first HDFS scan: every JEN worker scans with BF_DB
+// applied, building BF_H only (nothing is shuffled or shipped), and the
+// union of the local filters is BF_H. It runs to completion before anything
+// else moves; BF_H's crossing to the m DB workers is charged to bloom.bytes.
+func (e *Engine) scanBFH(qs string, q *plan.JoinQuery, scanPlan *jen.ScanPlan, bfdb *bloom.Filter) (*bloom.Filter, error) {
+	locals := make([]*bloom.Filter, e.jen.Workers())
+	err := par.ForEach(len(locals), func(w int) error {
+		locals[w] = bloom.New(e.cfg.BloomBits, e.cfg.BloomHashes)
+		return e.jen.ScanFilterBatches(jen.ScanSpec{
+			Plan: scanPlan, Worker: w,
+			Proj: q.HDFSScanProj, Pred: q.HDFSPred, Pruner: q.Pruner(),
+			DBFilter:    jen.BloomKeyFilter{F: bfdb},
+			BuildKeys:   jen.BloomKeyFilter{F: locals[w]},
+			BloomKeyIdx: q.HDFSWire[q.HDFSWireKey],
+			Threads:     e.cfg.WorkerThreads,
+			Mem:         e.budget(qs),
+		}, func(*batch.Batch) error { return nil })
+	})
+	if err != nil {
+		return nil, err
+	}
+	bfh := locals[0]
+	for _, l := range locals[1:] {
+		if err := bfh.Union(l); err != nil {
+			return nil, err
+		}
+	}
+	e.rec.Add(metrics.BloomBytes, int64(len(bfh.Marshal()))*int64(e.db.Workers()))
+	return bfh, nil
+}
+
 // jenIngestProgram is a JEN worker's role in the DB-side join: scan, filter,
 // project, apply BF_DB, and stream the surviving batches to its DB worker.
-func (e *Engine) jenIngestProgram(ctx context.Context, qs string, q *plan.JoinQuery, scanPlan *jen.ScanPlan, w, dbWorker int, useBF bool) error {
+// With recvBF the worker receives BF_DB on the bus (db(BF)); otherwise bfdb,
+// when set, is the BF_DB zigzag-db's first scan already holds.
+func (e *Engine) jenIngestProgram(ctx context.Context, qs string, q *plan.JoinQuery, scanPlan *jen.ScanPlan, w, dbWorker int, recvBF bool, bfdb *bloom.Filter) error {
 	me := jenName(w)
 	var runErr error
-	var bfdb *bloom.Filter
-	if useBF {
-		f, err := e.recvBloom(ctx, me, qs+"bfdb", 1)
+	var dbFilter jen.KeyFilter
+	if recvBF {
+		f, err := e.recvFilter(ctx, bloomKeys, me, qs+"bfdb", 1)
 		firstErr(&runErr, err)
-		bfdb = f
+		dbFilter = f
+	} else if bfdb != nil {
+		dbFilter = jen.BloomKeyFilter{F: bfdb}
 	}
 	dest := dbName(dbWorker)
 	b := e.newBatcher(ctx, me, qs+"ingest", []string{dest}, metrics.HDFSSentTuples, metrics.HDFSSentBytes, w)
@@ -114,7 +164,7 @@ func (e *Engine) jenIngestProgram(ctx context.Context, qs string, q *plan.JoinQu
 		err := e.jen.ScanFilterBatches(jen.ScanSpec{
 			Plan: scanPlan, Worker: w,
 			Proj: q.HDFSScanProj, Pred: q.HDFSPred, Pruner: q.Pruner(),
-			DBFilter: wrapBloom(bfdb), BloomKeyIdx: scanKey,
+			DBFilter: dbFilter, BloomKeyIdx: scanKey,
 			Threads: e.cfg.WorkerThreads,
 			Mem:     e.budget(qs),
 		}, func(sb *batch.Batch) error {
@@ -143,8 +193,8 @@ func (e *Engine) materialize(tbl *edw.Table, w int, ap edw.AccessPlan, proj []in
 
 // dbJoinProgram is a DB worker's role in the DB-side join. It always
 // completes the wire protocol (EOS to every peer) before reporting errors.
-// bfh, when set, further prunes the local T' (the dismissed DB-side zigzag
-// variant); the plain DB-side joins pass nil.
+// bfh, when set, further prunes the local T' (zigzag-db); db and db(BF)
+// pass nil.
 func (e *Engine) dbJoinProgram(ctx context.Context, qs string, q *plan.JoinQuery, tbl *edw.Table, ap edw.AccessPlan, strategy edw.JoinStrategy, i, m, ingestSenders int, bfh *bloom.Filter) ([]types.Row, error) {
 	me := dbName(i)
 	var runErr error

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"hybridwh/internal/batch"
-	"hybridwh/internal/bloom"
 	"hybridwh/internal/cluster"
 	"hybridwh/internal/edw"
 	"hybridwh/internal/expr"
@@ -28,12 +27,22 @@ func firstErr(dst *error, err error) {
 	}
 }
 
-// runHDFSSide executes the repartition join (± Bloom filter) and the zigzag
-// join: the final join happens on the HDFS side, with both systems routing
-// rows by the agreed hash function (Figures 3 and 4).
+// runHDFSSide executes the repartition join (± Bloom filter), the zigzag
+// join and the semijoin: the final join happens on the HDFS side, with both
+// systems routing rows by the agreed hash function (Figures 3 and 4). dbF
+// is the kind of the DB → JEN filter and hF that of the JEN → DB filter:
+// none for repartition, BF_DB only for repartition(BF), Bloom filters both
+// ways for zigzag, exact key sets both ways for the semijoin.
 func (e *Engine) runHDFSSide(ctx context.Context, qs string, q *plan.JoinQuery, alg Algorithm) (*Result, error) {
-	useBF := alg == RepartitionBloom || alg == Zigzag
-	zig := alg == Zigzag
+	var dbF, hF filterKind
+	switch alg {
+	case RepartitionBloom:
+		dbF = bloomKeys
+	case Zigzag:
+		dbF, hF = bloomKeys, bloomKeys
+	case SemiJoin:
+		dbF, hF = exactKeys, exactKeys
+	}
 	n, m := e.jen.Workers(), e.db.Workers()
 
 	tbl, scanPlan, accessPlan, err := e.resolve(q)
@@ -43,22 +52,21 @@ func (e *Engine) runHDFSSide(ctx context.Context, qs string, q *plan.JoinQuery, 
 
 	// Steps 1–2: build the global BF_DB and send it to every JEN worker.
 	// This is blocking — everything on the HDFS side depends on it.
-	if useBF {
-		bfdb, err := e.db.BuildBloom(tbl, q.DBPred, q.DBJoinColBase, e.cfg.BloomBits, e.cfg.BloomHashes)
+	if dbF != noFilter {
+		f, err := e.buildDBFilter(dbF, tbl, q)
 		if err != nil {
 			return nil, err
 		}
-		if err := e.sendBloom(dbName(0), qs+"bfdb", bfdb, e.jenNames()); err != nil {
+		toJEN, _, _ := dbF.streams()
+		if err := e.sendFilter(dbName(0), qs+toJEN, f, e.jenNames()); err != nil {
 			return nil, err
 		}
 	}
 
 	// Mid-query switching (Config.AdaptiveSwitch): the designated worker's
-	// decision lands in st for the facade to surface on the Result.
-	var st *adaptState
-	if e.cfg.AdaptiveSwitch {
-		st = &adaptState{}
-	}
+	// decision lands in decided for the facade to surface on the Result. Only
+	// that one program writes it, and it is read after the programs join.
+	var decided *adaptDecision
 
 	g, ctx := par.WithContext(ctx)
 	var resultRows []types.Row
@@ -72,31 +80,32 @@ func (e *Engine) runHDFSSide(ctx context.Context, qs string, q *plan.JoinQuery, 
 
 	for i := 0; i < m; i++ {
 		i := i
-		g.Go(func() error { return e.dbShipProgram(ctx, qs, q, tbl, accessPlan, i, n, zig) })
+		g.Go(func() error { return e.dbShipProgram(ctx, qs, q, tbl, accessPlan, i, n, hF) })
 	}
 	for w := 0; w < n; w++ {
 		w := w
-		g.Go(func() error { return e.jenRepartitionProgram(ctx, qs, q, scanPlan, w, n, m, useBF, zig, st) })
+		g.Go(func() error { return e.jenRepartitionProgram(ctx, qs, q, scanPlan, w, n, m, dbF, hF, &decided) })
 	}
 	if err := g.Wait(); err != nil {
 		return nil, err
 	}
 	res := &Result{Rows: resultRows}
-	if d := st.load(); d != nil {
-		res.SwitchReason = d.reason
-		if d.kind != keepPlan {
+	if decided != nil {
+		res.SwitchReason = decided.reason
+		if decided.kind != keepPlan {
 			res.Switched = true
-			res.SwitchedTo = d.kind.String()
+			res.SwitchedTo = decided.kind.String()
 		}
 	}
 	return res, nil
 }
 
 // dbShipProgram is one DB worker's side of the repartition/zigzag join:
-// filter and project T locally, optionally wait for BF_H and apply it
-// (zigzag steps 4–5), then route T' rows directly to the JEN workers that
-// will join them (step 6), using the agreed hash function.
-func (e *Engine) dbShipProgram(ctx context.Context, qs string, q *plan.JoinQuery, tbl *edw.Table, ap edw.AccessPlan, i, n int, zig bool) error {
+// filter and project T locally, optionally wait for the hF filter (BF_H or
+// the semijoin's L' key set) and apply it (zigzag steps 4–5), then route T'
+// rows directly to the JEN workers that will join them (step 6), using the
+// agreed hash function.
+func (e *Engine) dbShipProgram(ctx context.Context, qs string, q *plan.JoinQuery, tbl *edw.Table, ap edw.AccessPlan, i, n int, hF filterKind) error {
 	var runErr error
 	pr := newProg(ctx, &runErr)
 	defer pr.release()
@@ -105,7 +114,7 @@ func (e *Engine) dbShipProgram(ctx context.Context, qs string, q *plan.JoinQuery
 	b := e.newBatcher(ctx, dbName(i), qs+"dbrows", e.jenNames(), metrics.DBSentTuples, metrics.DBSentBytes, i)
 	adaptOn := e.cfg.AdaptiveSwitch
 
-	if !zig && !adaptOn {
+	if hF == noFilter && !adaptOn {
 		// Nothing to wait for: T' streams out batch-at-a-time as the
 		// partition scan produces it.
 		pr.fail(e.db.FilterProjectBatches(tbl, i, ap, q.DBProj, e.cfg.BatchRows, e.cfg.WorkerThreads, func(fb *batch.Batch) error {
@@ -130,11 +139,12 @@ func (e *Engine) dbShipProgram(ctx context.Context, qs string, q *plan.JoinQuery
 		// committed plan would ship if BF_H turned out useless.
 		e.adaptObserveT(pr, qs, q, i, tRows)
 	}
-	if zig {
-		bfh, err := e.recvBloom(ctx, dbName(i), qs+"bfh", 1)
+	if hF != noFilter {
+		_, _, toDB := hF.streams()
+		f, err := e.recvFilter(ctx, hF, dbName(i), qs+toDB, 1)
 		pr.fail(err)
 		if err == nil {
-			e.db.ApplyBloomBatches(tw, q.DBWireKey, bfh)
+			e.pruneT(tw, q.DBWireKey, f)
 		}
 	}
 	if adaptOn {
@@ -147,23 +157,24 @@ func (e *Engine) dbShipProgram(ctx context.Context, qs string, q *plan.JoinQuery
 }
 
 // jenRepartitionProgram is one JEN worker's side of the repartition/zigzag
-// join, implementing the Figure 7 pipeline: receive BF_DB, scan/filter/
-// shuffle while concurrently building the hash table from received rows and
-// buffering database rows in the background, then probe, partially
-// aggregate, and participate in the global aggregation.
-func (e *Engine) jenRepartitionProgram(ctx context.Context, qs string, q *plan.JoinQuery, scanPlan *jen.ScanPlan, w, n, m int, useBF, zig bool, st *adaptState) error {
+// join, implementing the Figure 7 pipeline: receive BF_DB (the dbF filter),
+// scan/filter/shuffle while concurrently building the hash table from
+// received rows and buffering database rows in the background, then probe,
+// partially aggregate, and participate in the global aggregation.
+func (e *Engine) jenRepartitionProgram(ctx context.Context, qs string, q *plan.JoinQuery, scanPlan *jen.ScanPlan, w, n, m int, dbF, hF filterKind, decided **adaptDecision) error {
 	me := jenName(w)
 	var runErr error
 	pr := newProg(ctx, &runErr)
 	defer pr.release()
 	ctx = pr.ctx
 
-	// Blocking: wait for the database Bloom filter (zigzag step 2).
-	var bfdb *bloom.Filter
-	if useBF {
-		f, err := e.recvBloom(ctx, me, qs+"bfdb", 1)
+	// Blocking: wait for the database filter (zigzag step 2).
+	var dbFilter jen.KeyFilter
+	if dbF != noFilter {
+		toJEN, _, _ := dbF.streams()
+		f, err := e.recvFilter(ctx, dbF, me, qs+toJEN, 1)
 		pr.fail(err)
-		bfdb = f
+		dbFilter = f
 	}
 
 	// Background receivers start before any sending to keep the shuffle
@@ -201,10 +212,11 @@ func (e *Engine) jenRepartitionProgram(ctx context.Context, qs string, q *plan.J
 		return err
 	})
 
-	// Scan + process + send, all pipelined.
-	var bfh *bloom.Filter
-	if zig {
-		bfh = bloom.New(e.cfg.BloomBits, e.cfg.BloomHashes)
+	// Scan + process + send, all pipelined; the scan fills BF_H (or the L'
+	// key set) as it goes.
+	var hKeys joinFilter
+	if hF != noFilter {
+		hKeys = e.newFilter(hF)
 	}
 	b := e.newBatcher(ctx, me, qs+"shuffle", e.jenNames(), metrics.JENShuffleTuples, metrics.JENShuffleBytes, w)
 	scanKey := q.HDFSWire[q.HDFSWireKey]
@@ -212,7 +224,7 @@ func (e *Engine) jenRepartitionProgram(ctx context.Context, qs string, q *plan.J
 	spec := jen.ScanSpec{
 		Plan: scanPlan, Worker: w,
 		Proj: q.HDFSScanProj, Pred: q.HDFSPred, Pruner: q.Pruner(),
-		DBFilter: wrapBloom(bfdb), BuildBloom: bfh, BloomKeyIdx: scanKey,
+		DBFilter: dbFilter, BuildKeys: hKeys, BloomKeyIdx: scanKey,
 		// Morsel workers filter, bloom-probe and shuffle concurrently; the
 		// shared batcher keeps message counts deterministic.
 		Threads: e.cfg.WorkerThreads,
@@ -245,7 +257,7 @@ func (e *Engine) jenRepartitionProgram(ctx context.Context, qs string, q *plan.J
 		// (even when failing), coordinate at the designated worker, then
 		// apply the decision — flushing the buffered batches for keep and
 		// hybrid, or retaining them for the local broadcast probe below.
-		aw.finish(ctx, pr, scanPlan.Table.Rows, int64(16*len(q.HDFSWire)), st)
+		aw.finish(ctx, pr, scanPlan.Table.Rows, int64(16*len(q.HDFSWire)), decided)
 	}
 	pr.fail(b.CloseWith(runErr))
 
@@ -254,16 +266,17 @@ func (e *Engine) jenRepartitionProgram(ctx context.Context, qs string, q *plan.J
 	// The (possibly partial) filter is sent even on the error path so the
 	// fan-in completes; the query's failure travels via MsgError and the
 	// context.
-	desig := e.jen.DesignatedWorker()
-	if zig {
-		pr.fail(e.sendBloom(me, qs+"bfhlocal", bfh, []string{jenName(desig)}))
+	if hF != noFilter {
+		_, fanIn, toDB := hF.streams()
+		desig := e.jen.DesignatedWorker()
+		pr.fail(e.sendFilter(me, qs+fanIn, hKeys, []string{jenName(desig)}))
 		if w == desig {
-			global, err := e.recvBloom(ctx, me, qs+"bfhlocal", n)
+			global, err := e.recvFilter(ctx, hF, me, qs+fanIn, n)
 			pr.fail(err)
 			if global == nil {
-				global = bloom.New(e.cfg.BloomBits, e.cfg.BloomHashes)
+				global = e.newFilter(hF)
 			}
-			pr.fail(e.sendBloom(me, qs+"bfh", global, e.dbNames()))
+			pr.fail(e.sendFilter(me, qs+toDB, global, e.dbNames()))
 		}
 	}
 
@@ -722,12 +735,4 @@ func (e *Engine) broadcastRelayRecv(ctx context.Context, qs, me string, w, n, di
 	pr.fail(rb.CloseWith(runErr))
 	pr.fail(bg.Wait())
 	return runErr
-}
-
-// wrapBloom adapts a (possibly nil) Bloom filter to the scan's KeyFilter.
-func wrapBloom(bf *bloom.Filter) jen.KeyFilter {
-	if bf == nil {
-		return nil
-	}
-	return jen.BloomKeyFilter{F: bf}
 }

@@ -70,20 +70,11 @@ func (e *Engine) RunMultiOpts(ctx context.Context, q *plan.MultiQuery, opts RunO
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: query not started: %w", err)
+	qs, done, err := e.begin(ctx, opts)
+	if err != nil {
+		return nil, err
 	}
-	qs := fmt.Sprintf("q%d/", e.qid.Add(1))
-	if opts.Budget != nil {
-		e.budMu.Lock()
-		e.budgets[qs] = opts.Budget
-		e.budMu.Unlock()
-		defer func() {
-			e.budMu.Lock()
-			delete(e.budgets, qs)
-			e.budMu.Unlock()
-		}()
-	}
+	defer done()
 	res, err := e.runMulti(ctx, qs, q)
 	if err != nil {
 		return nil, fmt.Errorf("core: multi-join query aborted: %w", err)
@@ -97,34 +88,6 @@ func (e *Engine) RunMultiOpts(ctx context.Context, q *plan.MultiQuery, opts RunO
 // filter/project (and snowflake pre-join) output, partitioned as stored.
 type dimMat struct {
 	parts [][]*batch.Batch // per DB worker, component wire batches
-}
-
-// multiAdaptState collects the per-edge switch decisions for the facade.
-type multiAdaptState struct {
-	mu      sync.Mutex
-	reasons map[int]string // guarded by mu; edge index -> reason
-}
-
-func (s *multiAdaptState) record(edge int, reason string) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	if s.reasons == nil {
-		s.reasons = map[int]string{}
-	}
-	s.reasons[edge] = reason
-	s.mu.Unlock()
-}
-
-func (s *multiAdaptState) get(edge int) (string, bool) {
-	if s == nil {
-		return "", false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r, ok := s.reasons[edge]
-	return r, ok
 }
 
 // mstream names a per-edge stream: qs + "dim0", qs + "bf2", ...
@@ -170,7 +133,7 @@ func (e *Engine) runMulti(ctx context.Context, qs string, q *plan.MultiQuery) (*
 				}
 			}
 			e.rec.Add(metrics.BloomBuildKeys, int64(bf.EstimateCardinality()))
-			if err := e.sendBloom(dbName(0), mstream(qs, "bf", ei), bf, e.jenNames()); err != nil {
+			if err := e.sendFilter(dbName(0), mstream(qs, "bf", ei), jen.BloomKeyFilter{F: bf}, e.jenNames()); err != nil {
 				return nil, err
 			}
 		}
@@ -179,10 +142,11 @@ func (e *Engine) runMulti(ctx context.Context, qs string, q *plan.MultiQuery) (*
 	// Adaptive gating: repartition edges past the first re-cost against a
 	// broadcast once the true intermediate size is observed (the committed
 	// plan sized them from estimates that compound error edge over edge).
+	// Only the designated JEN worker writes switched (edge → reason, "" when
+	// kept), and the facade reads it after the programs have joined.
 	gated := make([]bool, len(q.Edges))
-	var st *multiAdaptState
+	switched := make([]string, len(q.Edges))
 	if e.cfg.AdaptiveSwitch {
-		st = &multiAdaptState{}
 		for ei := range q.Edges {
 			gated[ei] = ei > 0 && q.Edges[ei].Algorithm == plan.EdgeRepartition
 		}
@@ -200,7 +164,7 @@ func (e *Engine) runMulti(ctx context.Context, qs string, q *plan.MultiQuery) (*
 	}
 	for w := 0; w < n; w++ {
 		w := w
-		g.Go(func() error { return e.multiJENProgram(ctx, qs, q, scanPlan, w, n, m, gated, st) })
+		g.Go(func() error { return e.multiJENProgram(ctx, qs, q, scanPlan, w, n, m, gated, switched) })
 	}
 	if err := g.Wait(); err != nil {
 		return nil, err
@@ -209,10 +173,10 @@ func (e *Engine) runMulti(ctx context.Context, qs string, q *plan.MultiQuery) (*
 	res := &MultiResult{Rows: resultRows}
 	for ei, ed := range q.Edges {
 		s := EdgeSummary{Dim: ed.Dim.Table, Algorithm: ed.Algorithm, Bloom: ed.UseBloom}
-		if reason, ok := st.get(ei); ok {
+		if switched[ei] != "" {
 			s.Switched = true
 			s.Algorithm = plan.EdgeBroadcast
-			s.SwitchReason = reason
+			s.SwitchReason = switched[ei]
 		}
 		res.Edges = append(res.Edges, s)
 	}
@@ -299,9 +263,10 @@ func (e *Engine) multiDBProgram(ctx context.Context, qs string, q *plan.MultiQue
 		b := e.newBatcher(ctx, dbName(i), mstream(qs, "dim", ei), e.jenNames(), metrics.DBSentTuples, metrics.DBSentBytes, i)
 		alg := ed.Algorithm
 		if gated[ei] {
-			d, err := e.recvCtl(ctx, dbName(i), mstream(qs, "dec", ei), 1)
+			var d int64
+			err := e.recvControl(ctx, dbName(i), netsim.MsgControl, mstream(qs, "dec", ei), 1, addCtl(&d))
 			pr.fail(err)
-			if err == nil && d == 1 {
+			if err == nil && switchKind(d) == switchBroadcast {
 				alg = plan.EdgeBroadcast
 			}
 		}
@@ -328,7 +293,7 @@ func (e *Engine) multiDBProgram(ctx context.Context, qs string, q *plan.MultiQue
 // aggregation fan-in. The last stage's matches fold straight into the
 // partial aggregate; every earlier stage's output replaces the live
 // intermediate, whose budget charge is released as it is replaced.
-func (e *Engine) multiJENProgram(ctx context.Context, qs string, q *plan.MultiQuery, scanPlan *jen.ScanPlan, w, n, m int, gated []bool, st *multiAdaptState) error {
+func (e *Engine) multiJENProgram(ctx context.Context, qs string, q *plan.MultiQuery, scanPlan *jen.ScanPlan, w, n, m int, gated []bool, switched []string) error {
 	me := jenName(w)
 	var runErr error
 	pr := newProg(ctx, &runErr)
@@ -374,13 +339,10 @@ func (e *Engine) multiJENProgram(ctx context.Context, qs string, q *plan.MultiQu
 		if !q.Edges[ei].UseBloom {
 			continue
 		}
-		bf, err := e.recvBloom(ctx, me, mstream(qs, "bf", ei), 1)
+		bf, err := e.recvFilter(ctx, bloomKeys, me, mstream(qs, "bf", ei), 1)
 		pr.fail(err)
 		if bf != nil {
-			cascade = append(cascade, jen.CascadeFilter{
-				Filter: jen.BloomKeyFilter{F: bf},
-				KeyIdx: q.FactWire[q.Edges[ei].FactKeyCol],
-			})
+			cascade = append(cascade, jen.CascadeFilter{Filter: bf, KeyIdx: q.FactWire[q.Edges[ei].FactKeyCol]})
 		}
 	}
 
@@ -439,23 +401,33 @@ func (e *Engine) multiJENProgram(ctx context.Context, qs string, q *plan.MultiQu
 			// observed intermediate size — unconditionally, even when
 			// failing, so the designated fan-in always completes — and the
 			// decision reaches the JEN and DB workers alike.
-			pr.fail(e.sendCtl(me, mstream(qs, "obs", ei), curRows, []string{jenName(desig)}))
+			pr.fail(e.sendControl(me, netsim.MsgControl, mstream(qs, "obs", ei), ctlPayload(curRows), metrics.AdaptBytes, []string{jenName(desig)}))
 			if w == desig {
-				total, err := e.recvCtl(ctx, me, mstream(qs, "obs", ei), n)
+				var total int64
+				err := e.recvControl(ctx, me, netsim.MsgControl, mstream(qs, "obs", ei), n, addCtl(&total))
 				pr.fail(err)
-				var dec int64
+				kind := keepPlan
 				if err == nil {
-					var reason string
-					dec, reason = e.decideEdgeSwitch(ed, total, int64(16*width), n, m)
-					if dec == 1 {
-						st.record(ei, reason)
+					// Re-cost against a broadcast from the observed
+					// intermediate cardinality.
+					var cur, bc float64
+					kind, cur, bc, _ = e.decideSwitch(costmodel.PlanStats{
+						TPrimeRows: ed.EstDimRows, TPrimeBytes: ed.EstDimBytes,
+						LPrimeRows: total, LPrimeBytes: total * int64(16*width),
+						JENWorkers: n, DBWorkers: m,
+					}, false)
+					if kind == switchBroadcast {
+						switched[ei] = fmt.Sprintf(
+							"edge %s: observed intermediate ≈%d rows vs dim ≈%d rows: re-cost keep=%.3gs broadcast=%.3gs (margin %.0f%%) → broadcast",
+							ed.Dim.Table, total, ed.EstDimRows, cur, bc, adaptMargin*100)
 					}
 				}
-				pr.fail(e.sendCtl(me, mstream(qs, "dec", ei), dec, append(e.jenNames(), e.dbNames()...)))
+				pr.fail(e.sendControl(me, netsim.MsgControl, mstream(qs, "dec", ei), ctlPayload(int64(kind)), metrics.AdaptBytes, append(e.jenNames(), e.dbNames()...)))
 			}
-			d, err := e.recvCtl(ctx, me, mstream(qs, "dec", ei), 1)
+			var d int64
+			err := e.recvControl(ctx, me, netsim.MsgControl, mstream(qs, "dec", ei), 1, addCtl(&d))
 			pr.fail(err)
-			if err == nil && d == 1 {
+			if err == nil && switchKind(d) == switchBroadcast {
 				alg = plan.EdgeBroadcast
 			}
 		}
@@ -503,76 +475,20 @@ func (e *Engine) multiJENProgram(ctx context.Context, qs string, q *plan.MultiQu
 	return e.finishAggregation(ctx, qs, q.GroupBy, q.Aggs, agg, w, n, runErr)
 }
 
-// decideEdgeSwitch re-costs a gated repartition edge against a broadcast
-// using the observed intermediate cardinality, with the same cost model and
-// hysteresis as the two-table adaptive layer. Returns 1 to switch.
-func (e *Engine) decideEdgeSwitch(ed *plan.EdgeExec, interRows, interRowBytes int64, n, m int) (int64, string) {
-	stats := costmodel.PlanStats{
-		TPrimeRows: ed.EstDimRows, TPrimeBytes: ed.EstDimBytes,
-		LPrimeRows: interRows, LPrimeBytes: interRows * interRowBytes,
-		JENWorkers: n, DBWorkers: m,
-	}
-	mod := costmodel.New(costmodel.Rates{})
-	cur := mod.ShuffleJoinCost(stats, false)
-	bc := mod.BroadcastJoinCost(stats)
-	e.rec.Add(metrics.AdaptDecisions, 1)
-	if !costmodel.ShouldSwitch(cur, bc, adaptMargin) {
-		return 0, ""
-	}
-	e.rec.Add(metrics.AdaptSwitches, 1)
-	return 1, fmt.Sprintf(
-		"edge %s: observed intermediate ≈%d rows vs dim ≈%d rows: re-cost keep=%.3gs broadcast=%.3gs (margin %.0f%%) → broadcast",
-		ed.Dim.Table, interRows, ed.EstDimRows, cur, bc, adaptMargin*100)
+// ctlPayload encodes one N-way control value: an observed intermediate
+// cardinality or an agreed switchKind.
+func ctlPayload(v int64) []byte {
+	return binary.BigEndian.AppendUint64(nil, uint64(v))
 }
 
-// sendCtl ships one int64 control value — an observed cardinality or an
-// agreed decision — on a MsgControl stream.
-func (e *Engine) sendCtl(from, stream string, v int64, dests []string) error {
-	var payload [8]byte
-	binary.BigEndian.PutUint64(payload[:], uint64(v))
-	for _, dest := range dests {
-		e.rec.Add(metrics.AdaptBytes, int64(len(payload)))
-		if err := e.bus.Send(from, dest, netsim.Msg{Type: netsim.MsgControl, Stream: stream, Payload: payload[:]}); err != nil {
-			return err
+// addCtl returns a recvControl merge that sums control values into sum (one
+// part for a decision, n for the observation fan-in).
+func addCtl(sum *int64) func([]byte) error {
+	return func(p []byte) error {
+		if len(p) != 8 {
+			return fmt.Errorf("core: bad control payload size %d", len(p))
 		}
+		*sum += int64(binary.BigEndian.Uint64(p))
+		return nil
 	}
-	return nil
-}
-
-// recvCtl receives `parts` control values and returns their sum (one part
-// for a decision, n for the observation fan-in at the designated worker),
-// with the standard abort semantics.
-func (e *Engine) recvCtl(ctx context.Context, at, stream string, parts int) (int64, error) {
-	r := e.routers[at]
-	ch, err := r.Route(netsim.MsgControl, stream)
-	if err != nil {
-		return 0, err
-	}
-	abort, err := r.Route(netsim.MsgError, stream)
-	if err != nil {
-		r.Unroute(netsim.MsgControl, stream)
-		return 0, err
-	}
-	defer r.Unroute(netsim.MsgControl, stream)
-	defer r.Unroute(netsim.MsgError, stream)
-	var sum int64
-	var consumeErr error
-	for i := 0; i < parts; i++ {
-		select {
-		case env := <-ch:
-			if consumeErr != nil {
-				continue // already failed; keep draining the protocol
-			}
-			if len(env.Payload) != 8 {
-				consumeErr = fmt.Errorf("core: %s control %s from %s: bad payload size %d", at, stream, env.From, len(env.Payload))
-				continue
-			}
-			sum += int64(binary.BigEndian.Uint64(env.Payload))
-		case env := <-abort:
-			return sum, decodeAbort(at, stream, env)
-		case <-ctx.Done():
-			return sum, ctxAbort(ctx, at, stream)
-		}
-	}
-	return sum, consumeErr
 }

@@ -6,9 +6,7 @@ import (
 	"sync"
 
 	"hybridwh/internal/batch"
-	"hybridwh/internal/bloom"
 	"hybridwh/internal/compress"
-	"hybridwh/internal/metrics"
 	"hybridwh/internal/netsim"
 	"hybridwh/internal/skew"
 	"hybridwh/internal/types"
@@ -378,37 +376,38 @@ func (e *Engine) collectBatches(ctx context.Context, at, stream string, senders 
 	return out, n, err
 }
 
-// sendBloom ships a marshalled filter to the destinations, counting the
-// bytes moved (the paper's 16 MB filters are visible in the cost model).
-func (e *Engine) sendBloom(from, stream string, bf *bloom.Filter, dests []string) error {
-	payload := bf.Marshal()
+// sendControl ships one control payload — a join-key filter, an observation
+// snapshot, a switch decision or an N-way control value — to every
+// destination, charging its size to counter once per destination.
+func (e *Engine) sendControl(from string, typ netsim.MsgType, stream string, payload []byte, counter string, dests []string) error {
 	for _, d := range dests {
-		e.rec.Add(metrics.BloomBytes, int64(len(payload)))
-		if err := e.bus.Send(from, d, netsim.Msg{Type: netsim.MsgBloom, Stream: stream, Payload: payload}); err != nil {
+		e.rec.Add(counter, int64(len(payload)))
+		if err := e.bus.Send(from, d, netsim.Msg{Type: typ, Stream: stream, Payload: payload}); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// recvBloom receives `parts` filters at an endpoint and returns their
-// union (parts == 1 is a plain receive). Like recvBatches, a bad part is
-// recorded and the loop keeps collecting the remaining parts so senders are
-// never stranded; an incoming MsgError or context cancellation is terminal.
-func (e *Engine) recvBloom(ctx context.Context, at, stream string, parts int) (*bloom.Filter, error) {
+// recvControl is the one control fan-in: it receives `parts` messages of
+// type typ on stream at endpoint `at` and hands each payload to merge, which
+// decodes it and folds it into the caller's result. Like recvBatches, a bad
+// part (a merge error) is recorded and the loop keeps collecting the
+// remaining parts so senders are never stranded; an incoming MsgError or
+// context cancellation is terminal.
+func (e *Engine) recvControl(ctx context.Context, at string, typ netsim.MsgType, stream string, parts int, merge func(payload []byte) error) error {
 	r := e.routers[at]
-	ch, err := r.Route(netsim.MsgBloom, stream)
+	ch, err := r.Route(typ, stream)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	abort, err := r.Route(netsim.MsgError, stream)
 	if err != nil {
-		r.Unroute(netsim.MsgBloom, stream)
-		return nil, err
+		r.Unroute(typ, stream)
+		return err
 	}
-	defer r.Unroute(netsim.MsgBloom, stream)
+	defer r.Unroute(typ, stream)
 	defer r.Unroute(netsim.MsgError, stream)
-	var out *bloom.Filter
 	var consumeErr error
 	for i := 0; i < parts; i++ {
 		select {
@@ -416,26 +415,16 @@ func (e *Engine) recvBloom(ctx context.Context, at, stream string, parts int) (*
 			if consumeErr != nil {
 				continue // already failed; keep draining the protocol
 			}
-			bf, err := bloom.Unmarshal(env.Payload)
-			if err != nil {
-				consumeErr = fmt.Errorf("core: %s bloom %s from %s: %w", at, stream, env.From, err)
-				continue
-			}
-			if out == nil {
-				out = bf
-			} else if err := out.Union(bf); err != nil {
-				consumeErr = err
+			if err := merge(env.Payload); err != nil {
+				consumeErr = fmt.Errorf("core: %s %s from %s: %w", at, stream, env.From, err)
 			}
 		case env := <-abort:
-			return nil, decodeAbort(at, stream, env)
+			return decodeAbort(at, stream, env)
 		case <-ctx.Done():
-			return nil, ctxAbort(ctx, at, stream)
+			return ctxAbort(ctx, at, stream)
 		}
 	}
-	if consumeErr != nil {
-		return nil, consumeErr
-	}
-	return out, nil
+	return consumeErr
 }
 
 // jenNames returns all JEN worker endpoint names.

@@ -296,7 +296,7 @@ func (db *DB) BuildBloom(t *Table, pred expr.Expr, keyCol int, mBits uint64, k i
 // BuildKeySet collects the distinct join keys of rows passing pred — the
 // exact-semijoin counterpart of BuildBloom, using the same (index-only
 // capable) access path. Counters record the rows touched.
-func (db *DB) BuildKeySet(t *Table, pred expr.Expr, keyCol int) ([]int64, error) {
+func (db *DB) BuildKeySet(t *Table, pred expr.Expr, keyCol int) (map[int64]struct{}, error) {
 	plan := db.PlanAccess(t, pred, append(expr.ColumnSet(pred), keyCol))
 	locals := make([]map[int64]struct{}, db.nwork)
 	err := par.ForEach(db.nwork, func(w int) error {
@@ -311,17 +311,13 @@ func (db *DB) BuildKeySet(t *Table, pred expr.Expr, keyCol int) ([]int64, error)
 	if err != nil {
 		return nil, err
 	}
-	union := map[int64]struct{}{}
-	for _, l := range locals {
+	union := locals[0]
+	for _, l := range locals[1:] {
 		for k := range l {
 			union[k] = struct{}{}
 		}
 	}
-	out := make([]int64, 0, len(union))
-	for k := range union {
-		out = append(out, k)
-	}
-	return out, nil
+	return union, nil
 }
 
 // FilterProject evaluates pred over worker w's partition and returns the

@@ -239,7 +239,7 @@ func TestScanFilterBuildsBFH(t *testing.T) {
 		locals[w] = bloom.New(1<<16, 2)
 		err := scanRows(c, ScanSpec{
 			Plan: plan, Worker: w, Proj: []int{0, 1}, Pred: pred,
-			BuildBloom: locals[w], BloomKeyIdx: 0,
+			BuildKeys: BloomKeyFilter{F: locals[w]}, BloomKeyIdx: 0,
 		}, func(types.Row) error { return nil })
 		if err != nil {
 			t.Fatal(err)

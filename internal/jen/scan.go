@@ -21,12 +21,39 @@ type KeyFilter interface {
 	TestKey(key int64) bool
 }
 
-// BloomKeyFilter adapts a Bloom filter to KeyFilter.
+// KeySink collects the join keys of the rows that survive a scan: BF_H for
+// the zigzag join, the exact L' key set for the semijoin. Empty returns a
+// fresh sink of the same kind and geometry, and Union folds a sink of the
+// same kind in — the per-thread pattern of ScanSpec.Threads.
+type KeySink interface {
+	AddKey(key int64)
+	Empty() KeySink
+	Union(other KeySink) error
+}
+
+// BloomKeyFilter adapts a Bloom filter to KeyFilter and KeySink.
 type BloomKeyFilter struct{ F *bloom.Filter }
 
 // TestKey implements KeyFilter.
 func (b BloomKeyFilter) TestKey(key int64) bool {
 	return b.F.TestHash(types.BloomHashKey(key))
+}
+
+// AddKey implements KeySink.
+func (b BloomKeyFilter) AddKey(key int64) { b.F.AddHash(types.BloomHashKey(key)) }
+
+// Empty implements KeySink: an empty filter of the same geometry.
+func (b BloomKeyFilter) Empty() KeySink {
+	return BloomKeyFilter{F: bloom.New(b.F.MBits(), b.F.K())}
+}
+
+// Union implements KeySink.
+func (b BloomKeyFilter) Union(other KeySink) error {
+	o, ok := other.(BloomKeyFilter)
+	if !ok {
+		return fmt.Errorf("jen: cannot union a Bloom filter with %T", other)
+	}
+	return b.F.Union(o.F)
 }
 
 // CascadeFilter pairs a key filter with the projected-layout column it
@@ -60,17 +87,17 @@ type ScanSpec struct {
 	// an N-way plan, where every dimension's Bloom filter drops fact rows
 	// before they ship. Filters apply in order after DBFilter.
 	Cascade []CascadeFilter
-	// BuildBloom, when set, is populated with the BloomKey of every
-	// surviving row (BF_H construction during the scan — zigzag step 3b).
-	// With Threads > 1 each process goroutine fills a private filter of the
-	// same geometry; the privates are OR-ed into BuildBloom at the end, so
-	// the final filter is independent of batch interleaving.
-	BuildBloom *bloom.Filter
+	// BuildKeys, when set, collects the join key of every surviving row
+	// (BF_H construction during the scan — zigzag step 3b — or the
+	// semijoin's L' key set). With Threads > 1 each process goroutine fills
+	// a private Empty() twin; the twins are Union-ed into BuildKeys at the
+	// end, so the final sink is independent of batch interleaving.
+	BuildKeys KeySink
 	// BloomKeyIdx is the join-key column in the projected layout.
 	BloomKeyIdx int
 	// Progress, when set, receives live (processed, survived) row counts as
 	// each batch clears the filter stage — the mid-scan observation tap for
-	// adaptive execution. Unlike BuildBloom it is shared across
+	// adaptive execution. Unlike BuildKeys it is shared across
 	// threads directly (it is atomic), so its counts are visible while the
 	// scan is still running.
 	Progress *Progress
@@ -179,12 +206,12 @@ func (c *Cluster) ScanFilterBatches(spec ScanSpec, yield func(*batch.Batch) erro
 	if threads < 1 {
 		threads = 1
 	}
-	locals := make([]*bloom.Filter, threads)
+	locals := make([]KeySink, threads)
 	work := func(t int) error {
 		tspec := spec
-		if spec.BuildBloom != nil && threads > 1 {
-			tspec.BuildBloom = bloom.New(spec.BuildBloom.MBits(), spec.BuildBloom.K())
-			locals[t] = tspec.BuildBloom
+		if spec.BuildKeys != nil && threads > 1 {
+			tspec.BuildKeys = spec.BuildKeys.Empty()
+			locals[t] = tspec.BuildKeys
 		}
 		var procErr error
 		var processed int64
@@ -225,11 +252,11 @@ func (c *Cluster) ScanFilterBatches(spec ScanSpec, yield func(*batch.Batch) erro
 			pg.Go(func() error { return work(t) })
 		}
 		procErr = pg.Wait()
-		if spec.BuildBloom != nil && procErr == nil {
-			// Bitwise OR is commutative, so the merged filter does not
-			// depend on which thread processed which batch.
+		if spec.BuildKeys != nil && procErr == nil {
+			// Union is commutative, so the merged sink does not depend on
+			// which thread processed which batch.
 			for _, l := range locals {
-				if err := spec.BuildBloom.Union(l); err != nil {
+				if err := spec.BuildKeys.Union(l); err != nil {
 					procErr = err
 					break
 				}
@@ -247,61 +274,60 @@ func (c *Cluster) ScanFilterBatches(spec ScanSpec, yield func(*batch.Batch) erro
 	return rerr
 }
 
-// filterBatch applies the predicate, the database key filter and BF_H
-// construction to one batch, narrowing its selection in place. The Bloom
-// variants run as hash-batch kernels; other KeyFilters go row-at-a-time.
+// filterBatch applies the predicate, the key filters and the key sink to one
+// batch, narrowing its selection in place. Bloom filters run as hash-batch
+// kernels; other key filters and sinks go row-at-a-time.
 func (c *Cluster) filterBatch(spec ScanSpec, b *batch.Batch, hashes *[]uint64, hits *[]bool) error {
 	if err := expr.FilterBatch(spec.Pred, b); err != nil {
 		return err
 	}
-	if spec.DBFilter != nil && b.Len() > 0 {
-		keys := b.Col(spec.BloomKeyIdx)
-		if bf, isBloom := spec.DBFilter.(BloomKeyFilter); isBloom {
-			hs := (*hashes)[:0]
-			_ = b.Each(func(i int) error {
-				hs = append(hs, types.BloomHashKey(keys[i].Int()))
-				return nil
-			})
-			*hashes = hs
-			*hits = bf.F.TestHashes(hs, (*hits)[:0])
-			j := 0
-			res := *hits
-			b.Filter(func(int) bool { ok := res[j]; j++; return ok })
-		} else {
-			b.Filter(func(i int) bool { return spec.DBFilter.TestKey(keys[i].Int()) })
-		}
+	if spec.DBFilter != nil {
+		applyKeyFilter(b, spec.DBFilter, spec.BloomKeyIdx, hashes, hits)
 	}
 	for _, cf := range spec.Cascade {
-		if b.Len() == 0 {
-			break
-		}
-		keys := b.Col(cf.KeyIdx)
-		if bf, isBloom := cf.Filter.(BloomKeyFilter); isBloom {
-			hs := (*hashes)[:0]
-			_ = b.Each(func(i int) error {
-				hs = append(hs, types.BloomHashKey(keys[i].Int()))
-				return nil
-			})
-			*hashes = hs
-			*hits = bf.F.TestHashes(hs, (*hits)[:0])
-			j := 0
-			res := *hits
-			b.Filter(func(int) bool { ok := res[j]; j++; return ok })
-		} else {
-			b.Filter(func(i int) bool { return cf.Filter.TestKey(keys[i].Int()) })
-		}
+		applyKeyFilter(b, cf.Filter, cf.KeyIdx, hashes, hits)
 	}
-	if spec.BuildBloom != nil && b.Len() > 0 {
-		keys := b.Col(spec.BloomKeyIdx)
-		hs := (*hashes)[:0]
-		_ = b.Each(func(i int) error {
-			hs = append(hs, types.BloomHashKey(keys[i].Int()))
-			return nil
-		})
-		*hashes = hs
-		spec.BuildBloom.AddHashes(hs)
+	if spec.BuildKeys == nil || b.Len() == 0 {
+		return nil
 	}
-	return nil
+	keys := b.Col(spec.BloomKeyIdx)
+	if bf, isBloom := spec.BuildKeys.(BloomKeyFilter); isBloom {
+		bf.F.AddHashes(keyHashes(b, keys, hashes))
+		return nil
+	}
+	return b.Each(func(i int) error {
+		spec.BuildKeys.AddKey(keys[i].Int())
+		return nil
+	})
+}
+
+// applyKeyFilter drops the live rows of b whose join key (column keyIdx) f
+// rejects.
+func applyKeyFilter(b *batch.Batch, f KeyFilter, keyIdx int, hashes *[]uint64, hits *[]bool) {
+	if b.Len() == 0 {
+		return
+	}
+	keys := b.Col(keyIdx)
+	bf, isBloom := f.(BloomKeyFilter)
+	if !isBloom {
+		b.Filter(func(i int) bool { return f.TestKey(keys[i].Int()) })
+		return
+	}
+	*hits = bf.F.TestHashes(keyHashes(b, keys, hashes), (*hits)[:0])
+	j := 0
+	res := *hits
+	b.Filter(func(int) bool { ok := res[j]; j++; return ok })
+}
+
+// keyHashes fills the scratch slice with the Bloom hashes of b's live keys.
+func keyHashes(b *batch.Batch, keys []types.Value, hashes *[]uint64) []uint64 {
+	hs := (*hashes)[:0]
+	_ = b.Each(func(i int) error {
+		hs = append(hs, types.BloomHashKey(keys[i].Int()))
+		return nil
+	})
+	*hashes = hs
+	return hs
 }
 
 // errScanStopped aborts a reader when the process stage has failed.

@@ -71,11 +71,15 @@ func (h *HotSet) Marshal() []byte {
 	return buf
 }
 
-// UnmarshalHotSet decodes a Marshal payload.
+// UnmarshalHotSet decodes a Marshal payload. Every key takes at least one
+// byte, so a count beyond the bytes left is rejected before it sizes the set.
 func UnmarshalHotSet(b []byte) (*HotSet, error) {
 	n, b, err := readUvarint(b)
 	if err != nil {
 		return nil, fmt.Errorf("skew: truncated hot set: %w", err)
+	}
+	if n > uint64(len(b)) {
+		return nil, fmt.Errorf("skew: hot set declares %d keys in %d bytes", n, len(b))
 	}
 	h := &HotSet{keys: make(map[int64]struct{}, n)}
 	var prev int64

@@ -11,6 +11,7 @@ package skew
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -118,10 +119,6 @@ func (s *Sketch) Merge(o *Sketch) {
 	}
 }
 
-// Clone returns an empty sketch with the same capacity (the per-thread
-// clone pattern, mirroring bloom.New(bf.MBits(), bf.K())).
-func (s *Sketch) Clone() *Sketch { return NewSketch(s.cap) }
-
 // Hot returns, sorted ascending, every key whose frequency upper bound
 // reaches minShare of the total. Every key with true share ≥ minShare is
 // included (no false negatives) provided ErrBound() < minShare×Total(),
@@ -187,7 +184,9 @@ func (s *Sketch) Marshal() []byte {
 	return buf
 }
 
-// UnmarshalSketch decodes a Marshal payload.
+// UnmarshalSketch decodes a Marshal payload. The wire's counts are bounded
+// before they size anything: every entry takes at least two bytes (key and
+// count), and the capacity presizes the map only up to the entries present.
 func UnmarshalSketch(b []byte) (*Sketch, error) {
 	capacity, b, err := readUvarint(b)
 	if err != nil {
@@ -205,8 +204,13 @@ func UnmarshalSketch(b []byte) (*Sketch, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := NewSketch(int(capacity))
-	s.total, s.err = total, errB
+	if capacity < 1 || capacity > math.MaxInt32 {
+		return nil, fmt.Errorf("skew: sketch capacity %d out of range", capacity)
+	}
+	if n > uint64(len(b))/2 {
+		return nil, fmt.Errorf("skew: sketch declares %d entries in %d bytes", n, len(b))
+	}
+	s := &Sketch{cap: int(capacity), counts: make(map[int64]int64, n), total: total, err: errB}
 	var prev int64
 	for i := uint64(0); i < n; i++ {
 		if i == 0 {

@@ -87,8 +87,8 @@ type Config struct {
 	// scheme (each DB worker ships to one JEN worker, which relays).
 	BroadcastRelay bool
 	// AdaptiveSwitch enables mid-query algorithm switching for the
-	// HDFS-side shuffle joins: after the first AdaptBatches wire batches of
-	// the JEN scan the engine compares the observed selectivity, |T'| and
+	// HDFS-side shuffle joins: after the first eight wire batches of each
+	// JEN worker's scan the engine compares the observed selectivity, |T'| and
 	// hot-key share against the committed plan's assumptions and, when an
 	// alternative is cheaper by more than a fixed 25 % margin, switches to
 	// a broadcast of T' or escalates to the hybrid skew partitioner (hot
@@ -97,9 +97,6 @@ type Config struct {
 	// never-switch run.
 	// See core.Config.AdaptiveSwitch.
 	AdaptiveSwitch bool
-	// AdaptBatches is the per-worker scan prefix (in wire batches) observed
-	// before the switch decision (default 8).
-	AdaptBatches int
 	// QueryTimeout bounds each query's wall-clock time. When it expires the
 	// query aborts across both clusters and Query returns an error wrapping
 	// context.DeadlineExceeded. Zero means no deadline; QueryCtx offers
@@ -233,7 +230,6 @@ func Open(cfg Config) (*Warehouse, error) {
 		SpillDir:         cfg.SpillDir,
 		BroadcastRelay:   cfg.BroadcastRelay,
 		AdaptiveSwitch:   cfg.AdaptiveSwitch,
-		AdaptBatches:     cfg.AdaptBatches,
 	})
 	if err != nil {
 		if cerr := bus.Close(); cerr != nil {
