@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check fmt build vet lint lint-strict test race bench bench-smoke perf perf-compare idle
+.PHONY: check fmt build vet lint lint-strict test race fuzz bench bench-smoke perf perf-compare idle
 
 check: fmt build vet lint test
 
@@ -44,6 +44,19 @@ race:
 	$(GO) test -race -timeout=120s ./internal/netsim/ ./internal/par/ ./internal/jen/ ./internal/core/ ./internal/skew/ ./internal/mem/ ./internal/sched/ ./internal/analyzer/
 	$(GO) test -race -timeout=300s -run 'TestConcurrent|TestAdaptive|TestStar|TestSnowflake' .
 	$(GO) test ./internal/lint/cfg/ ./internal/lint/callgraph/
+
+# Every Fuzz* target of every package, each fuzzed for 5 s past its seeds
+# (`make test` runs the seeds alone). Targets are listed from the packages at
+# run time, so a new one is covered without editing this file. A failing
+# input lands in the package's testdata/fuzz/ for `go test -run` to replay.
+fuzz:
+	@set -e; for pkg in $$($(GO) list ./...); do \
+		list=$$($(GO) test -list '^Fuzz' $$pkg); \
+		for fn in $$(printf '%s\n' "$$list" | grep '^Fuzz'); do \
+			echo "fuzz $$pkg $$fn"; \
+			$(GO) test -run '^$$' -fuzz "^$$fn\$$" -fuzztime 5s $$pkg; \
+		done; \
+	done
 
 # Full sweep at one iteration, then the engine's whole-query benchmarks at
 # measurement length, recorded as BENCH_core.json — the regression gate

@@ -13,6 +13,7 @@ package compress
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 const (
@@ -88,27 +89,37 @@ func Encode(src []byte) []byte {
 // itself in a dry run over the tokens. Junk therefore costs an error and at
 // most maxPrealloc bytes, never the allocation it asks for.
 func Decode(src []byte) ([]byte, error) {
+	return AppendDecode(nil, src)
+}
+
+// AppendDecode decompresses src like Decode and appends the output to dst,
+// growing dst only when its spare capacity is short, so a reader decoding
+// many chunks can reuse one buffer. On error it returns dst as passed.
+func AppendDecode(dst, src []byte) ([]byte, error) {
 	n, sz := binary.Uvarint(src)
 	if sz <= 0 {
-		return nil, fmt.Errorf("compress: truncated header")
+		return dst, fmt.Errorf("compress: truncated header")
 	}
 	src = src[sz:]
 	if n > maxDecoded {
-		return nil, fmt.Errorf("compress: declared length %d exceeds the %d-byte limit", n, maxDecoded)
+		return dst, fmt.Errorf("compress: declared length %d exceeds the %d-byte limit", n, maxDecoded)
 	}
 	if n > maxPrealloc {
-		if _, err := decodeTokens(src, n, nil); err != nil {
-			return nil, err
+		if _, err := decodeTokens(src, n, nil, true); err != nil {
+			return dst, err
 		}
 	}
-	return decodeTokens(src, n, make([]byte, 0, n))
+	out, err := decodeTokens(src, n, slices.Grow(dst, int(n)), false)
+	if err != nil {
+		return dst, err
+	}
+	return out, nil
 }
 
 // decodeTokens walks the token sequence of a stream declaring n bytes,
-// appending the output to dst — or, when dst is nil, only checking that the
-// tokens are well-formed and add up to exactly n.
-func decodeTokens(src []byte, n uint64, dst []byte) ([]byte, error) {
-	dry := dst == nil
+// appending the output to dst — or, when dry, only checking that the tokens
+// are well-formed and add up to exactly n.
+func decodeTokens(src []byte, n uint64, dst []byte, dry bool) ([]byte, error) {
 	// Lengths are compared in uint64, before any conversion to int can
 	// overflow, against the room the header leaves.
 	have := uint64(0)

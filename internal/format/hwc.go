@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 
+	"hybridwh/internal/batch"
 	"hybridwh/internal/compress"
 	"hybridwh/internal/types"
 )
@@ -183,16 +184,24 @@ func (hw *HWCWriter) Close() error {
 	if err := hw.flushGroup(); err != nil {
 		return err
 	}
-	footerOff := hw.off
-	var f []byte
-	f = binary.AppendUvarint(f, uint64(hw.schema.Len()))
-	for _, col := range hw.schema.Cols {
+	if err := hw.emit(appendFooter(nil, hw.off, hw.schema, hw.groups)); err != nil {
+		return err
+	}
+	hw.closed = true
+	return nil
+}
+
+// appendFooter appends the footer and trailer of a file whose footer starts
+// at footerOff.
+func appendFooter(f []byte, footerOff int64, schema types.Schema, groups []GroupMeta) []byte {
+	f = binary.AppendUvarint(f, uint64(schema.Len()))
+	for _, col := range schema.Cols {
 		f = binary.AppendUvarint(f, uint64(len(col.Name)))
 		f = append(f, col.Name...)
 		f = append(f, byte(col.Kind))
 	}
-	f = binary.AppendUvarint(f, uint64(len(hw.groups)))
-	for _, g := range hw.groups {
+	f = binary.AppendUvarint(f, uint64(len(groups)))
+	for _, g := range groups {
 		f = binary.AppendUvarint(f, uint64(g.Offset))
 		f = binary.AppendUvarint(f, uint64(g.Rows))
 		for _, cm := range g.Cols {
@@ -206,17 +215,8 @@ func (hw *HWCWriter) Close() error {
 			}
 		}
 	}
-	if err := hw.emit(f); err != nil {
-		return err
-	}
-	var tr []byte
-	tr = binary.LittleEndian.AppendUint64(tr, uint64(footerOff))
-	tr = append(tr, hwcMagic...)
-	if err := hw.emit(tr); err != nil {
-		return err
-	}
-	hw.closed = true
-	return nil
+	f = binary.LittleEndian.AppendUint64(f, uint64(footerOff))
+	return append(f, hwcMagic...)
 }
 
 // ReadHWCMeta reads and decodes the footer of an HWC file.
@@ -253,16 +253,26 @@ func ReadHWCMeta(src Source) (*HWCMeta, error) {
 		kind := types.Kind(r.byte())
 		meta.Schema.Cols = append(meta.Schema.Cols, types.Col{Name: string(name), Kind: kind})
 	}
-	ngroups := int(r.uvarint())
-	for i := 0; i < ngroups && r.err == nil; i++ {
-		g := GroupMeta{
-			Offset: int64(r.uvarint()),
-			Rows:   int(r.uvarint()),
-			Cols:   make([]ChunkMeta, ncols),
+	// Every count and extent below is untrusted: a group must hold between
+	// 1 and MaxInt32 rows, and its chunks must lie between the magic and the
+	// footer, so no reader sizes anything from a junk footer.
+	ngroups := r.uvarint()
+	for i := uint64(0); i < ngroups && r.err == nil; i++ {
+		start, rows := r.uvarint(), r.uvarint()
+		if r.err == nil && (rows == 0 || rows > math.MaxInt32) {
+			return nil, fmt.Errorf("hwc: group %d row count %d out of range", i, rows)
 		}
+		if r.err == nil && (start < uint64(len(hwcMagic)) || start > uint64(footerOff)) {
+			return nil, fmt.Errorf("hwc: group %d offset %d out of range", i, start)
+		}
+		g := GroupMeta{Offset: int64(start), Rows: int(rows), Cols: make([]ChunkMeta, ncols)}
 		off := g.Offset
 		for c := 0; c < ncols && r.err == nil; c++ {
-			cm := ChunkMeta{Off: off, Len: int(r.uvarint())}
+			n := r.uvarint()
+			if r.err == nil && n > uint64(footerOff-off) {
+				return nil, fmt.Errorf("hwc: group %d chunk %d of %d bytes overruns the footer", i, c, n)
+			}
+			cm := ChunkMeta{Off: off, Len: int(n)}
 			if r.byte() == 1 {
 				cm.HasStats = true
 				cm.Min = r.varint()
@@ -279,107 +289,27 @@ func ReadHWCMeta(src Source) (*HWCMeta, error) {
 	return meta, nil
 }
 
-// ScanHWC scans the given row groups (indexes into meta.Groups), fetching
-// only the chunks of the projected columns and skipping groups the pruner
-// refutes. proj == nil reads all columns. Output rows are laid out in proj
-// order. footerCharged controls whether meta.FooterBytes is added to
-// BytesRead (chargeable once per file per scanning worker).
-func ScanHWC(src Source, meta *HWCMeta, groups []int, proj []int, pruner *Pruner, footerCharged bool, yield func(types.Row) error) (ScanStats, error) {
-	var stats ScanStats
-	if footerCharged {
-		stats.BytesRead += meta.FooterBytes
-	}
-	ncols := meta.Schema.Len()
-	if proj == nil {
-		proj = make([]int, ncols)
-		for i := range proj {
-			proj[i] = i
-		}
-	}
-	for _, p := range proj {
-		if p < 0 || p >= ncols {
-			return stats, fmt.Errorf("hwc: projected column %d out of range (%d cols)", p, ncols)
-		}
-	}
-	for _, gi := range groups {
-		if gi < 0 || gi >= len(meta.Groups) {
-			return stats, fmt.Errorf("hwc: row group %d out of range (%d groups)", gi, len(meta.Groups))
-		}
-		g := meta.Groups[gi]
-		if pruner.prunes(g.Cols) {
-			continue
-		}
-		// Decode each projected column chunk into a value slice.
-		cols := make([][]types.Value, len(proj))
-		for pi, c := range proj {
-			cm := g.Cols[c]
-			raw, err := src.ReadAt(cm.Off, cm.Len)
-			if err != nil {
-				return stats, fmt.Errorf("hwc: read chunk g%d c%d: %w", gi, c, err)
-			}
-			if len(raw) != cm.Len {
-				return stats, fmt.Errorf("hwc: short chunk read g%d c%d: %d of %d", gi, c, len(raw), cm.Len)
-			}
-			stats.BytesRead += int64(cm.Len)
-			plain, err := compress.Decode(raw)
-			if err != nil {
-				return stats, fmt.Errorf("hwc: decompress g%d c%d: %w", gi, c, err)
-			}
-			vals, err := decodeChunk(plain, meta.Schema.Cols[c].Kind, g.Rows)
-			if err != nil {
-				return stats, fmt.Errorf("hwc: decode g%d c%d: %w", gi, c, err)
-			}
-			cols[pi] = vals
-		}
-		for r := 0; r < g.Rows; r++ {
-			row := make(types.Row, len(proj))
-			for pi := range proj {
-				row[pi] = cols[pi][r]
-			}
-			stats.RowsRead++
-			if err := yield(row); err != nil {
-				return stats, err
-			}
-		}
-	}
-	return stats, nil
-}
+// rowScanBatch is the batch size behind ScanHWC's row view.
+const rowScanBatch = 1024
 
-func decodeChunk(plain []byte, kind types.Kind, rows int) ([]types.Value, error) {
-	vals := make([]types.Value, rows)
-	off := 0
-	for r := 0; r < rows; r++ {
-		switch {
-		case kind == types.KindString:
-			n, sz := binary.Uvarint(plain[off:])
-			if sz <= 0 {
-				return nil, fmt.Errorf("truncated string length at row %d", r)
+// ScanHWC is the row view of ScanHWCBatches: it yields every physical row of
+// the groups the pruner does not refute, in proj order and freshly
+// allocated. Pruner ranges drop whole groups only, not rows.
+func ScanHWC(src Source, meta *HWCMeta, groups []int, proj []int, pruner *Pruner, footerCharged bool, yield func(types.Row) error) (ScanStats, error) {
+	width := len(proj)
+	if proj == nil {
+		width = meta.Schema.Len()
+	}
+	pool := batch.NewPool(width, rowScanBatch)
+	return ScanHWCBatches(src, meta, groups, proj, pruner, footerCharged, pool, func(b *batch.Batch) error {
+		defer pool.Put(b)
+		for i := 0; i < b.Size(); i++ {
+			if err := yield(b.CloneRow(i)); err != nil {
+				return err
 			}
-			off += sz
-			if off+int(n) > len(plain) {
-				return nil, fmt.Errorf("truncated string at row %d", r)
-			}
-			vals[r] = types.String(string(plain[off : off+int(n)]))
-			off += int(n)
-		case kind == types.KindFloat64:
-			if off+8 > len(plain) {
-				return nil, fmt.Errorf("truncated float at row %d", r)
-			}
-			vals[r] = types.Value{K: kind, I: int64(binary.LittleEndian.Uint64(plain[off:]))}
-			off += 8
-		default:
-			v, sz := binary.Varint(plain[off:])
-			if sz <= 0 {
-				return nil, fmt.Errorf("truncated varint at row %d", r)
-			}
-			vals[r] = types.Value{K: kind, I: v}
-			off += sz
 		}
-	}
-	if off != len(plain) {
-		return nil, fmt.Errorf("%d trailing bytes in chunk", len(plain)-off)
-	}
-	return vals, nil
+		return nil
+	})
 }
 
 // GroupsInRanges returns the indexes of row groups whose start offset falls

@@ -3,15 +3,21 @@ package format
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"testing"
 
 	"hybridwh/internal/types"
 )
 
-func writeHWC(t *testing.T, rows []types.Row, rowsPerGroup int) []byte {
+func writeHWC(t testing.TB, rows []types.Row, rowsPerGroup int) []byte {
+	t.Helper()
+	return writeHWCSchema(t, logSchema(), rows, rowsPerGroup)
+}
+
+func writeHWCSchema(t testing.TB, schema types.Schema, rows []types.Row, rowsPerGroup int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w, err := NewHWCWriter(&buf, logSchema(), HWCOptions{RowsPerGroup: rowsPerGroup})
+	w, err := NewHWCWriter(&buf, schema, HWCOptions{RowsPerGroup: rowsPerGroup})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,6 +30,27 @@ func writeHWC(t *testing.T, rows []types.Row, rowsPerGroup int) []byte {
 		t.Fatalf("Close: %v", err)
 	}
 	return buf.Bytes()
+}
+
+// rebuildHWC lays an HWC file out again from meta — whose row counts a test
+// may have edited — passing each chunk's compressed bytes through edit (nil
+// keeps them). Stats are copied, extents recomputed.
+func rebuildHWC(data []byte, meta *HWCMeta, edit func(gi, c int, raw []byte) []byte) []byte {
+	out := []byte(hwcMagic)
+	groups := make([]GroupMeta, len(meta.Groups))
+	for gi, g := range meta.Groups {
+		groups[gi] = GroupMeta{Offset: int64(len(out)), Rows: g.Rows, Cols: make([]ChunkMeta, len(g.Cols))}
+		for c, cm := range g.Cols {
+			raw := data[cm.Off : cm.Off+int64(cm.Len)]
+			if edit != nil {
+				raw = edit(gi, c, raw)
+			}
+			cm.Off, cm.Len = int64(len(out)), len(raw)
+			out = append(out, raw...)
+			groups[gi].Cols[c] = cm
+		}
+	}
+	return appendFooter(out, int64(len(out)), meta.Schema, groups)
 }
 
 func genRows(n int) []types.Row {
@@ -235,6 +262,41 @@ func TestHWCErrors(t *testing.T) {
 	}
 	if _, err := NewHWCWriter(&buf, types.Schema{}, HWCOptions{}); err == nil {
 		t.Error("empty schema: want error")
+	}
+}
+
+// TestReadHWCMetaRejectsRowCounts: a group's row count comes from the file
+// and is untrusted. 2^34 once made the decoder allocate 2^34 values before
+// reading a byte (out of memory), and 2^63 wrapped negative and panicked in
+// makeslice.
+func TestReadHWCMetaRejectsRowCounts(t *testing.T) {
+	data := writeHWC(t, genRows(300), 128)
+	meta, err := ReadHWCMeta(BytesSource(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if same := rebuildHWC(data, meta, nil); !bytes.Equal(same, data) {
+		t.Fatal("rebuildHWC does not reproduce the writer's file")
+	}
+	for _, tc := range []struct {
+		name string
+		rows int
+	}{
+		{"zero", 0},
+		{"2^31", 1 << 31},
+		{"2^34", 1 << 34},
+		{"2^63", math.MinInt64}, // uint64 2^63 on the wire
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			meta, err := ReadHWCMeta(BytesSource(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			meta.Groups[1].Rows = tc.rows
+			if _, err := ReadHWCMeta(BytesSource(rebuildHWC(data, meta, nil))); err == nil {
+				t.Fatalf("row count %d accepted", uint64(tc.rows))
+			}
+		})
 	}
 }
 

@@ -1,7 +1,11 @@
 package jen
 
 import (
+	"bytes"
 	"fmt"
+	"maps"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 
@@ -256,6 +260,108 @@ func TestScanFilterBuildsBFH(t *testing.T) {
 	for k := int64(0); k < 200; k++ {
 		if !global.TestHash(types.BloomHashKey(k)) {
 			t.Errorf("BF_H missing key %d", k)
+		}
+	}
+}
+
+// keySet is an exact KeyFilter and KeySink, like the semijoin's.
+type keySet map[int64]bool
+
+func (s keySet) TestKey(k int64) bool { return s[k] }
+func (s keySet) AddKey(k int64)       { s[k] = true }
+func (s keySet) Empty() KeySink       { return keySet{} }
+func (s keySet) Union(o KeySink) error {
+	for k := range o.(keySet) {
+		s[k] = true
+	}
+	return nil
+}
+
+// TestReaderFilterMatchesAcrossFormats: with the predicate, a Bloom DB
+// filter and an exact cascade filter running in the readers — HWC before its
+// late columns are decoded, text after parsing — both formats at 1 and 3
+// process threads select the same rows, charge the same rows to the scan
+// and process counters, and fill the same Bloom and exact key sinks.
+func TestReaderFilterMatchesAcrossFormats(t *testing.T) {
+	bf := bloom.New(1<<12, 2)
+	for k := int64(0); k < 300; k += 2 {
+		bf.AddHash(types.BloomHashKey(k))
+	}
+	cascade := keySet{}
+	for v := int64(0); v < 1000; v += 3 {
+		cascade[v] = true
+	}
+	// Layout (groupByExtractCol, indPred, joinKey, corPred): the late string
+	// column comes first, the key columns sit anywhere.
+	proj := []int{3, 2, 0, 1}
+	pred := expr.NewCmp(expr.LE, expr.NewCol(3, "corPred", types.KindInt32), expr.NewLit(types.Int32(599)))
+	type result struct {
+		rows                         []string
+		scanRows, processed, morsels int64
+		bloomSink                    []byte
+		exactSink                    keySet
+	}
+	var results []result
+	var names []string
+	for _, f := range []string{format.TextName, format.HWCName} {
+		for _, threads := range []int{1, 3} {
+			c := makeCluster(t, f, 4, 2000)
+			plan, err := c.PlanScan("L")
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := result{exactSink: keySet{}}
+			bloomSink := BloomKeyFilter{F: bloom.New(1<<12, 2)}
+			var mu sync.Mutex
+			for w := 0; w < c.Workers(); w++ {
+				for _, sink := range []KeySink{bloomSink, res.exactSink} {
+					spec := ScanSpec{
+						Plan: plan, Worker: w, Proj: proj, Pred: pred,
+						DBFilter: BloomKeyFilter{F: bf}, BloomKeyIdx: 2,
+						Cascade:   []CascadeFilter{{Filter: cascade, KeyIdx: 1}},
+						BuildKeys: sink, Threads: threads,
+					}
+					err := c.ScanFilterBatches(spec, func(b *batch.Batch) error {
+						mu.Lock()
+						defer mu.Unlock()
+						return b.Each(func(i int) error {
+							if _, exact := sink.(keySet); !exact {
+								res.rows = append(res.rows, fmt.Sprint(b.CloneRow(i)))
+							}
+							return nil
+						})
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			sort.Strings(res.rows)
+			rec := c.Recorder()
+			res.scanRows, res.processed, res.morsels = rec.Get(metrics.JENScanRows), rec.Get(metrics.JENProcessTuples), rec.Get(metrics.JENMorselTuples)
+			res.bloomSink = bloomSink.F.Marshal()
+			results = append(results, res)
+			names = append(names, fmt.Sprintf("%s/threads=%d", f, threads))
+		}
+	}
+	want := results[0]
+	if len(want.rows) == 0 || len(want.rows) == 2000 || len(want.exactSink) == 0 {
+		t.Fatalf("filters select %d of 2000 rows (%d keys): the test needs a proper subset", len(want.rows), len(want.exactSink))
+	}
+	for i, got := range results[1:] {
+		name := names[i+1]
+		if !slices.Equal(got.rows, want.rows) {
+			t.Errorf("%s: %d rows, want %d (text, 1 thread)", name, len(got.rows), len(want.rows))
+		}
+		if got.scanRows != want.scanRows || got.processed != want.processed || got.morsels != want.morsels {
+			t.Errorf("%s: scan/process/morsel rows %d/%d/%d, want %d/%d/%d", name,
+				got.scanRows, got.processed, got.morsels, want.scanRows, want.processed, want.morsels)
+		}
+		if !bytes.Equal(got.bloomSink, want.bloomSink) {
+			t.Errorf("%s: Bloom key sink differs", name)
+		}
+		if !maps.Equal(got.exactSink, want.exactSink) {
+			t.Errorf("%s: exact key sink has %d keys, want %d", name, len(got.exactSink), len(want.exactSink))
 		}
 	}
 }

@@ -122,11 +122,13 @@ func (spec *ScanSpec) projWidth() int {
 }
 
 // ScanFilterBatches runs the pipelined scan batch-at-a-time: one read
-// goroutine per disk decodes pooled columnar batches and feeds them to the
-// caller's goroutine, which narrows each batch's selection with the
-// predicate and the database key filter, populates BF_H from the survivors,
-// and yields the batch. Reading and processing overlap, as in the paper's
-// worker (reads per disk, one process thread).
+// goroutine per disk decodes pooled columnar batches, narrows each batch's
+// selection with the predicate, the database key filter and the cascade,
+// and feeds it to the process stage, which populates BF_H from the
+// survivors and yields the batch. On HWC the reader decodes only the
+// columns those filters read before filtering, and the rest for the
+// survivors alone (format.ScanHWCFiltered). Reading and processing overlap,
+// as in the paper's worker (reads per disk, one process thread).
 //
 // Yielded batches are on loan: they are valid only for the duration of the
 // yield call and are returned to the scan's pool afterwards, so consumers
@@ -164,8 +166,9 @@ func (c *Cluster) ScanFilterBatches(spec ScanSpec, yield func(*batch.Batch) erro
 	for _, d := range disks {
 		us := byDisk[d]
 		g.Go(func() error {
+			filter := spec.readerFilter()
 			for _, u := range us {
-				st, err := c.scanUnitBatches(u, spec, pool, func(b *batch.Batch) error {
+				st, err := c.scanUnitBatches(u, spec, filter, pool, func(b *batch.Batch) error {
 					select {
 					case batchCh <- b:
 						return nil
@@ -198,39 +201,37 @@ func (c *Cluster) ScanFilterBatches(spec ScanSpec, yield func(*batch.Batch) erro
 	})
 
 	// Process stage. The "processed" counter charges physical rows — what
-	// the paper's process thread pulls off the read queue — so pre-narrowed
-	// selections do not change it. One morsel worker per spec.Threads; each
-	// filters, bloom-probes and yields independently, always draining the
-	// channel after a failure so readers never block forever.
+	// the paper's process thread pulls off the read queue — so selections
+	// the readers narrowed do not change it. One morsel worker per
+	// spec.Threads; each fills its key sink and yields independently, always
+	// draining the channel after a failure so readers never block forever.
 	threads := spec.Threads
 	if threads < 1 {
 		threads = 1
 	}
 	locals := make([]KeySink, threads)
 	work := func(t int) error {
-		tspec := spec
-		if spec.BuildKeys != nil && threads > 1 {
-			tspec.BuildKeys = spec.BuildKeys.Empty()
-			locals[t] = tspec.BuildKeys
+		sink := spec.BuildKeys
+		if sink != nil && threads > 1 {
+			sink = sink.Empty()
+			locals[t] = sink
 		}
 		var procErr error
 		var processed int64
 		var hashes []uint64
-		var hits []bool
 		for b := range batchCh {
 			if procErr != nil {
 				pool.Put(b) // drain so readers do not block forever
 				continue
 			}
 			processed += int64(b.Size())
-			if err := c.filterBatch(tspec, b, &hashes, &hits); err != nil {
-				procErr = err
-			} else {
-				spec.Progress.Add(int64(b.Size()), int64(b.Len()))
-				if b.Len() > 0 {
-					if err := yield(b); err != nil {
-						procErr = err
-					}
+			if sink != nil && b.Len() > 0 {
+				addKeys(sink, b, spec.BloomKeyIdx, &hashes)
+			}
+			spec.Progress.Add(int64(b.Size()), int64(b.Len()))
+			if b.Len() > 0 {
+				if err := yield(b); err != nil {
+					procErr = err
 				}
 			}
 			pool.Put(b)
@@ -274,29 +275,44 @@ func (c *Cluster) ScanFilterBatches(spec ScanSpec, yield func(*batch.Batch) erro
 	return rerr
 }
 
-// filterBatch applies the predicate, the key filters and the key sink to one
-// batch, narrowing its selection in place. Bloom filters run as hash-batch
-// kernels; other key filters and sinks go row-at-a-time.
-func (c *Cluster) filterBatch(spec ScanSpec, b *batch.Batch, hashes *[]uint64, hits *[]bool) error {
-	if err := expr.FilterBatch(spec.Pred, b); err != nil {
-		return err
-	}
+// readerFilter is one read goroutine's filter: the predicate, the database
+// key filter and the cascade, in that order, with the goroutine's own hash
+// and hit scratch. Its early columns are the ones those filters read. Bloom
+// filters run as hash-batch kernels; other key filters go row-at-a-time.
+func (spec *ScanSpec) readerFilter() *format.Filter {
+	early := expr.ColumnSet(spec.Pred)
 	if spec.DBFilter != nil {
-		applyKeyFilter(b, spec.DBFilter, spec.BloomKeyIdx, hashes, hits)
+		early = append(early, spec.BloomKeyIdx)
 	}
 	for _, cf := range spec.Cascade {
-		applyKeyFilter(b, cf.Filter, cf.KeyIdx, hashes, hits)
+		early = append(early, cf.KeyIdx)
 	}
-	if spec.BuildKeys == nil || b.Len() == 0 {
+	var hashes []uint64
+	var hits []bool
+	return &format.Filter{Early: early, Apply: func(b *batch.Batch) error {
+		if err := expr.FilterBatch(spec.Pred, b); err != nil {
+			return err
+		}
+		if spec.DBFilter != nil {
+			applyKeyFilter(b, spec.DBFilter, spec.BloomKeyIdx, &hashes, &hits)
+		}
+		for _, cf := range spec.Cascade {
+			applyKeyFilter(b, cf.Filter, cf.KeyIdx, &hashes, &hits)
+		}
 		return nil
-	}
-	keys := b.Col(spec.BloomKeyIdx)
-	if bf, isBloom := spec.BuildKeys.(BloomKeyFilter); isBloom {
+	}}
+}
+
+// addKeys adds the join keys (column keyIdx) of b's live rows to sink, a
+// Bloom sink by hash batch, any other row-at-a-time.
+func addKeys(sink KeySink, b *batch.Batch, keyIdx int, hashes *[]uint64) {
+	keys := b.Col(keyIdx)
+	if bf, isBloom := sink.(BloomKeyFilter); isBloom {
 		bf.F.AddHashes(keyHashes(b, keys, hashes))
-		return nil
+		return
 	}
-	return b.Each(func(i int) error {
-		spec.BuildKeys.AddKey(keys[i].Int())
+	_ = b.Each(func(i int) error {
+		sink.AddKey(keys[i].Int())
 		return nil
 	})
 }
@@ -333,13 +349,21 @@ func keyHashes(b *batch.Batch, keys []types.Value, hashes *[]uint64) []uint64 {
 // errScanStopped aborts a reader when the process stage has failed.
 var errScanStopped = fmt.Errorf("jen: scan stopped")
 
-func (c *Cluster) scanUnitBatches(u WorkUnit, spec ScanSpec, pool *batch.Pool, yield func(*batch.Batch) error) (format.ScanStats, error) {
+// scanUnitBatches scans one work unit, filtering every batch before it is
+// yielded: HWC inside the decoder, text after parsing.
+func (c *Cluster) scanUnitBatches(u WorkUnit, spec ScanSpec, filter *format.Filter, pool *batch.Pool, yield func(*batch.Batch) error) (format.ScanStats, error) {
 	atNode := spec.Worker // worker i on DataNode i: local replicas short-circuit
 	src := c.Source(u.Path, atNode)
 	switch {
 	case u.Meta != nil:
-		return format.ScanHWCBatches(src, u.Meta, u.Groups, spec.Proj, spec.Pruner, u.ChargeFooter, pool, yield)
+		return format.ScanHWCFiltered(src, u.Meta, u.Groups, spec.Proj, spec.Pruner, u.ChargeFooter, filter, pool, yield)
 	default:
-		return format.ScanTextBatches(src, spec.Plan.Table.Schema, u.Start, u.End, spec.Proj, pool, yield)
+		return format.ScanTextBatches(src, spec.Plan.Table.Schema, u.Start, u.End, spec.Proj, pool, func(b *batch.Batch) error {
+			if err := filter.Apply(b); err != nil {
+				pool.Put(b)
+				return err
+			}
+			return yield(b)
+		})
 	}
 }
