@@ -29,7 +29,13 @@ lint-strict:
 	$(GO) run ./cmd/hwlint -json ./... > hwlint.json
 
 test:
-	$(GO) test ./...
+	$(GO) test -timeout 5m ./...
+
+# The long-running targets run under a wall-clock bound of twice their
+# figure in ROADMAP.md's timing table, so a hang fails the target instead of
+# stalling whoever ran it; -k kills the target 10 s after the bound if it
+# ignores the TERM.
+BOUNDED = timeout -k 10s
 
 # The concurrency-heavy packages under the race detector; the short timeout
 # makes a reintroduced protocol hang (abort/fault-injection tests in core and
@@ -41,31 +47,33 @@ test:
 # underpin the analyzers that guard the racy packages, so they belong to the
 # same gate).
 race:
-	$(GO) test -race -timeout=120s ./internal/netsim/ ./internal/par/ ./internal/jen/ ./internal/core/ ./internal/skew/ ./internal/mem/ ./internal/sched/ ./internal/analyzer/
-	$(GO) test -race -timeout=300s -run 'TestConcurrent|TestAdaptive|TestStar|TestSnowflake' .
-	$(GO) test ./internal/lint/cfg/ ./internal/lint/callgraph/
+	$(BOUNDED) 240s sh -c '\
+	$(GO) test -race -timeout=120s ./internal/netsim/ ./internal/par/ ./internal/jen/ ./internal/core/ ./internal/skew/ ./internal/mem/ ./internal/sched/ ./internal/analyzer/ && \
+	$(GO) test -race -timeout=300s -run "TestConcurrent|TestAdaptive|TestStar|TestSnowflake" . && \
+	$(GO) test ./internal/lint/cfg/ ./internal/lint/callgraph/'
 
 # Every Fuzz* target of every package, each fuzzed for 5 s past its seeds
 # (`make test` runs the seeds alone). Targets are listed from the packages at
 # run time, so a new one is covered without editing this file. A failing
 # input lands in the package's testdata/fuzz/ for `go test -run` to replay.
 fuzz:
-	@set -e; for pkg in $$($(GO) list ./...); do \
-		list=$$($(GO) test -list '^Fuzz' $$pkg); \
-		for fn in $$(printf '%s\n' "$$list" | grep '^Fuzz'); do \
+	@$(BOUNDED) 240s sh -c 'set -e; for pkg in $$($(GO) list ./...); do \
+		list=$$($(GO) test -list "^Fuzz" $$pkg); \
+		for fn in $$(printf "%s\n" "$$list" | grep "^Fuzz"); do \
 			echo "fuzz $$pkg $$fn"; \
-			$(GO) test -run '^$$' -fuzz "^$$fn\$$" -fuzztime 5s $$pkg; \
+			$(GO) test -run "^\$$" -fuzz "^$$fn\$$" -fuzztime 5s $$pkg; \
 		done; \
-	done
+	done'
 
 # Full sweep at one iteration, then the engine's whole-query benchmarks at
 # measurement length, recorded as BENCH_core.json — the regression gate
 # bench-smoke checks against. Performance claims are measured with `make perf`
 # instead (BENCHMARK.json names).
 bench:
-	$(GO) test -bench=. -benchtime=1x ./...
-	$(GO) test -run '^$$' -bench 'BenchmarkScanFilterJoin|BenchmarkAdaptiveMispredict|BenchmarkSkewedJoin|BenchmarkConcurrentMixed|BenchmarkStarJoin' -benchtime=3x ./internal/core/ \
-		| $(GO) run ./cmd/benchjson -o BENCH_core.json
+	$(BOUNDED) 420s sh -c '\
+	$(GO) test -bench=. -benchtime=1x ./... && \
+	$(GO) test -run "^\$$" -bench "BenchmarkScanFilterJoin|BenchmarkAdaptiveMispredict|BenchmarkSkewedJoin|BenchmarkConcurrentMixed|BenchmarkStarJoin" -benchtime=3x ./internal/core/ \
+		| $(GO) run ./cmd/benchjson -o BENCH_core.json'
 	@cat BENCH_core.json
 
 # Benchmark smoke for CI: proves the benchmarks still compile and run, and
@@ -80,14 +88,14 @@ bench-smoke:
 # The repo's benchmark (BENCHMARK.json): all seven hwperf workloads, one
 # untraced run each (~95 s); add `-trace 1` by hand for the per-layer pass.
 perf:
-	bash bench/run.sh -workload all -seed 1
+	$(BOUNDED) 200s bash bench/run.sh -workload all -seed 1
 
 # Three repeats per workload into a scratch run set, compared metric by
 # metric against the recorded baseline; exits 1 on a regression past a
 # metric's bound and reports "unresolved" where run-to-run spread exceeds it.
 perf-compare:
 	@out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
-	bash bench/run.sh -workload all -seed 1 -repeat 3 -o "$$out" && \
+	$(BOUNDED) 600s bash bench/run.sh -workload all -seed 1 -repeat 3 -o "$$out" && \
 	bash bench/run.sh -compare bench/results/baseline/runs_a.json "$$out"
 
 # The ROADMAP's end-of-session check: list any repo binary (every cmd/*

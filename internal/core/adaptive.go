@@ -359,7 +359,7 @@ type adaptJENWorker struct {
 	w, n     int
 	scanKey  int // join-key column in the scan-projected layout
 	watch    *decisionWatch
-	destOf   func(key int64) string
+	route    func(key int64) int // the agreed hash
 	progress jen.Progress
 
 	mu sync.Mutex
@@ -374,10 +374,10 @@ type adaptJENWorker struct {
 	hotTuples int64
 }
 
-func newAdaptJENWorker(e *Engine, qs string, q *plan.JoinQuery, b *batcher, w, n, scanKey int, watch *decisionWatch, destOf func(key int64) string) *adaptJENWorker {
+func newAdaptJENWorker(e *Engine, qs string, q *plan.JoinQuery, b *batcher, w, n, scanKey int, watch *decisionWatch, route func(key int64) int) *adaptJENWorker {
 	return &adaptJENWorker{
 		e: e, qs: qs, me: jenName(w), q: q, b: b, w: w, n: n,
-		scanKey: scanKey, watch: watch, destOf: destOf,
+		scanKey: scanKey, watch: watch, route: route,
 		sketch: skew.NewSketch(sketchKeys),
 	}
 }
@@ -457,18 +457,18 @@ func (a *adaptJENWorker) applyLocked(d *adaptDecision) error {
 	return nil
 }
 
-// routeFnLocked returns the destination function for the installed
-// decision. Callers hold mu (the hybrid partitioner and hot counter are
-// mu-guarded state).
-func (a *adaptJENWorker) routeFnLocked() func(key int64) string {
+// routeFnLocked returns the scatter route for the installed decision.
+// Callers hold mu (the hybrid partitioner and hot counter are mu-guarded
+// state).
+func (a *adaptJENWorker) routeFnLocked() func(key int64) int {
 	if a.part == nil {
-		return a.destOf
+		return a.route
 	}
-	return func(key int64) string {
+	return func(key int64) int {
 		if a.part.IsHot(key) {
 			a.hotTuples++
 		}
-		return jenName(a.part.Route(key))
+		return a.part.Route(key)
 	}
 }
 
@@ -550,7 +550,7 @@ func (e *Engine) probeLocalBroadcast(buffered, dbBatches []*batch.Batch, q *plan
 	for _, lb := range buffered {
 		probes += int64(lb.Len())
 	}
-	cmb := e.newCombiner(q.PostJoin, agg)
+	cmb := e.newCombiner(q.PostJoin, agg, true)
 	if err := cmb.probeAll(ht, buffered, q.HDFSWireKey); err != nil {
 		return err
 	}
@@ -577,7 +577,7 @@ func (e *Engine) adaptObserveT(pr *prog, qs string, q *plan.JoinQuery, i int, tR
 // (empty unless hybrid) replicated. On the failure path it still drains the
 // decision — under the aborted program context, so it cannot block — and
 // ships nothing.
-func (e *Engine) adaptRouteT(ctx context.Context, pr *prog, qs string, q *plan.JoinQuery, b *batcher, i int, tw []*batch.Batch, destOf func(key int64) string, runErr *error) {
+func (e *Engine) adaptRouteT(ctx context.Context, pr *prog, qs string, q *plan.JoinQuery, b *batcher, i int, tw []*batch.Batch, route func(key int64) int, runErr *error) {
 	var d *adaptDecision
 	pr.fail(e.recvControl(ctx, dbName(i), netsim.MsgControl, qs+"adapt.dec", 1, func(p []byte) (err error) {
 		d, err = unmarshalDecision(p)
@@ -590,5 +590,5 @@ func (e *Engine) adaptRouteT(ctx context.Context, pr *prog, qs string, q *plan.J
 		pr.fail(b.broadcastBatches(tw))
 		return
 	}
-	pr.fail(b.scatterBatches(tw, q.DBWireKey, d.hot, destOf))
+	pr.fail(b.scatterBatches(tw, q.DBWireKey, d.hot, route))
 }

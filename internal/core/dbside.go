@@ -249,12 +249,12 @@ func (e *Engine) dbJoinProgram(ctx context.Context, qs string, q *plan.JoinQuery
 	}
 
 	// Ship T' per strategy.
-	destOf := func(key int64) string { return dbName(cluster.PartitionFor(key, m)) }
+	route := hashRoute(m)
 	switch strategy {
 	case edw.RepartitionBoth:
 		tb := e.newBatcher(ctx, me, qs+"treshuf", e.dbNames(), metrics.DBReshuffleTuples, metrics.DBReshuffleBytes, i)
 		if runErr == nil {
-			pr.fail(tb.scatterBatches(tw, q.DBWireKey, nil, destOf))
+			pr.fail(tb.scatterBatches(tw, q.DBWireKey, nil, route))
 		}
 		pr.fail(tb.CloseWith(runErr))
 	case edw.BroadcastDB:
@@ -271,7 +271,7 @@ func (e *Engine) dbJoinProgram(ctx context.Context, qs string, q *plan.JoinQuery
 	case edw.RepartitionBoth:
 		lb := e.newBatcher(ctx, me, qs+"lreshuf", e.dbNames(), metrics.DBIngestTuples, metrics.DBIngestBytes, i)
 		err := e.recvBatches(ctx, me, qs+"ingest", ingestSenders, func(b *batch.Batch) error {
-			return lb.scatterBatch(b, nil, q.HDFSWireKey, nil, destOf)
+			return lb.scatterBatch(b, nil, q.HDFSWireKey, nil, route)
 		})
 		pr.fail(err)
 		pr.fail(lb.CloseWith(runErr))
@@ -309,7 +309,7 @@ func (e *Engine) dbJoinProgram(ctx context.Context, qs string, q *plan.JoinQuery
 	agg.SetBudget(bud)
 	defer func() { bud.Release(agg.MemBytes()) }()
 	if runErr == nil {
-		cmb := e.newCombiner(q.PostJoin, agg)
+		cmb := e.newCombiner(q.PostJoin, agg, true)
 		pr.fail(cmb.probeAll(ht, lbatches, q.HDFSWireKey))
 		e.rec.Add(metrics.JoinOutputTuples, cmb.output)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -110,7 +111,7 @@ func (e *Engine) dbShipProgram(ctx context.Context, qs string, q *plan.JoinQuery
 	pr := newProg(ctx, &runErr)
 	defer pr.release()
 	ctx = pr.ctx
-	destOf := func(key int64) string { return jenName(cluster.PartitionFor(key, n)) }
+	route := hashRoute(n)
 	b := e.newBatcher(ctx, dbName(i), qs+"dbrows", e.jenNames(), metrics.DBSentTuples, metrics.DBSentBytes, i)
 	adaptOn := e.cfg.AdaptiveSwitch
 
@@ -118,7 +119,7 @@ func (e *Engine) dbShipProgram(ctx context.Context, qs string, q *plan.JoinQuery
 		// Nothing to wait for: T' streams out batch-at-a-time as the
 		// partition scan produces it.
 		pr.fail(e.db.FilterProjectBatches(tbl, i, ap, q.DBProj, e.cfg.BatchRows, e.cfg.WorkerThreads, func(fb *batch.Batch) error {
-			return b.scatterBatch(fb, nil, q.DBWireKey, nil, destOf)
+			return b.scatterBatch(fb, nil, q.DBWireKey, nil, route)
 		}))
 		pr.fail(b.CloseWith(runErr))
 		return runErr
@@ -148,9 +149,9 @@ func (e *Engine) dbShipProgram(ctx context.Context, qs string, q *plan.JoinQuery
 		}
 	}
 	if adaptOn {
-		e.adaptRouteT(ctx, pr, qs, q, b, i, tw, destOf, &runErr)
+		e.adaptRouteT(ctx, pr, qs, q, b, i, tw, route, &runErr)
 	} else if runErr == nil {
-		pr.fail(b.scatterBatches(tw, q.DBWireKey, nil, destOf))
+		pr.fail(b.scatterBatches(tw, q.DBWireKey, nil, route))
 	}
 	pr.fail(b.CloseWith(runErr))
 	return runErr
@@ -220,7 +221,7 @@ func (e *Engine) jenRepartitionProgram(ctx context.Context, qs string, q *plan.J
 	}
 	b := e.newBatcher(ctx, me, qs+"shuffle", e.jenNames(), metrics.JENShuffleTuples, metrics.JENShuffleBytes, w)
 	scanKey := q.HDFSWire[q.HDFSWireKey]
-	destOf := func(key int64) string { return jenName(cluster.PartitionFor(key, n)) }
+	route := hashRoute(n)
 	spec := jen.ScanSpec{
 		Plan: scanPlan, Worker: w,
 		Proj: q.HDFSScanProj, Pred: q.HDFSPred, Pruner: q.Pruner(),
@@ -239,13 +240,13 @@ func (e *Engine) jenRepartitionProgram(ctx context.Context, qs string, q *plan.J
 		pr.fail(werr)
 		if werr == nil {
 			defer watch.close()
-			aw = newAdaptJENWorker(e, qs, q, b, w, n, scanKey, watch, destOf)
+			aw = newAdaptJENWorker(e, qs, q, b, w, n, scanKey, watch, route)
 			spec.Progress = &aw.progress
 		}
 	}
 	if runErr == nil {
 		onBatch := func(sb *batch.Batch) error {
-			return b.scatterBatch(sb, q.HDFSWire, scanKey, nil, destOf)
+			return b.scatterBatch(sb, q.HDFSWire, scanKey, nil, route)
 		}
 		if aw != nil {
 			onBatch = aw.onBatch
@@ -331,99 +332,194 @@ func (e *Engine) newJoinTable(qs string, keyIdx int) (relop.JoinTable, error) {
 	return relop.NewMemJoinTable(keyIdx), nil
 }
 
-// combiner accumulates join matches (left row ++ right row) into
-// combined-layout batches of BatchRows rows. When a batch fills, the
-// post-join predicate runs over it as a batch filter and the survivors fold
-// into agg — or, for a stage whose output is the next stage's input (agg
-// nil), the batch is kept whole. output counts survivors. probe may run on
-// several goroutines at once (morsel threads probing one sealed table): it
-// probes lock-free and serializes on mu once per probe batch. add and flush
-// are single-goroutine.
+// combiner joins probe rows against sealed build buckets into the combined
+// layout (HDFS wire ++ DB wire) and folds the rows that pass the post-join
+// predicate into agg — or, for a stage whose output is the next stage's
+// input (agg nil), keeps them as batches. output counts survivors.
+//
+// It materialises late. Each pair first contributes only the predicate's
+// columns (the early columns) to a narrow batch, and each probe row is
+// copied once per bucket, not once per pair. The predicate runs over the
+// narrow batch when it reaches an output-batch boundary or when a probe
+// call returns, and only the surviving pairs are gathered into full
+// combined rows. Output batches close every BatchRows pairs, surviving or
+// not, so they hold exactly the rows, in the same order, that concatenating
+// every pair and filtering BatchRows pairs at a time would. Without a
+// predicate every pair survives and is gathered directly.
+//
+// probe may run on several goroutines at once (morsel threads probing one
+// sealed table); it serializes on mu. The other methods are
+// single-goroutine.
 type combiner struct {
-	size int
-	post expr.Expr
-	agg  *relop.HashAgg
+	size      int
+	post      expr.Expr // remapped onto the narrow batch
+	early     []int     // combined-layout column of each narrow column
+	probeLeft bool      // the probe row is the left (HDFS wire) part
+	agg       *relop.HashAgg
+	err       error // remapping post failed
 
 	mu     sync.Mutex // serializes concurrent probe calls
+	ready  bool       // early columns resolved (on the first pair)
+	fromP  []colRef   // narrow columns read from the probe row
+	fromB  []colRef   // narrow columns read from the build row
+	narrow *batch.Batch
+	nrow   types.Row     // scratch row of narrow
+	runs   []pairRun     // the pending pairs, run by run
+	probes []types.Value // copies of the pending runs' probe rows
 	out    *batch.Batch
+	pairs  int // pairs behind out since it was last emitted
 	kept   []*batch.Batch
 	output int64
 }
 
-func (e *Engine) newCombiner(post expr.Expr, agg *relop.HashAgg) *combiner {
-	return &combiner{size: e.cfg.BatchRows, post: post, agg: agg}
-}
+// colRef is narrow column j, read from position idx of a pair's row.
+type colRef struct{ j, idx int }
 
-// add appends one match; it is the emit callback of relop.JoinTable probes.
-func (c *combiner) add(left, right types.Row) error {
-	if c.out == nil {
-		c.out = batch.New(len(left)+len(right), c.size)
-	}
-	c.out.AppendConcat(left, right)
-	if c.out.Full() {
-		return c.flush()
-	}
-	return nil
-}
-
-// probeHit is one probe row with a non-empty bucket.
-type probeHit struct {
-	i      int
+// pairRun is a run of pending pairs: one probe row against consecutive
+// rows of its bucket, the first of them at narrow row first.
+type pairRun struct {
+	first  int
+	probe  types.Row
 	bucket []types.Row
 }
 
-// probe joins every live row of pb, projected through proj (nil keeps pb's
-// layout), against the sealed table ht on pb's key column keyIdx: every
-// match adds probe row ++ build row.
-func (c *combiner) probe(ht *relop.HashTable, pb *batch.Batch, keyIdx int, proj []int) error {
-	keys := pb.Col(keyIdx)
-	var hits []probeHit
-	_ = pb.Each(func(i int) error {
-		if bucket := ht.Probe(keys[i].Int()); len(bucket) > 0 {
-			hits = append(hits, probeHit{i, bucket})
+// newCombiner creates a combiner whose probe rows form the left (probeLeft)
+// or the right part of the combined layout.
+func (e *Engine) newCombiner(post expr.Expr, agg *relop.HashAgg, probeLeft bool) *combiner {
+	c := &combiner{size: e.cfg.BatchRows, agg: agg, probeLeft: probeLeft}
+	if post != nil {
+		c.early = expr.ColumnSet(post)
+		mapping := make(map[int]int, len(c.early))
+		for j, col := range c.early {
+			mapping[col] = j
 		}
-		return nil
-	})
-	if len(hits) == 0 {
+		c.post, c.err = expr.Remap(post, mapping)
+	}
+	return c
+}
+
+// resolve locates the early columns from the widths of the first pair.
+func (c *combiner) resolve(probe, build types.Row) error {
+	left, right := build, probe
+	if c.probeLeft {
+		left, right = probe, build
+	}
+	for j, col := range c.early {
+		if col >= len(left)+len(right) {
+			return fmt.Errorf("core: post-join column %d out of range (combined row has %d)", col, len(left)+len(right))
+		}
+		onLeft := col < len(left)
+		if !onLeft {
+			col -= len(left)
+		}
+		if onLeft == c.probeLeft {
+			c.fromP = append(c.fromP, colRef{j, col})
+		} else {
+			c.fromB = append(c.fromB, colRef{j, col})
+		}
+	}
+	c.ready = true
+	c.narrow = batch.New(len(c.early), c.size)
+	c.nrow = make(types.Row, len(c.early))
+	return nil
+}
+
+// bucket joins one probe row against its bucket; it is the emit of
+// relop.JoinTable probes. probeRow may alias the caller's scratch; the
+// bucket's rows are sealed-table storage, held until the next settle.
+func (c *combiner) bucket(probeRow types.Row, bucket []types.Row) error {
+	if c.err != nil {
+		return c.err
+	}
+	if c.post == nil {
+		for _, br := range bucket {
+			c.gather(probeRow, br)
+			if c.pairs++; c.pairs == c.size {
+				if err := c.emit(); err != nil {
+					return err
+				}
+			}
+		}
 		return nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var row types.Row
-	for _, h := range hits {
-		if proj == nil {
-			row = pb.RowAt(h.i, row)
-		} else {
-			row = row[:0]
-			for _, p := range proj {
-				row = append(row, pb.Col(p)[h.i])
-			}
-		}
-		for _, br := range h.bucket {
-			if err := c.add(row, br); err != nil {
+	var probe types.Row // the probe row's copy in the pending window
+	for len(bucket) > 0 {
+		if !c.ready {
+			if err := c.resolve(probeRow, bucket[0]); err != nil {
 				return err
 			}
+		}
+		if probe == nil {
+			at := len(c.probes)
+			c.probes = append(c.probes, probeRow...)
+			probe = c.probes[at:len(c.probes):len(c.probes)]
+			for _, r := range c.fromP {
+				c.nrow[r.j] = probe[r.idx]
+			}
+		}
+		n := min(len(bucket), c.size-c.pairs-c.narrow.Size())
+		c.runs = append(c.runs, pairRun{first: c.narrow.Size(), probe: probe, bucket: bucket[:n]})
+		for _, br := range bucket[:n] {
+			for _, r := range c.fromB {
+				c.nrow[r.j] = br[r.idx]
+			}
+			c.narrow.AppendRow(c.nrow)
+		}
+		bucket = bucket[n:]
+		if c.pairs+c.narrow.Size() == c.size {
+			if err := c.settle(); err != nil {
+				return err
+			}
+			probe = nil
 		}
 	}
 	return nil
 }
 
-// probeAll probes ht with every batch of bs (see probe), then flushes.
-func (c *combiner) probeAll(ht *relop.HashTable, bs []*batch.Batch, keyIdx int) error {
-	for _, pb := range bs {
-		if err := c.probe(ht, pb, keyIdx, nil); err != nil {
-			return err
-		}
-	}
-	return c.flush()
-}
-
-func (c *combiner) flush() error {
-	if c.out == nil || c.out.Size() == 0 {
+// settle runs the post-join predicate over the pending pairs and gathers
+// the survivors, in pair order, into the output batch.
+func (c *combiner) settle() error {
+	if c.narrow == nil || c.narrow.Size() == 0 {
 		return nil
 	}
-	if err := expr.FilterBatch(c.post, c.out); err != nil {
+	if err := expr.FilterBatch(c.post, c.narrow); err != nil {
 		return err
+	}
+	r := 0
+	_ = c.narrow.Each(func(k int) error {
+		for r+1 < len(c.runs) && c.runs[r+1].first <= k {
+			r++
+		}
+		run := &c.runs[r]
+		c.gather(run.probe, run.bucket[k-run.first])
+		return nil
+	})
+	c.pairs += c.narrow.Size()
+	c.narrow.Reset()
+	c.runs, c.probes = c.runs[:0], c.probes[:0]
+	if c.pairs == c.size {
+		return c.emit()
+	}
+	return nil
+}
+
+// gather appends one pair's combined row to the output batch.
+func (c *combiner) gather(probe, build types.Row) {
+	if c.out == nil {
+		c.out = batch.New(len(probe)+len(build), c.size)
+	}
+	if c.probeLeft {
+		c.out.AppendConcat(probe, build)
+	} else {
+		c.out.AppendConcat(build, probe)
+	}
+}
+
+// emit hands the output batch of the last BatchRows pairs to agg or kept.
+func (c *combiner) emit() error {
+	c.pairs = 0
+	if c.out == nil {
+		return nil // no pair of the window survived
 	}
 	c.output += int64(c.out.Len())
 	if c.agg == nil {
@@ -431,17 +527,70 @@ func (c *combiner) flush() error {
 		c.out = nil
 		return nil
 	}
-	if err := c.agg.AddBatch(c.out); err != nil {
+	err := c.agg.AddBatch(c.out)
+	c.out.Reset()
+	return err
+}
+
+// flush settles the pending pairs and emits the last, partial output batch.
+func (c *combiner) flush() error {
+	if err := c.settle(); err != nil {
 		return err
 	}
-	c.out.Reset()
-	return nil
+	if c.pairs == 0 {
+		return nil
+	}
+	return c.emit()
+}
+
+// probeTable probes jt with every live row of pb (see bucket).
+func (c *combiner) probeTable(jt relop.JoinTable, pb *batch.Batch, keyIdx int) error {
+	if err := jt.ProbeBuckets(pb, keyIdx, c.bucket); err != nil {
+		return err
+	}
+	return c.settle()
+}
+
+// probe joins every live row of pb, projected through proj, against the
+// sealed table ht on pb's key column keyIdx. The projected probe row is
+// materialized only for rows with a non-empty bucket.
+func (c *combiner) probe(ht *relop.HashTable, pb *batch.Batch, keyIdx int, proj []int) error {
+	keys := pb.Col(keyIdx)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var row types.Row
+	err := pb.Each(func(i int) error {
+		bucket := ht.Probe(keys[i].Int())
+		if len(bucket) == 0 {
+			return nil
+		}
+		row = row[:0]
+		for _, p := range proj {
+			row = append(row, pb.Col(p)[i])
+		}
+		return c.bucket(row, bucket)
+	})
+	if err != nil {
+		return err
+	}
+	return c.settle()
+}
+
+// probeAll probes ht with every batch of bs (see probeTable), then flushes.
+func (c *combiner) probeAll(ht *relop.HashTable, bs []*batch.Batch, keyIdx int) error {
+	mem := &relop.MemJoinTable{H: ht}
+	for _, pb := range bs {
+		if err := c.probeTable(mem, pb, keyIdx); err != nil {
+			return err
+		}
+	}
+	return c.flush()
 }
 
 // probeAndAggregateBatches probes the table of HDFS rows with the buffered
-// database batches: probe batches drive JoinTable.ProbeBatch and matches
-// accumulate through a combiner, which applies the post-join predicate and
-// folds survivors into the partial aggregate. Spilled matches surface during
+// database batches: probe batches drive JoinTable.ProbeBuckets and buckets
+// go through a combiner, which applies the post-join predicate and folds
+// survivors into the partial aggregate. Spilled matches surface during
 // Drain. With threads > 1 and a purely in-memory table the probe fans out
 // across goroutines; the spilling table stays sequential (its partition
 // files are not safe for concurrent probing).
@@ -449,13 +598,13 @@ func (e *Engine) probeAndAggregateBatches(ht relop.JoinTable, probes []*batch.Ba
 	if mem, isMem := ht.(*relop.MemJoinTable); isMem && threads > 1 && len(probes) > 1 {
 		return e.probeAndAggregateParallel(mem, probes, q, agg, threads)
 	}
-	cmb := e.newCombiner(q.PostJoin, agg)
+	cmb := e.newCombiner(q.PostJoin, agg, false)
 	for _, pb := range probes {
-		if err := ht.ProbeBatch(pb, q.DBWireKey, cmb.add); err != nil {
+		if err := cmb.probeTable(ht, pb, q.DBWireKey); err != nil {
 			return err
 		}
 	}
-	if err := ht.Drain(cmb.add); err != nil {
+	if err := ht.Drain(cmb.bucket); err != nil {
 		return err
 	}
 	if err := cmb.flush(); err != nil {
@@ -486,7 +635,7 @@ func (e *Engine) probeAndAggregateParallel(mem *relop.MemJoinTable, probes []*ba
 	var g par.Group
 	for t := 0; t < threads; t++ {
 		t := t
-		cmbs[t] = e.newCombiner(q.PostJoin, relop.NewHashAgg(q.GroupBy, q.Aggs))
+		cmbs[t] = e.newCombiner(q.PostJoin, relop.NewHashAgg(q.GroupBy, q.Aggs), false)
 		g.Go(func() error {
 			var rows int64
 			for {
@@ -495,7 +644,7 @@ func (e *Engine) probeAndAggregateParallel(mem *relop.MemJoinTable, probes []*ba
 					break
 				}
 				rows += int64(probes[i].Len())
-				if err := mem.ProbeBatch(probes[i], q.DBWireKey, cmbs[t].add); err != nil {
+				if err := cmbs[t].probeTable(mem, probes[i], q.DBWireKey); err != nil {
 					return err
 				}
 			}
@@ -661,12 +810,12 @@ func (e *Engine) runBroadcast(ctx context.Context, qs string, q *plan.JoinQuery)
 			// Scan and probe in the pipeline; partial aggregation inline.
 			// Probe rows never leave the scan batch: the wire projection is
 			// materialized only for rows with a non-empty bucket. Morsel
-			// workers probe the sealed table lock-free and serialize only on
-			// the combiner; totals are independent of the interleaving.
+			// workers scan and filter concurrently and serialize on the
+			// combiner; totals are independent of the interleaving.
 			agg := relop.NewHashAgg(q.GroupBy, q.Aggs)
 			agg.SetBudget(bud)
 			defer func() { bud.Release(agg.MemBytes()) }()
-			cmb := e.newCombiner(q.PostJoin, agg)
+			cmb := e.newCombiner(q.PostJoin, agg, true)
 			scanKey := q.HDFSWire[q.HDFSWireKey]
 			var probes atomic.Int64
 			if runErr == nil {

@@ -9,7 +9,6 @@ import (
 
 	"hybridwh/internal/batch"
 	"hybridwh/internal/bloom"
-	"hybridwh/internal/cluster"
 	"hybridwh/internal/costmodel"
 	"hybridwh/internal/jen"
 	"hybridwh/internal/metrics"
@@ -231,7 +230,7 @@ func (e *Engine) materializeDim(ed *plan.EdgeExec) (*dimMat, error) {
 			dm.parts[w] = bs
 			return err
 		}
-		cmb := e.newCombiner(nil, nil)
+		cmb := e.newCombiner(nil, nil, true)
 		if err := cmb.probeAll(subHT, bs, ed.Dim.Sub.ParentFKWire); err != nil {
 			return err
 		}
@@ -257,7 +256,7 @@ func (e *Engine) multiDBProgram(ctx context.Context, qs string, q *plan.MultiQue
 	pr := newProg(ctx, &runErr)
 	defer pr.release()
 	ctx = pr.ctx
-	destOf := func(key int64) string { return jenName(cluster.PartitionFor(key, n)) }
+	route := hashRoute(n)
 	for ei := range q.Edges {
 		ed := &q.Edges[ei]
 		b := e.newBatcher(ctx, dbName(i), mstream(qs, "dim", ei), e.jenNames(), metrics.DBSentTuples, metrics.DBSentBytes, i)
@@ -275,7 +274,7 @@ func (e *Engine) multiDBProgram(ctx context.Context, qs string, q *plan.MultiQue
 			if alg == plan.EdgeBroadcast {
 				pr.fail(b.broadcastBatches(part))
 			} else {
-				pr.fail(b.scatterBatches(part, ed.DimKeyWire, nil, destOf))
+				pr.fail(b.scatterBatches(part, ed.DimKeyWire, nil, route))
 			}
 		}
 		// Closed even when failing so every JEN receiver learns the fate of
@@ -302,7 +301,7 @@ func (e *Engine) multiJENProgram(ctx context.Context, qs string, q *plan.MultiQu
 	bud := e.budget(qs)
 	var charged int64 // dimension builds, held to the end
 	defer func() { bud.Release(charged) }()
-	destOf := func(key int64) string { return jenName(cluster.PartitionFor(key, n)) }
+	route := hashRoute(n)
 	desig := e.jen.DesignatedWorker()
 
 	// The live intermediate, its row count and its budget charge.
@@ -322,7 +321,7 @@ func (e *Engine) multiJENProgram(ctx context.Context, qs string, q *plan.MultiQu
 			if feed != nil {
 				pr.fail(feed(b))
 			} else {
-				pr.fail(b.scatterBatches(cur, keyIdx, nil, destOf))
+				pr.fail(b.scatterBatches(cur, keyIdx, nil, route))
 			}
 		}
 		pr.fail(b.CloseWith(runErr))
@@ -361,7 +360,7 @@ func (e *Engine) multiJENProgram(ctx context.Context, qs string, q *plan.MultiQu
 		scanKey := q.FactWire[first.FactKeyCol]
 		reshuffle(0, scanKey, func(b *batcher) error {
 			return e.jen.ScanFilterBatches(spec, func(sb *batch.Batch) error {
-				return b.scatterBatch(sb, q.FactWire, scanKey, nil, destOf)
+				return b.scatterBatch(sb, q.FactWire, scanKey, nil, route)
 			})
 		})
 	} else {
@@ -458,9 +457,9 @@ func (e *Engine) multiJENProgram(ctx context.Context, qs string, q *plan.MultiQu
 				// Earlier stages keep their output whole as the next
 				// intermediate; the last folds into the partial aggregate.
 				last := ei == len(q.Edges)-1
-				cmb := e.newCombiner(nil, nil)
+				cmb := e.newCombiner(nil, nil, true)
 				if last {
-					cmb = e.newCombiner(q.PostJoin, agg)
+					cmb = e.newCombiner(q.PostJoin, agg, true)
 				}
 				pr.fail(cmb.probeAll(ht, cur, ed.FactKeyCol))
 				if last {

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"hybridwh/internal/batch"
+	"hybridwh/internal/cluster"
 	"hybridwh/internal/compress"
 	"hybridwh/internal/netsim"
 	"hybridwh/internal/skew"
@@ -125,13 +126,14 @@ func (b *batcher) sendBatch(dest string, src *batch.Batch, proj []int) error {
 }
 
 // scatterBatch routes every live row of src by its key column (an index
-// into src's physical layout, read before projection) through destOf,
-// projecting each row through proj into the destination buffer. A row whose
-// key is in hot (nil or empty for none) goes to every destination instead —
-// the small side of the hybrid skew treatment: a hot T' row must be present
-// wherever its scattered L' partners landed. Tuples count once per copy,
-// exactly as broadcastBatch counts them.
-func (b *batcher) scatterBatch(src *batch.Batch, proj []int, keyIdx int, hot *skew.HotSet, destOf func(key int64) string) error {
+// into src's physical layout, read before projection) to the destination
+// route picks (an index into b.dests), projecting each row through proj
+// into the destination buffer. A row whose key is in hot (nil or empty for
+// none) goes to every destination instead — the small side of the hybrid
+// skew treatment: a hot T' row must be present wherever its scattered L'
+// partners landed. Tuples count once per copy, exactly as broadcastBatch
+// counts them.
+func (b *batcher) scatterBatch(src *batch.Batch, proj []int, keyIdx int, hot *skew.HotSet, route func(key int64) int) error {
 	ncols := projWidth(src, proj)
 	keys := src.Col(keyIdx)
 	replicate := hot.Len() > 0
@@ -140,7 +142,7 @@ func (b *batcher) scatterBatch(src *batch.Batch, proj []int, keyIdx int, hot *sk
 	return src.Each(func(i int) error {
 		k := keys[i].Int()
 		if !replicate || !hot.Contains(k) {
-			return b.appendLocked(destOf(k), src, i, proj, ncols)
+			return b.appendLocked(b.dests[route(k)], src, i, proj, ncols)
 		}
 		for _, d := range b.dests {
 			if err := b.appendLocked(d, src, i, proj, ncols); err != nil {
@@ -153,9 +155,9 @@ func (b *batcher) scatterBatch(src *batch.Batch, proj []int, keyIdx int, hot *sk
 
 // scatterBatches is scatterBatch over a materialized T', dimension or
 // intermediate, whose batches already carry the wire layout.
-func (b *batcher) scatterBatches(bs []*batch.Batch, keyIdx int, hot *skew.HotSet, destOf func(key int64) string) error {
+func (b *batcher) scatterBatches(bs []*batch.Batch, keyIdx int, hot *skew.HotSet, route func(key int64) int) error {
 	for _, src := range bs {
-		if err := b.scatterBatch(src, nil, keyIdx, hot, destOf); err != nil {
+		if err := b.scatterBatch(src, nil, keyIdx, hot, route); err != nil {
 			return err
 		}
 	}
@@ -183,6 +185,12 @@ func (b *batcher) broadcastBatches(bs []*batch.Batch) error {
 		}
 	}
 	return nil
+}
+
+// hashRoute is the agreed hash function as a scatter route: key to worker
+// index among n, the position of that worker in a batcher's dests.
+func hashRoute(n int) func(key int64) int {
+	return func(key int64) int { return cluster.PartitionFor(key, n) }
 }
 
 // projWidth is the column count of src's rows projected through proj.

@@ -2,6 +2,7 @@ package expr
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"hybridwh/internal/batch"
@@ -50,14 +51,16 @@ func FilterBatch(pred Expr, b *batch.Batch) error {
 	return filterFallback(pred, b)
 }
 
-// filterSharedCmpAnd fuses an AND whose terms all compare the *same* operand
-// subtree (pointer-equal Expr, the DAG shape plan builders produce for range
-// predicates like lo <= days(t)-days(l) <= hi) against literals. The shared
-// operand is evaluated once for the whole batch instead of once per term —
-// on the post-join path that halves the expression work per joined row. ok
-// reports whether the shape was handled. Semantics match the successive-
-// narrowing path: the operand is pure, and literal sides cannot fail, so
-// evaluating once and testing all bounds per row is Eval's short circuit.
+// filterSharedCmpAnd fuses an AND whose terms all compare the *same*
+// operand against literals — the shape of range predicates like
+// lo <= days(t)-days(l) <= hi. The operand is evaluated once for the whole
+// batch instead of once per term; on the post-join path that halves the
+// expression work per joined row. "Same" is structural (sameExpr): the SQL
+// front end parses each term on its own, so the two operands of a range are
+// equal trees, not one shared node. ok reports whether the shape was
+// handled. Semantics match the successive-narrowing path: the operand is
+// pure, and literal sides cannot fail, so evaluating once and testing all
+// bounds per row is Eval's short circuit.
 func filterSharedCmpAnd(e *Logic, b *batch.Batch) (ok bool, err error) {
 	if len(e.Terms) < 2 {
 		return false, nil
@@ -66,28 +69,32 @@ func filterSharedCmpAnd(e *Logic, b *batch.Batch) (ok bool, err error) {
 	if !isCmp {
 		return false, nil
 	}
-	lits := make([]types.Value, len(e.Terms))
-	ops := make([]CmpOp, len(e.Terms))
-	for i, t := range e.Terms {
+	lits := make([]types.Value, 0, 4)
+	ops := make([]CmpOp, 0, 4)
+	for _, t := range e.Terms {
 		c, isCmp := t.(*Cmp)
-		if !isCmp || c.L != first.L {
+		if !isCmp || !sameExpr(c.L, first.L) {
 			return false, nil
 		}
 		lit, isLit := c.R.(*Lit)
 		if !isLit {
 			return false, nil
 		}
-		lits[i], ops[i] = lit.V, c.Op
+		lits, ops = append(lits, lit.V), append(ops, c.Op)
 	}
-	lv, lput, err := evalTemp(first.L, b)
+	lv, buf, err := evalTemp(first.L, b)
 	if err != nil {
 		return true, err
 	}
-	defer lput()
+	defer release(buf)
+	lo, hi, isInterval := int64Interval(ops, lits)
 	j := 0
 	b.Filter(func(int) bool {
 		v := lv[j]
 		j++
+		if isInterval && v.K == types.KindInt64 {
+			return lo <= v.I && v.I <= hi
+		}
 		for i := range ops {
 			if !cmpTruth(ops[i], v, lits[i]) {
 				return false
@@ -98,20 +105,109 @@ func filterSharedCmpAnd(e *Logic, b *batch.Batch) (ok bool, err error) {
 	return true, nil
 }
 
+// int64Interval folds comparisons against int64 literals into one closed
+// interval [lo, hi] (empty when lo > hi): for an int64 operand value, the
+// interval test is exactly the conjunction of cmpTruth over the terms. ok
+// is false when a literal is not an int64 or an operator is NE.
+func int64Interval(ops []CmpOp, lits []types.Value) (lo, hi int64, ok bool) {
+	lo, hi = math.MinInt64, math.MaxInt64
+	for i, op := range ops {
+		if lits[i].K != types.KindInt64 {
+			return 0, 0, false
+		}
+		x := lits[i].I
+		switch op {
+		case EQ:
+			lo, hi = max(lo, x), min(hi, x)
+		case GE:
+			lo = max(lo, x)
+		case LE:
+			hi = min(hi, x)
+		case GT:
+			if x == math.MaxInt64 {
+				return 1, 0, true
+			}
+			lo = max(lo, x+1)
+		case LT:
+			if x == math.MinInt64 {
+				return 1, 0, true
+			}
+			hi = min(hi, x-1)
+		default:
+			return 0, 0, false
+		}
+	}
+	return lo, hi, true
+}
+
+// sameExpr reports whether a and b are structurally equal: the same tree of
+// nodes over the same columns (index and kind), literals, operators and
+// functions.
+func sameExpr(a, b Expr) bool {
+	if a == b {
+		return true
+	}
+	switch x := a.(type) {
+	case *Col:
+		y, ok := b.(*Col)
+		return ok && x.Index == y.Index && x.K == y.K
+	case *Lit:
+		y, ok := b.(*Lit)
+		return ok && x.V == y.V
+	case *Cmp:
+		y, ok := b.(*Cmp)
+		return ok && x.Op == y.Op && sameExpr(x.L, y.L) && sameExpr(x.R, y.R)
+	case *Arith:
+		y, ok := b.(*Arith)
+		return ok && x.Op == y.Op && sameExpr(x.L, y.L) && sameExpr(x.R, y.R)
+	case *Not:
+		y, ok := b.(*Not)
+		return ok && sameExpr(x.E, y.E)
+	case *Logic:
+		y, ok := b.(*Logic)
+		return ok && x.Op == y.Op && sameExprs(x.Terms, y.Terms)
+	case *Call:
+		y, ok := b.(*Call)
+		return ok && x.Fn == y.Fn && sameExprs(x.Args, y.Args)
+	}
+	return false
+}
+
+func sameExprs(a, b []Expr) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !sameExpr(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // filterCmpColumns narrows b's selection by comparing the batch-evaluated
-// operand columns of an arbitrary comparison.
+// operand columns of an arbitrary comparison; a literal right side is
+// compared directly.
 func filterCmpColumns(c *Cmp, b *batch.Batch) error {
-	lv, lput, err := evalTemp(c.L, b)
+	lv, lbuf, err := evalTemp(c.L, b)
 	if err != nil {
 		return err
 	}
-	defer lput()
-	rv, rput, err := evalTemp(c.R, b)
-	if err != nil {
-		return err
-	}
-	defer rput()
+	defer release(lbuf)
 	j := 0
+	if lit, isLit := c.R.(*Lit); isLit {
+		b.Filter(func(int) bool {
+			ok := cmpTruth(c.Op, lv[j], lit.V)
+			j++
+			return ok
+		})
+		return nil
+	}
+	rv, rbuf, err := evalTemp(c.R, b)
+	if err != nil {
+		return err
+	}
+	defer release(rbuf)
 	// Filter only rewrites the selection vector, never column storage, so
 	// operand slices aliasing the batch stay valid throughout.
 	b.Filter(func(int) bool {
@@ -130,27 +226,34 @@ var valBufPool = sync.Pool{
 	New: func() any { s := make([]types.Value, 0, 256); return &s },
 }
 
-func noRelease() {}
+// release returns a pooled column from evalTemp; nil (nothing pooled) is a
+// no-op.
+func release(buf *[]types.Value) {
+	if buf != nil {
+		valBufPool.Put(buf)
+	}
+}
 
-// evalTemp evaluates e over b's live rows into a pooled scratch column.
-// release must be called exactly once when the values are no longer needed;
-// the slice may alias pooled storage or (dense bare columns) the batch
-// itself, so it must not be retained past release or batch mutation.
-func evalTemp(e Expr, b *batch.Batch) (vals []types.Value, release func(), err error) {
+// evalTemp evaluates e over b's live rows into a pooled scratch column,
+// which must be passed to release exactly once when the values are no
+// longer needed. The slice may alias pooled storage or (dense bare columns)
+// the batch itself, so it must not be retained past release or batch
+// mutation.
+func evalTemp(e Expr, b *batch.Batch) (vals []types.Value, buf *[]types.Value, err error) {
 	if c, isCol := e.(*Col); isCol && b.Sel() == nil {
 		if err := checkCol(c, b); err != nil {
-			return nil, noRelease, err
+			return nil, nil, err
 		}
-		return b.Col(c.Index)[:b.Size()], noRelease, nil
+		return b.Col(c.Index)[:b.Size()], nil, nil
 	}
 	p := valBufPool.Get().(*[]types.Value)
 	out, err := EvalBatchInto(e, b, (*p)[:0])
 	*p = out[:0] // keep any growth for the next borrower
 	if err != nil {
 		valBufPool.Put(p)
-		return nil, noRelease, err
+		return nil, nil, err
 	}
-	return out, func() { valBufPool.Put(p) }, nil
+	return out, p, nil
 }
 
 // filterCmp applies a comparison kernel when both operands are columns or
@@ -277,16 +380,16 @@ func EvalBatchInto(e Expr, b *batch.Batch, out []types.Value) ([]types.Value, er
 		})
 		return out, err
 	case *Arith:
-		lv, lput, err := evalTemp(e.L, b)
+		lv, lbuf, err := evalTemp(e.L, b)
 		if err != nil {
 			return out, err
 		}
-		defer lput()
-		rv, rput, err := evalTemp(e.R, b)
+		defer release(lbuf)
+		rv, rbuf, err := evalTemp(e.R, b)
 		if err != nil {
 			return out, err
 		}
-		defer rput()
+		defer release(rbuf)
 		if out == nil {
 			out = make([]types.Value, 0, len(lv))
 		}
@@ -319,37 +422,23 @@ func EvalBatchInto(e Expr, b *batch.Batch, out []types.Value) ([]types.Value, er
 		// Arguments evaluate column-at-a-time; the function applies over a
 		// single reused argument buffer — no per-row slice allocation, no
 		// per-row tree dispatch.
-		args := make([][]types.Value, len(e.Args))
-		for i, a := range e.Args {
-			col, put, err := evalTemp(a, b)
-			if err != nil {
-				return out, err
+		args := make([][]types.Value, 0, 2)
+		bufs := make([]*[]types.Value, 0, 2)
+		var err error
+		for _, a := range e.Args {
+			col, buf, aerr := evalTemp(a, b)
+			if err = aerr; err != nil {
+				break
 			}
-			defer put()
-			args[i] = col
+			args, bufs = append(args, col), append(bufs, buf)
 		}
-		if e.Fn.Batch != nil {
-			if out == nil {
-				out = make([]types.Value, 0, b.Len())
-			}
-			return e.Fn.Batch(args, out)
+		if err == nil {
+			out, err = applyCall(e, args, b.Len(), out)
 		}
-		vals := make([]types.Value, len(e.Args))
-		n := b.Len()
-		if out == nil {
-			out = make([]types.Value, 0, n)
+		for _, buf := range bufs {
+			release(buf)
 		}
-		for k := 0; k < n; k++ {
-			for i := range args {
-				vals[i] = args[i][k]
-			}
-			v, err := e.Fn.Apply(vals)
-			if err != nil {
-				return out, err
-			}
-			out = append(out, v)
-		}
-		return out, nil
+		return out, err
 	}
 	if out == nil {
 		out = make([]types.Value, 0, b.Len())
@@ -369,6 +458,28 @@ func EvalBatchInto(e Expr, b *batch.Batch, out []types.Value) ([]types.Value, er
 		return out, evalErr
 	}
 	return out, err
+}
+
+// applyCall applies e's function to n rows of evaluated argument columns.
+func applyCall(e *Call, args [][]types.Value, n int, out []types.Value) ([]types.Value, error) {
+	if out == nil {
+		out = make([]types.Value, 0, n)
+	}
+	if e.Fn.Batch != nil {
+		return e.Fn.Batch(args, out)
+	}
+	vals := make([]types.Value, len(args))
+	for k := 0; k < n; k++ {
+		for i := range args {
+			vals[i] = args[i][k]
+		}
+		v, err := e.Fn.Apply(vals)
+		if err != nil {
+			return out, err
+		}
+		out = append(out, v)
+	}
+	return out, nil
 }
 
 func checkCol(c *Col, b *batch.Batch) error {

@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"math"
 	"testing"
 
 	"hybridwh/internal/batch"
@@ -149,5 +150,139 @@ func TestEvalBatchIntoError(t *testing.T) {
 	}
 	if _, err := EvalBatchInto(NewArith(Div, NewLit(types.Int32(1)), NewLit(types.Int32(0))), b, nil); err == nil {
 		t.Fatal("expected division error")
+	}
+}
+
+// countingFunc is a scalar function that counts the rows it is applied to.
+func countingFunc(name string, calls *int) *Func {
+	return &Func{
+		Name: name, Arity: 1, Result: types.KindInt64,
+		Apply: func(a []types.Value) (types.Value, error) {
+			*calls++
+			if a[0].IsNull() {
+				return types.Null, nil
+			}
+			return types.Int64(a[0].I), nil
+		},
+	}
+}
+
+// A range over two separately built copies of one operand — what the SQL
+// front end produces for lo <= f(x) AND f(x) <= hi — evaluates the operand
+// once per row, and keeps exactly the rows term-by-term evaluation keeps.
+func TestFilterBatchFusesStructurallySharedOperand(t *testing.T) {
+	var calls int
+	f := countingFunc("f", &calls)
+	operand := func() Expr {
+		c, err := NewCall(f, NewCol(0, "a", types.KindInt32))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewArith(Sub, c, NewLit(types.Int64(1)))
+	}
+	rng := NewAnd(
+		NewCmp(GE, operand(), NewLit(types.Int64(1))),
+		NewCmp(LE, operand(), NewLit(types.Int64(2))),
+	)
+	rows := filterRows()
+	b := batchOf(rows)
+	if err := FilterBatch(rng, b); err != nil {
+		t.Fatal(err)
+	}
+	if calls != len(rows) {
+		t.Errorf("operand evaluated for %d rows, want %d (once per row)", calls, len(rows))
+	}
+	checkAgainstEval(t, rng, rows)
+
+	// Unfused, the second term re-evaluates the operand for the first
+	// term's survivors.
+	calls = 0
+	b = batchOf(rows)
+	for _, term := range rng.(*Logic).Terms {
+		if err := FilterBatch(term, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if calls <= len(rows) {
+		t.Errorf("term-by-term: %d evaluations, want more than %d", calls, len(rows))
+	}
+}
+
+// Operands that differ anywhere — column, kind, literal or function — are
+// different operands, and an AND over them is not fused.
+func TestSameExprIsStructural(t *testing.T) {
+	var calls int
+	f, g := countingFunc("f", &calls), countingFunc("g", &calls)
+	call := func(fn *Func, arg Expr) Expr {
+		c, err := NewCall(fn, arg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	col := func(i int, k types.Kind) Expr { return NewCol(i, "c", k) }
+	base := func() Expr {
+		return NewArith(Sub, call(f, col(0, types.KindDate)), NewLit(types.Int64(1)))
+	}
+	if !sameExpr(base(), base()) {
+		t.Fatal("two copies of one operand are not equal")
+	}
+	for name, other := range map[string]Expr{
+		"column":   NewArith(Sub, call(f, col(1, types.KindDate)), NewLit(types.Int64(1))),
+		"kind":     NewArith(Sub, call(f, col(0, types.KindInt32)), NewLit(types.Int64(1))),
+		"literal":  NewArith(Sub, call(f, col(0, types.KindDate)), NewLit(types.Int64(2))),
+		"function": NewArith(Sub, call(g, col(0, types.KindDate)), NewLit(types.Int64(1))),
+		"operator": NewArith(Add, call(f, col(0, types.KindDate)), NewLit(types.Int64(1))),
+	} {
+		if sameExpr(base(), other) {
+			t.Errorf("%s differs but sameExpr reports equal", name)
+		}
+	}
+
+	// Not fused: each term evaluates its own operand.
+	rows := filterRows()
+	pred := NewAnd(
+		NewCmp(GE, call(f, col(0, types.KindInt32)), NewLit(types.Int64(1))),
+		NewCmp(LE, call(f, col(1, types.KindInt32)), NewLit(types.Int64(9))),
+	)
+	calls = 0
+	if err := FilterBatch(pred, batchOf(rows)); err != nil {
+		t.Fatal(err)
+	}
+	if calls <= len(rows) {
+		t.Errorf("different operands fused: %d evaluations for %d rows", calls, len(rows))
+	}
+	checkAgainstEval(t, pred, rows)
+}
+
+// The folded interval test agrees with cmpTruth over every term, extremes
+// included, and NE or a non-int64 literal is left to the general loop.
+func TestInt64IntervalMatchesCmpTruth(t *testing.T) {
+	edges := []int64{math.MinInt64, math.MinInt64 + 1, -2, -1, 0, 1, 2, math.MaxInt64 - 1, math.MaxInt64}
+	ops := []CmpOp{EQ, GE, LE, GT, LT}
+	for _, op1 := range ops {
+		for _, op2 := range ops {
+			for _, x1 := range edges {
+				for _, x2 := range edges {
+					lits := []types.Value{types.Int64(x1), types.Int64(x2)}
+					lo, hi, ok := int64Interval([]CmpOp{op1, op2}, lits)
+					if !ok {
+						t.Fatalf("%v %d, %v %d: not folded", op1, x1, op2, x2)
+					}
+					for _, v := range edges {
+						want := cmpTruth(op1, types.Int64(v), lits[0]) && cmpTruth(op2, types.Int64(v), lits[1])
+						if got := lo <= v && v <= hi; got != want {
+							t.Fatalf("v=%d %v %d AND %v %d: interval [%d,%d] says %v, want %v", v, op1, x1, op2, x2, lo, hi, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	if _, _, ok := int64Interval([]CmpOp{NE}, []types.Value{types.Int64(1)}); ok {
+		t.Error("NE folded into an interval")
+	}
+	if _, _, ok := int64Interval([]CmpOp{GE}, []types.Value{types.Int32(1)}); ok {
+		t.Error("int32 literal folded into an int64 interval")
 	}
 }

@@ -1,7 +1,7 @@
 // Package hotalloc implements the `hotalloc` analyzer: the batch hot paths
-// — everything reachable from an InsertBatch or ProbeBatch method — must not
-// regress to the map-based hash-table layout the flat radix-partitioned
-// table replaced. Two shapes mark that regression and nothing else in the
+// — everything reachable from an InsertBatch, ProbeBatch or ProbeBuckets
+// method — must not regress to the map-based hash-table layout the flat
+// radix-partitioned table replaced. Two shapes mark that regression and nothing else in the
 // repertoire: constructing a map (`make(map[...]...)` or a map literal), and
 // the per-row bucket append `m[k] = append(m[k], row)`. Both allocate and
 // pointer-chase per row where the sealed flat table does neither, and the
@@ -28,7 +28,7 @@ import (
 // Analyzer is the hotalloc analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "hotalloc",
-	Doc:  "flag map construction and per-row map-bucket appends in functions reachable from InsertBatch/ProbeBatch hot paths",
+	Doc:  "flag map construction and per-row map-bucket appends in functions reachable from InsertBatch/ProbeBatch/ProbeBuckets hot paths",
 	Run:  run,
 }
 
@@ -50,7 +50,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	// attributed root is stable when several roots reach one helper.
 	var roots []gotypes.Object
 	for obj, fd := range decls {
-		if fd.Name.Name == "InsertBatch" || fd.Name.Name == "ProbeBatch" {
+		if n := fd.Name.Name; n == "InsertBatch" || n == "ProbeBatch" || n == "ProbeBuckets" {
 			roots = append(roots, obj)
 		}
 	}

@@ -69,7 +69,22 @@ type Msg struct {
 // wireSize is the accounted size of a message: payload plus a small framing
 // overhead, identical for both transports so counters are
 // transport-independent.
-func (m Msg) wireSize() int64 { return int64(len(m.Payload)) + int64(len(m.Stream)) + 8 }
+func (m Msg) wireSize() int64 { return int64(len(m.Payload)) + streamSize(m.Stream) + 8 }
+
+// streamSize is the accounted size of a stream name. A query prefix
+// ("q<n>/", one per query) counts as a fixed three bytes — what q1/ to q9/
+// take — so the bytes a query moves do not depend on its sequence number.
+// Names without the prefix count in full.
+func streamSize(s string) int64 {
+	i := 1
+	for i < len(s) && s[i] >= '0' && s[i] <= '9' {
+		i++
+	}
+	if len(s) > 0 && s[0] == 'q' && i > 1 && i < len(s) && s[i] == '/' {
+		return int64(len(s)-i-1) + 3
+	}
+	return int64(len(s))
+}
 
 // Envelope is a received message with its sender.
 type Envelope struct {

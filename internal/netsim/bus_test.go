@@ -276,3 +276,16 @@ func TestMsgTypeString(t *testing.T) {
 		}
 	}
 }
+
+// A stream's query prefix is accounted at a fixed three bytes, whatever the
+// query number; names without one count in full.
+func TestStreamSizeIgnoresQueryNumber(t *testing.T) {
+	for s, want := range map[string]int64{
+		"q1/shuffle": 10, "q10/shuffle": 10, "q123456/shuffle": 10,
+		"shuffle": 7, "q/shuffle": 9, "qx/shuffle": 10, "q12": 3, "": 0,
+	} {
+		if got := streamSize(s); got != want {
+			t.Errorf("streamSize(%q) = %d, want %d", s, got, want)
+		}
+	}
+}

@@ -21,9 +21,9 @@ import (
 // the failure mode the query-abort protocol exists to prevent.
 type Router struct {
 	mu      sync.Mutex
-	routes  map[routeKey]*route
-	pending map[routeKey][]Envelope
-	stopped bool
+	routes  map[routeKey]*route     // guarded by mu
+	pending map[routeKey][]Envelope // guarded by mu
+	stopped bool                    // guarded by mu
 	stop    chan struct{}
 	done    chan struct{}
 }
@@ -97,24 +97,42 @@ func (r *Router) dispatch(env Envelope) {
 }
 
 // Route subscribes to messages of the given type and stream. Registering the
-// same route twice is a programming error.
+// same route twice is a programming error. Messages that arrived before the
+// subscription are in the channel, in arrival order, when Route returns —
+// the receivers' EOS accounting relies on it — however many there are:
+// until the route is published its channel is private, so Route sizes it
+// to the backlog and fills it without holding the lock and without ever
+// blocking. Anything arriving meanwhile stays pending for the next round.
 func (r *Router) Route(t MsgType, stream string) (<-chan Envelope, error) {
 	k := routeKey{t: t, stream: stream}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.stopped {
-		return nil, fmt.Errorf("netsim: router stopped")
-	}
-	if _, dup := r.routes[k]; dup {
-		return nil, fmt.Errorf("netsim: route %v/%q already registered", t, stream)
-	}
 	ch := make(chan Envelope, routeBuffer)
-	r.routes[k] = &route{ch: ch, gone: make(chan struct{})}
-	for _, env := range r.pending[k] {
-		ch <- env // pending fits: routeBuffer >> realistic pre-subscription backlog
+	var backlog []Envelope
+	for {
+		r.mu.Lock()
+		if r.stopped {
+			r.mu.Unlock()
+			return nil, fmt.Errorf("netsim: router stopped")
+		}
+		if _, dup := r.routes[k]; dup {
+			r.mu.Unlock()
+			return nil, fmt.Errorf("netsim: route %v/%q already registered", t, stream)
+		}
+		more := r.pending[k]
+		if len(more) == 0 {
+			r.routes[k] = &route{ch: ch, gone: make(chan struct{})}
+			r.mu.Unlock()
+			return ch, nil
+		}
+		delete(r.pending, k)
+		r.mu.Unlock()
+		// Room for the whole backlog on top of the usual buffer, so none of
+		// these sends can block.
+		backlog = append(backlog, more...)
+		ch = make(chan Envelope, routeBuffer+len(backlog))
+		for _, env := range backlog {
+			ch <- env
+		}
 	}
-	delete(r.pending, k)
-	return ch, nil
 }
 
 // Unroute removes a subscription (between queries, so stream names can be
@@ -131,7 +149,9 @@ func (r *Router) Unroute(t MsgType, stream string) {
 	r.mu.Unlock()
 }
 
-// Stop terminates routing. Buffered messages are dropped.
+// Stop terminates routing. Buffered messages are dropped. Stop never waits
+// behind a blocked delivery: the dispatch loop gives up its pending send
+// when the router stops, and Route never blocks.
 func (r *Router) Stop() {
 	r.mu.Lock()
 	if !r.stopped {

@@ -147,3 +147,115 @@ func TestRouterClosedInboxTerminates(t *testing.T) {
 		t.Fatal("router did not terminate on closed inbox")
 	}
 }
+
+// backlogRouter starts a hand-built router whose inbox already holds n
+// messages of one stream, and waits until all n are pending. It registers
+// no Stop cleanup: a router wedged in Route holds its mutex forever, and
+// Stop would wait on it, so a failing run leaks the router instead of
+// hanging the test.
+func backlogRouter(t *testing.T, n int) (*Router, chan Envelope) {
+	t.Helper()
+	inbox := make(chan Envelope, n+2*routeBuffer)
+	for i := 0; i < n; i++ {
+		inbox <- Envelope{From: "db/0", Msg: Msg{Type: MsgRows, Stream: "s", Payload: []byte{byte(i), byte(i >> 8)}}}
+	}
+	r := NewRouter(inbox)
+	k := routeKey{t: MsgRows, stream: "s"}
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		r.mu.Lock()
+		got := len(r.pending[k])
+		r.mu.Unlock()
+		if got == n {
+			return r, inbox
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d messages pending after 2 s", got, n)
+		}
+	}
+}
+
+// routeWithin registers the backlogged route, failing the test if Route
+// does not return within 2 s.
+func routeWithin(t *testing.T, r *Router) <-chan Envelope {
+	t.Helper()
+	routed := make(chan (<-chan Envelope), 1)
+	go func() {
+		ch, err := r.Route(MsgRows, "s")
+		if err != nil {
+			t.Error(err)
+		}
+		routed <- ch
+	}()
+	select {
+	case ch := <-routed:
+		return ch
+	case <-time.After(2 * time.Second):
+		t.Fatal("Route wedged on a backlog larger than the route buffer")
+		return nil
+	}
+}
+
+// expectInOrder receives messages from..to-1 of backlogRouter's numbering.
+func expectInOrder(t *testing.T, ch <-chan Envelope, from, to int) {
+	t.Helper()
+	for i := from; i < to; i++ {
+		select {
+		case env := <-ch:
+			if got := int(env.Payload[0]) | int(env.Payload[1])<<8; got != i {
+				t.Fatalf("message %d arrived as number %d", got, i)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("message %d never arrived", i)
+		}
+	}
+}
+
+// One message more than the route buffer was pending when the route was
+// registered: Route must not block delivering it.
+func TestRouterRouteDoesNotWedgeOnBacklog(t *testing.T) {
+	r, _ := backlogRouter(t, routeBuffer+1)
+	ch := routeWithin(t, r)
+	expectInOrder(t, ch, 0, routeBuffer+1)
+	r.Stop()
+}
+
+// Ten thousand pending messages all arrive, in order, and so do messages
+// that arrive while the backlog drains.
+func TestRouterDeliversLargeBacklogInOrder(t *testing.T) {
+	const n = 10000
+	r, inbox := backlogRouter(t, n)
+	ch := routeWithin(t, r)
+	for i := n; i < n+10; i++ {
+		inbox <- Envelope{From: "db/0", Msg: Msg{Type: MsgRows, Stream: "s", Payload: []byte{byte(i), byte(i >> 8)}}}
+	}
+	expectInOrder(t, ch, 0, n+10)
+	r.Stop()
+}
+
+// Stop returns while a delivery to a backlogged route nobody drains is
+// blocked on its full channel.
+func TestRouterStopReturnsWhileDeliveryBlocked(t *testing.T) {
+	const n = routeBuffer + 1
+	r, inbox := backlogRouter(t, n)
+	_ = routeWithin(t, r) // never drained
+	for i := n; i < n+routeBuffer+8; i++ {
+		inbox <- Envelope{From: "db/0", Msg: Msg{Type: MsgRows, Stream: "s", Payload: []byte{byte(i), byte(i >> 8)}}}
+	}
+	// The channel holds n+routeBuffer messages; the dispatch loop blocks on
+	// the next.
+	for deadline := time.Now().Add(2 * time.Second); len(inbox) > 7; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("dispatch stalled early: %d messages still in the inbox", len(inbox))
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		r.Stop()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Stop waited behind a blocked delivery")
+	}
+}

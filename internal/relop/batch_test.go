@@ -203,8 +203,9 @@ func TestInsertBatchMatchesInsert(t *testing.T) {
 	}
 }
 
-// TestProbeBatchMatchesProbe runs the same probes through Probe and
-// ProbeBatch against both JoinTable implementations.
+// TestProbeBatchMatchesProbe runs the same probes batch-at-a-time through
+// ProbeBuckets against both JoinTable implementations and row-at-a-time
+// through MemJoinTable.ProbeBatch.
 func TestProbeBatchMatchesProbe(t *testing.T) {
 	build := make([]types.Row, 40)
 	for i := range build {
@@ -241,10 +242,10 @@ func TestProbeBatchMatchesProbe(t *testing.T) {
 				got = append(got, fmt.Sprintf("%v|%v", b, p))
 				return nil
 			}
-			if err := jt.ProbeBatch(pb, 1, collect); err != nil {
+			if err := jt.ProbeBuckets(pb, 1, pairsOf(collect)); err != nil {
 				t.Fatal(err)
 			}
-			if err := jt.Drain(collect); err != nil {
+			if err := jt.Drain(pairsOf(collect)); err != nil {
 				t.Fatal(err)
 			}
 			// Reference: row-at-a-time probes against a fresh mem table.
@@ -256,7 +257,7 @@ func TestProbeBatchMatchesProbe(t *testing.T) {
 			}
 			var want []string
 			for _, p := range probes {
-				if err := ref.Probe(p, 1, func(b, p types.Row) error {
+				if err := ref.ProbeBatch(rowBatch(p), 1, func(b, p types.Row) error {
 					want = append(want, fmt.Sprintf("%v|%v", b, p))
 					return nil
 				}); err != nil {

@@ -10,24 +10,25 @@ import (
 	"runtime"
 
 	"hybridwh/internal/batch"
-	"hybridwh/internal/expr"
 	"hybridwh/internal/par"
 	"hybridwh/internal/types"
 )
 
 // HashTable is an in-memory equi-join hash table keyed by an integer join
 // key column. Inserted rows are radix-partitioned by the top bits of the key
-// hash; Build seals the table by laying each partition out as a flat
-// open-addressing slot array over an arena of rows grouped by key, so a
-// probe is one hash, a short linear scan of contiguous 16-byte slots, and a
-// slice of the arena — no per-key allocations and no pointer chasing.
+// hash and staged per partition; Build seals the table by laying each
+// partition out as a flat open-addressing slot array over one value arena
+// that holds the partition's rows grouped by key. A probe is one hash, a
+// short linear scan of contiguous 16-byte slots and a slice of the arena,
+// and a bucket's rows are adjacent in memory, so reading a bucket front to
+// back is a sequential scan — no per-key allocations and no pointer
+// chasing. Within a bucket, rows keep their insertion order.
 //
 // Insert/InsertBatch are not safe for concurrent use (callers serialize the
-// build phase, as before). Build is idempotent; once it has run, Probe and
-// Join are safe for concurrent use by multiple goroutines. Probing an
-// unsealed table builds it on the spot, which preserves the old single-
-// goroutine insert-then-probe usage; concurrent probers must call Build
-// first.
+// build phase, as before). Build is idempotent; once it has run, Probe is
+// safe for concurrent use by multiple goroutines. Probing an unsealed table
+// builds it on the spot, which preserves the old single-goroutine
+// insert-then-probe usage; concurrent probers must call Build first.
 type HashTable struct {
 	keyIdx int
 	shift  uint // partition = hash >> shift; 64 means "single partition"
@@ -36,8 +37,16 @@ type HashTable struct {
 	built  bool
 }
 
+// htChunk is one staged insert into a partition: a row as Insert received
+// it, or InsertBatch's copy of a batch's rows for the partition, width
+// values each.
+type htChunk struct {
+	vals  []types.Value
+	width int
+}
+
 // htSlot is one open-addressing slot: a key and its group's position in the
-// partition's grouped-row arena. cnt == 0 marks an empty slot; during the
+// partition's grouped rows. cnt == 0 marks an empty slot; during the
 // scatter pass of build, off is the group's write cursor, after it the
 // group occupies grouped[off-cnt : off].
 type htSlot struct {
@@ -46,11 +55,11 @@ type htSlot struct {
 	cnt int32
 }
 
-// htPart is one radix partition: staging arrays in insertion order, plus the
-// slot table and grouped arena produced by build.
+// htPart is one radix partition: the rows staged since the last Build, in
+// insertion order, and, once sealed, the slot table and the partition's
+// rows in group order, each aliasing the partition's one value arena.
 type htPart struct {
-	keys    []int64
-	rows    []types.Row
+	staged  []htChunk
 	slots   []htSlot
 	grouped []types.Row
 	mask    uint64
@@ -81,52 +90,80 @@ func NewHashTableParts(keyIdx, parts int) *HashTable {
 	return &HashTable{keyIdx: keyIdx, shift: shift, parts: make([]htPart, p)}
 }
 
-// add stages one row in its key's partition.
-func (h *HashTable) add(key int64, row types.Row) {
-	p := &h.parts[types.Mix64(uint64(key))>>h.shift]
-	p.keys = append(p.keys, key)
-	p.rows = append(p.rows, row)
-	h.rows++
+// part returns the index of key's partition.
+func (h *HashTable) part(key int64) int { return int(types.Mix64(uint64(key)) >> h.shift) }
+
+// unseal returns a sealed table's rows to staging ahead of a new insert.
+// Group order keeps every key's rows in insertion order, which is all the
+// order the next Build needs.
+func (h *HashTable) unseal() {
+	for i := range h.parts {
+		p := &h.parts[i]
+		for _, r := range p.grouped {
+			p.staged = append(p.staged, htChunk{r, len(r)})
+		}
+		p.slots, p.grouped = nil, nil
+	}
 	h.built = false
 }
 
-// Insert adds a row.
+// Insert adds a row. The table keeps the row until Build copies it into the
+// arena.
 func (h *HashTable) Insert(row types.Row) error {
 	if h.keyIdx >= len(row) {
 		return fmt.Errorf("relop: join key column %d out of range (row has %d)", h.keyIdx, len(row))
 	}
-	h.add(row[h.keyIdx].Int(), row)
+	if h.built {
+		h.unseal()
+	}
+	p := &h.parts[h.part(row[h.keyIdx].Int())]
+	p.staged = append(p.staged, htChunk{row, len(row)})
+	h.rows++
 	return nil
 }
 
-// InsertBatch adds every live row of b. Rows are materialized out of one
-// bulk value arena, so a batch insert costs a handful of allocations instead
-// of one per row.
+// InsertBatch adds every live row of b, copied into one exact-size staging
+// chunk per partition it touches, so a batch insert costs a handful of
+// allocations instead of one per row.
 func (h *HashTable) InsertBatch(b *batch.Batch) error {
 	ncols := b.NumCols()
 	if h.keyIdx >= ncols {
 		return fmt.Errorf("relop: join key column %d out of range (batch has %d)", h.keyIdx, ncols)
 	}
-	n := b.Len()
-	if n == 0 {
+	if b.Len() == 0 {
 		return nil
 	}
-	arena := make([]types.Value, n*ncols)
-	return b.Each(func(i int) error {
-		row := types.Row(arena[:ncols:ncols])
-		arena = arena[ncols:]
-		for j := 0; j < ncols; j++ {
-			row[j] = b.Col(j)[i]
-		}
-		h.add(row[h.keyIdx].Int(), row)
+	if h.built {
+		h.unseal()
+	}
+	keys := b.Col(h.keyIdx)
+	counts := make([]int, len(h.parts))
+	_ = b.Each(func(i int) error {
+		counts[h.part(keys[i].Int())]++
 		return nil
 	})
+	for i, n := range counts {
+		if n > 0 {
+			h.parts[i].staged = append(h.parts[i].staged, htChunk{make([]types.Value, 0, n*ncols), ncols})
+		}
+	}
+	_ = b.Each(func(i int) error {
+		p := &h.parts[h.part(keys[i].Int())]
+		last := &p.staged[len(p.staged)-1]
+		for j := 0; j < ncols; j++ {
+			last.vals = append(last.vals, b.Col(j)[i])
+		}
+		return nil
+	})
+	h.rows += int64(b.Len())
+	return nil
 }
 
 // Build seals the table: every partition gets its slot table and grouped
-// arena laid out. Partitions are independent, so large builds run one
+// arena laid out, and its staging is released, so a sealed table holds one
+// copy of its rows. Partitions are independent, so large builds run one
 // goroutine per partition with no locks. Idempotent; inserting after Build
-// unseals the table and the next Build (or Probe) relays everything out.
+// unseals the table and the next Build (or Probe) lays everything out again.
 func (h *HashTable) Build() {
 	if h.built {
 		return
@@ -134,24 +171,39 @@ func (h *HashTable) Build() {
 	if len(h.parts) > 1 && h.rows >= parallelBuildRows {
 		// Error is always nil: htPart.build cannot fail.
 		_ = par.ForEach(len(h.parts), func(i int) error {
-			h.parts[i].build()
+			h.parts[i].build(h.keyIdx)
 			return nil
 		})
 	} else {
 		for i := range h.parts {
-			h.parts[i].build()
+			h.parts[i].build(h.keyIdx)
 		}
 	}
 	h.built = true
 }
 
+// eachStaged visits the partition's staged rows in insertion order.
+func (p *htPart) eachStaged(fn func(types.Row)) {
+	for _, c := range p.staged {
+		for off := 0; off < len(c.vals); off += c.width {
+			fn(c.vals[off : off+c.width : off+c.width])
+		}
+	}
+}
+
 // build lays out one partition: count keys into the slot table (linear
-// probing, load factor <= 0.5), prefix-sum group offsets, then scatter rows
-// into the grouped arena in insertion order (counting sort by key).
-func (p *htPart) build() {
-	n := len(p.keys)
+// probing, load factor <= 0.5), prefix-sum group offsets, scatter the
+// staged rows into group order (a counting sort by key, stable in insertion
+// order), copy them, group by group, into one value arena the grouped rows
+// alias, and drop the staging.
+func (p *htPart) build(keyIdx int) {
+	n, nvals := 0, 0
+	for _, c := range p.staged {
+		n += len(c.vals) / c.width
+		nvals += len(c.vals)
+	}
 	if n == 0 {
-		p.slots, p.grouped, p.mask = nil, nil, 0
+		*p = htPart{}
 		return
 	}
 	size := uint64(8)
@@ -160,21 +212,10 @@ func (p *htPart) build() {
 	}
 	p.mask = size - 1
 	p.slots = make([]htSlot, size)
-	for _, k := range p.keys {
-		i := types.Mix64(uint64(k)) & p.mask
-		for {
-			s := &p.slots[i]
-			if s.cnt == 0 {
-				s.key, s.cnt = k, 1
-				break
-			}
-			if s.key == k {
-				s.cnt++
-				break
-			}
-			i = (i + 1) & p.mask
-		}
-	}
+	p.eachStaged(func(r types.Row) {
+		s := p.slot(r[keyIdx].Int())
+		s.key, s.cnt = r[keyIdx].Int(), s.cnt+1
+	})
 	var off int32
 	for i := range p.slots {
 		s := &p.slots[i]
@@ -184,46 +225,51 @@ func (p *htPart) build() {
 		}
 	}
 	p.grouped = make([]types.Row, n)
-	for j, k := range p.keys {
-		i := types.Mix64(uint64(k)) & p.mask
-		for {
-			s := &p.slots[i]
-			if s.cnt > 0 && s.key == k {
-				p.grouped[s.off] = p.rows[j]
-				s.off++
-				break
-			}
-			i = (i + 1) & p.mask
-		}
+	p.eachStaged(func(r types.Row) {
+		s := p.slot(r[keyIdx].Int())
+		p.grouped[s.off] = r
+		s.off++
+	})
+	arena := make([]types.Value, nvals)
+	for g, r := range p.grouped {
+		w := copy(arena, r)
+		p.grouped[g] = arena[:w:w]
+		arena = arena[w:]
 	}
+	p.staged = nil
 }
 
-// probe returns the grouped rows for key (nil if absent). hash is the
-// already-computed Mix64 of the key.
-func (p *htPart) probe(key int64, hash uint64) []types.Row {
-	if len(p.slots) == 0 {
-		return nil
-	}
-	i := hash & p.mask
+// slot returns key's slot, or the empty slot where it belongs.
+func (p *htPart) slot(key int64) *htSlot {
+	i := types.Mix64(uint64(key)) & p.mask
 	for {
 		s := &p.slots[i]
-		if s.cnt == 0 {
-			return nil
-		}
-		if s.key == key {
-			return p.grouped[s.off-s.cnt : s.off]
+		if s.cnt == 0 || s.key == key {
+			return s
 		}
 		i = (i + 1) & p.mask
 	}
 }
 
+// probe returns the grouped rows for key (nil if absent).
+func (p *htPart) probe(key int64) []types.Row {
+	if len(p.slots) == 0 {
+		return nil
+	}
+	if s := p.slot(key); s.cnt > 0 {
+		return p.grouped[s.off-s.cnt : s.off]
+	}
+	return nil
+}
+
 // Probe returns the rows matching the key in insertion order (nil if none).
+// The rows alias the sealed table's arena: they are immutable and stay
+// valid for as long as the caller holds them.
 func (h *HashTable) Probe(key int64) []types.Row {
 	if !h.built {
 		h.Build()
 	}
-	hash := types.Mix64(uint64(key))
-	return h.parts[hash>>h.shift].probe(key, hash)
+	return h.parts[h.part(key)].probe(key)
 }
 
 // Len returns the number of inserted rows.
@@ -250,41 +296,18 @@ func (h *HashTable) MaxBucket() int64 {
 	return int64(most)
 }
 
-// EachRow visits every inserted row (partition by partition, in insertion
-// order within a partition). The spill path uses it to dump the in-memory
-// phase to disk when the budget overflows.
+// EachRow visits every row, partition by partition in group order (so a
+// key's rows keep their insertion order), building the table first if it
+// is not sealed. The spill path uses it to dump the in-memory phase to disk
+// when the budget overflows.
 func (h *HashTable) EachRow(fn func(types.Row) error) error {
+	h.Build()
 	for i := range h.parts {
-		for _, r := range h.parts[i].rows {
+		for _, r := range h.parts[i].grouped {
 			if err := fn(r); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
-}
-
-// Join streams the equi-join of probe rows against the table. For each
-// probe row and each match, the combined row is built(Build-side row first,
-// then probe row), filtered by post (which sees the combined layout), and
-// passed to yield.
-func (h *HashTable) Join(probeRow types.Row, probeKeyIdx int, post expr.Expr, yield func(types.Row) error) (matches int64, err error) {
-	if probeKeyIdx >= len(probeRow) {
-		return 0, fmt.Errorf("relop: probe key column %d out of range (row has %d)", probeKeyIdx, len(probeRow))
-	}
-	for _, b := range h.Probe(probeRow[probeKeyIdx].Int()) {
-		combined := b.Concat(probeRow)
-		ok, err := expr.EvalPred(post, combined)
-		if err != nil {
-			return matches, err
-		}
-		if !ok {
-			continue
-		}
-		matches++
-		if err := yield(combined); err != nil {
-			return matches, err
-		}
-	}
-	return matches, nil
 }

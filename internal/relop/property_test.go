@@ -170,11 +170,7 @@ func TestQuickJoinCardinality(t *testing.T) {
 		for _, k := range probeKeys {
 			key := int64(k % 16)
 			want += int64(buildCount[key])
-			m, err := ht.Join(types.Row{types.Int64(key)}, 0, nil, func(types.Row) error { return nil })
-			if err != nil {
-				return false
-			}
-			got += m
+			got += int64(len(ht.Probe(key)))
 		}
 		return got == want
 	}

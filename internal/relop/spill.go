@@ -38,17 +38,18 @@ type JoinTable interface {
 	InsertBatch(b *batch.Batch) error
 	// Len reports the inserted row count.
 	Len() int64
-	// FinishBuild seals the build side; Probe may be called after.
+	// FinishBuild seals the build side; ProbeBuckets may be called after.
 	FinishBuild() error
-	// Probe emits the build rows matching the probe row's key — possibly
-	// deferring spilled matches to Drain.
-	Probe(probeRow types.Row, probeKeyIdx int, emit func(buildRow, probeRow types.Row) error) error
-	// ProbeBatch probes every live row of a batch. The probe row passed to
-	// emit aliases scratch storage valid only for that call; spilled matches
-	// are deferred to Drain, exactly as with Probe.
-	ProbeBatch(b *batch.Batch, probeKeyIdx int, emit func(buildRow, probeRow types.Row) error) error
-	// Drain emits all deferred matches and releases resources.
-	Drain(emit func(buildRow, probeRow types.Row) error) error
+	// ProbeBuckets probes every live row of b on its key column keyIdx and
+	// calls emit once per probe row with a non-empty bucket, in row order.
+	// The probe row may alias scratch storage valid only for that call. The
+	// bucket is sealed-table storage in insertion order: it is immutable,
+	// and the caller may hold its rows after emit returns. Matches in
+	// spilled partitions are deferred to Drain.
+	ProbeBuckets(b *batch.Batch, keyIdx int, emit func(probeRow types.Row, bucket []types.Row) error) error
+	// Drain emits all deferred matches, bucket by bucket as ProbeBuckets
+	// does, and releases resources.
+	Drain(emit func(probeRow types.Row, bucket []types.Row) error) error
 	// Close releases resources without draining (error paths).
 	Close() error
 }
@@ -77,26 +78,13 @@ func (m *MemJoinTable) FinishBuild() error {
 	return nil
 }
 
-// Probe implements JoinTable.
-func (m *MemJoinTable) Probe(probeRow types.Row, probeKeyIdx int, emit func(buildRow, probeRow types.Row) error) error {
-	if probeKeyIdx >= len(probeRow) {
-		return fmt.Errorf("relop: probe key column %d out of range", probeKeyIdx)
+// ProbeBuckets implements JoinTable. The probe row is materialized into
+// reused scratch only for a non-empty bucket: a miss costs one table probe.
+func (m *MemJoinTable) ProbeBuckets(b *batch.Batch, keyIdx int, emit func(probeRow types.Row, bucket []types.Row) error) error {
+	if keyIdx >= b.NumCols() {
+		return fmt.Errorf("relop: probe key column %d out of range", keyIdx)
 	}
-	for _, b := range m.H.Probe(probeRow[probeKeyIdx].Int()) {
-		if err := emit(b, probeRow); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ProbeBatch implements JoinTable. The probe row is materialized into reused
-// scratch only when its bucket is non-empty, so misses cost one table probe.
-func (m *MemJoinTable) ProbeBatch(b *batch.Batch, probeKeyIdx int, emit func(buildRow, probeRow types.Row) error) error {
-	if probeKeyIdx >= b.NumCols() {
-		return fmt.Errorf("relop: probe key column %d out of range", probeKeyIdx)
-	}
-	keys := b.Col(probeKeyIdx)
+	keys := b.Col(keyIdx)
 	var scratch types.Row
 	return b.Each(func(i int) error {
 		bucket := m.H.Probe(keys[i].Int())
@@ -104,8 +92,17 @@ func (m *MemJoinTable) ProbeBatch(b *batch.Batch, probeKeyIdx int, emit func(bui
 			return nil
 		}
 		scratch = b.RowAt(i, scratch)
+		return emit(scratch, bucket)
+	})
+}
+
+// ProbeBatch probes every live row of b and calls emit once per matching
+// (build row, probe row) pair, in ProbeBuckets order. The probe row aliases
+// scratch storage valid only for that call.
+func (m *MemJoinTable) ProbeBatch(b *batch.Batch, keyIdx int, emit func(buildRow, probeRow types.Row) error) error {
+	return m.ProbeBuckets(b, keyIdx, func(probeRow types.Row, bucket []types.Row) error {
 		for _, br := range bucket {
-			if err := emit(br, scratch); err != nil {
+			if err := emit(br, probeRow); err != nil {
 				return err
 			}
 		}
@@ -113,8 +110,8 @@ func (m *MemJoinTable) ProbeBatch(b *batch.Batch, probeKeyIdx int, emit func(bui
 	})
 }
 
-// Drain implements JoinTable.
-func (m *MemJoinTable) Drain(func(buildRow, probeRow types.Row) error) error { return nil }
+// Drain implements JoinTable: an in-memory table defers nothing.
+func (m *MemJoinTable) Drain(func(types.Row, []types.Row) error) error { return nil }
 
 // Close implements JoinTable.
 func (m *MemJoinTable) Close() error { return nil }
@@ -498,69 +495,69 @@ func (s *SpillingHashTable) FinishBuild() error {
 	return nil
 }
 
-// Probe implements JoinTable. Matches in resident partitions are emitted
-// immediately; probe rows for spilled partitions go to disk and their
-// matches appear during Drain. A partition evicted mid-probe stays exact:
-// probes before the eviction matched the complete sealed partition, probes
-// after it are deferred and joined against the complete build file.
-func (s *SpillingHashTable) Probe(probeRow types.Row, probeKeyIdx int, emit func(buildRow, probeRow types.Row) error) error {
+// ProbeBuckets implements JoinTable. Buckets in resident partitions are
+// emitted immediately; probe rows for spilled partitions go to disk and
+// their buckets appear during Drain. A partition evicted mid-probe stays
+// exact: probes before the eviction matched the complete sealed partition,
+// probes after it are deferred and joined against the complete build file.
+// Probe rows are materialized into reused scratch; the spill path encodes
+// to disk immediately, so reuse is safe.
+func (s *SpillingHashTable) ProbeBuckets(b *batch.Batch, keyIdx int, emit func(probeRow types.Row, bucket []types.Row) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.probeLocked(probeRow, probeKeyIdx, emit)
-}
-
-func (s *SpillingHashTable) probeLocked(probeRow types.Row, probeKeyIdx int, emit func(buildRow, probeRow types.Row) error) error {
 	if !s.sealed {
 		return fmt.Errorf("relop: probe before FinishBuild")
 	}
-	if probeKeyIdx >= len(probeRow) {
-		return fmt.Errorf("relop: probe key column %d out of range", probeKeyIdx)
+	if keyIdx >= b.NumCols() {
+		return fmt.Errorf("relop: probe key column %d out of range", keyIdx)
 	}
-	if s.pressureErr != nil {
-		return s.pressureErr
-	}
-	key := probeRow[probeKeyIdx].Int()
-	p := s.parts[hashPart(key, 0, s.fanout)]
-	if p.resident() {
-		for _, b := range p.ht.Probe(key) {
-			if err := emit(b, probeRow); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if p.probe == nil {
-		pf, err := s.newFileLocked("probe")
-		if err != nil {
-			return err
-		}
-		p.probe = pf
-	}
-	s.SpilledProbeRows++
-	// The probe key position is recorded by prefixing it as a column so
-	// Drain can rebuild the pairing without schema knowledge.
-	tagged := make(types.Row, 0, len(probeRow)+1)
-	tagged = append(tagged, types.Int32(int32(probeKeyIdx)))
-	tagged = append(tagged, probeRow...)
-	return p.probe.writeRow(tagged)
-}
-
-// ProbeBatch implements JoinTable. Probe rows are materialized into reused
-// scratch; both the resident emit path and the spill path copy what they
-// keep (spill encodes to disk immediately), so reuse is safe.
-func (s *SpillingHashTable) ProbeBatch(b *batch.Batch, probeKeyIdx int, emit func(buildRow, probeRow types.Row) error) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	keys := b.Col(keyIdx)
 	var scratch types.Row
 	return b.Each(func(i int) error {
+		if s.pressureErr != nil {
+			return s.pressureErr
+		}
+		key := keys[i].Int()
+		p := s.parts[hashPart(key, 0, s.fanout)]
+		if p.resident() {
+			bucket := p.ht.Probe(key)
+			if len(bucket) == 0 {
+				return nil
+			}
+			scratch = b.RowAt(i, scratch)
+			return emit(scratch, bucket)
+		}
+		if p.probe == nil {
+			pf, err := s.newFileLocked("probe")
+			if err != nil {
+				return err
+			}
+			p.probe = pf
+		}
+		s.SpilledProbeRows++
+		// The probe key position is recorded by prefixing it as a column so
+		// Drain can rebuild the pairing without schema knowledge.
 		scratch = b.RowAt(i, scratch)
-		return s.probeLocked(scratch, probeKeyIdx, emit)
+		return p.probe.writeRow(append(types.Row{types.Int32(int32(keyIdx))}, scratch...))
+	})
+}
+
+// probeFile streams a spilled probe file past a sealed table, emitting each
+// probe row's bucket.
+func probeFile(ht *HashTable, pf *spillFile, emit func(probeRow types.Row, bucket []types.Row) error) error {
+	return pf.readRows(func(tagged types.Row) error {
+		probeRow := tagged[1:]
+		bucket := ht.Probe(probeRow[tagged[0].Int()].Int())
+		if len(bucket) == 0 {
+			return nil
+		}
+		return emit(probeRow, bucket)
 	})
 }
 
 // Drain implements JoinTable: join each spilled partition, recursively
 // repartitioning the ones that still do not fit the budget.
-func (s *SpillingHashTable) Drain(emit func(buildRow, probeRow types.Row) error) error {
+func (s *SpillingHashTable) Drain(emit func(probeRow types.Row, bucket []types.Row) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer s.cleanupLocked()
@@ -591,24 +588,14 @@ func (s *SpillingHashTable) Drain(emit func(buildRow, probeRow types.Row) error)
 // regimes, in order: load the build side and hash-join when the budget
 // admits it; recursively repartition with the next level's hash when it
 // does not; block nested-loop past maxDepth.
-func (s *SpillingHashTable) joinSpilledLocked(bf, pf *spillFile, depth int, emit func(buildRow, probeRow types.Row) error) error {
+func (s *SpillingHashTable) joinSpilledLocked(bf, pf *spillFile, depth int, emit func(probeRow types.Row, bucket []types.Row) error) error {
 	if err := s.reserveLocked(bf.bytes); err == nil {
 		defer s.releaseLocked(bf.bytes)
 		ht := NewHashTable(s.keyIdx)
 		if err := bf.readRows(ht.Insert); err != nil {
 			return err
 		}
-		ht.Build()
-		return pf.readRows(func(tagged types.Row) error {
-			keyIdx := int(tagged[0].Int())
-			probeRow := tagged[1:]
-			for _, b := range ht.Probe(probeRow[keyIdx].Int()) {
-				if err := emit(b, probeRow); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
+		return probeFile(ht, pf, emit)
 	}
 	if depth >= s.maxDepth {
 		s.NLFallbacks++
@@ -662,24 +649,14 @@ func (s *SpillingHashTable) joinSpilledLocked(bf, pf *spillFile, depth int, emit
 // block nested-loop join. It is exact for any input, including a single
 // join key larger than the entire budget, at the cost of rescanning the
 // probe file once per chunk.
-func (s *SpillingHashTable) nestedLoopLocked(bf, pf *spillFile, emit func(buildRow, probeRow types.Row) error) error {
+func (s *SpillingHashTable) nestedLoopLocked(bf, pf *spillFile, emit func(probeRow types.Row, bucket []types.Row) error) error {
 	ht := NewHashTable(s.keyIdx)
 	chunkBytes, chunkRows := int64(0), 0
 	flush := func() error {
 		if chunkRows == 0 {
 			return nil
 		}
-		ht.Build()
-		err := pf.readRows(func(tagged types.Row) error {
-			keyIdx := int(tagged[0].Int())
-			probeRow := tagged[1:]
-			for _, b := range ht.Probe(probeRow[keyIdx].Int()) {
-				if err := emit(b, probeRow); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
+		err := probeFile(ht, pf, emit)
 		s.releaseLocked(chunkBytes)
 		ht = NewHashTable(s.keyIdx)
 		chunkBytes, chunkRows = 0, 0

@@ -22,12 +22,12 @@ func joinAll(t *testing.T, jt JoinTable, build, probe []types.Row, probeKeyIdx i
 		t.Fatal(err)
 	}
 	var got []string
-	emit := func(b, p types.Row) error {
+	emit := pairsOf(func(b, p types.Row) error {
 		got = append(got, fmt.Sprintf("%s|%s", b.String(), p.String()))
 		return nil
-	}
+	})
 	for _, r := range probe {
-		if err := jt.Probe(r, probeKeyIdx, emit); err != nil {
+		if err := jt.ProbeBuckets(rowBatch(r), probeKeyIdx, emit); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -36,6 +36,28 @@ func joinAll(t *testing.T, jt JoinTable, build, probe []types.Row, probeKeyIdx i
 	}
 	sort.Strings(got)
 	return got
+}
+
+// pairsOf adapts a per-pair emit to the per-bucket emit of ProbeBuckets and
+// Drain.
+func pairsOf(emit func(buildRow, probeRow types.Row) error) func(types.Row, []types.Row) error {
+	return func(probeRow types.Row, bucket []types.Row) error {
+		for _, br := range bucket {
+			if err := emit(br, probeRow); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// rowBatch packs equal-width rows into one batch.
+func rowBatch(rows ...types.Row) *batch.Batch {
+	b := batch.New(len(rows[0]), len(rows))
+	for _, r := range rows {
+		b.AppendRow(r)
+	}
+	return b
 }
 
 func mkRows(n, keys int, tag string) []types.Row {
@@ -123,12 +145,12 @@ func TestSpillingBatchesUnderMemoryPressure(t *testing.T) {
 		t.Fatal("expected batch inserts to overflow the budget")
 	}
 	var got []string
-	emit := func(b, p types.Row) error {
+	emit := pairsOf(func(b, p types.Row) error {
 		got = append(got, fmt.Sprintf("%s|%s", b.String(), p.String()))
 		return nil
-	}
+	})
 	for _, pb := range toBatches(probe) {
-		if err := sp.ProbeBatch(pb, 0, emit); err != nil {
+		if err := sp.ProbeBuckets(pb, 0, emit); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -173,7 +195,7 @@ func TestSpillingUsageErrors(t *testing.T) {
 	}
 	defer sp.Close()
 	row := types.Row{types.Int32(1)}
-	if err := sp.Probe(row, 0, nil); err == nil {
+	if err := sp.ProbeBuckets(rowBatch(row), 0, nil); err == nil {
 		t.Error("probe before FinishBuild: want error")
 	}
 	if err := sp.Insert(types.Row{}); err == nil {
@@ -185,7 +207,7 @@ func TestSpillingUsageErrors(t *testing.T) {
 	if err := sp.Insert(row); err == nil {
 		t.Error("insert after FinishBuild: want error")
 	}
-	if err := sp.Probe(types.Row{}, 5, nil); err == nil {
+	if err := sp.ProbeBuckets(rowBatch(row), 5, nil); err == nil {
 		t.Error("probe key out of range: want error")
 	}
 }
@@ -205,12 +227,13 @@ func TestSpillingEmitErrorPropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := fmt.Errorf("boom")
+	fail := func(types.Row, []types.Row) error { return boom }
 	for _, r := range mkRows(100, 20, "p") {
-		if err := sp.Probe(r, 0, func(_, _ types.Row) error { return boom }); err != nil && err != boom {
+		if err := sp.ProbeBuckets(rowBatch(r), 0, fail); err != nil && err != boom {
 			t.Fatal(err)
 		}
 	}
-	if err := sp.Drain(func(_, _ types.Row) error { return boom }); err != boom {
+	if err := sp.Drain(fail); err != boom {
 		t.Errorf("Drain err = %v", err)
 	}
 }
@@ -227,8 +250,8 @@ func TestMemJoinTableInterface(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := 0
-	if err := jt.Probe(types.Row{types.Int32(1)}, 0, func(b, p types.Row) error {
-		n++
+	if err := jt.ProbeBuckets(rowBatch(types.Row{types.Int32(1)}), 0, func(p types.Row, bucket []types.Row) error {
+		n += len(bucket)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -236,7 +259,7 @@ func TestMemJoinTableInterface(t *testing.T) {
 	if n != 1 {
 		t.Errorf("matches = %d", n)
 	}
-	if err := jt.Probe(types.Row{}, 3, nil); err == nil {
+	if err := jt.ProbeBuckets(rowBatch(types.Row{types.Int32(1)}), 3, nil); err == nil {
 		t.Error("probe key out of range: want error")
 	}
 	if err := jt.Drain(nil); err != nil {
