@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check fmt build vet lint lint-strict test race fuzz bench bench-smoke perf perf-compare idle
+.PHONY: check fmt build vet lint lint-strict test race fuzz claims bench bench-smoke perf perf-compare idle
 
 check: fmt build vet lint test
 
@@ -64,6 +64,14 @@ fuzz:
 			$(GO) test -run "^\$$" -fuzz "^$$fn\$$" -fuzztime 5s $$pkg; \
 		done; \
 	done'
+
+# The paper's claims: every experiment of the reproduction (EXPERIMENTS.md)
+# at the default 1/10000 scale, each checked against the shape the paper
+# reports (which algorithm wins where, Table 1's counts). Exact counts and
+# paper-scale times both feed the checks, so a change that moves either
+# fails here.
+claims:
+	$(BOUNDED) 360s $(GO) run ./cmd/hwbench -exp all -check
 
 # Full sweep at one iteration, then the engine's whole-query benchmarks at
 # measurement length, recorded as BENCH_core.json — the regression gate

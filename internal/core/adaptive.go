@@ -534,8 +534,8 @@ func (a *adaptJENWorker) finish(ctx context.Context, pr *prog, lTotal, lRowBytes
 // combined layout (HDFS wire ++ DB wire) and the post-join/aggregation
 // path reproduce runBroadcast exactly, so the adapted result is identical
 // to what a statically-planned broadcast would produce.
-func (e *Engine) probeLocalBroadcast(buffered, dbBatches []*batch.Batch, q *plan.JoinQuery, agg *relop.HashAgg, w int, bud *mem.Budget) error {
-	ht := relop.NewHashTable(q.DBWireKey)
+func (e *Engine) probeLocalBroadcast(buffered, dbBatches []*batch.Batch, q *plan.JoinQuery, pj postJoin, agg *relop.HashAgg, w int, bud *mem.Budget) error {
+	ht := relop.NewHashTable(q.DBWireKey).WithLane(pj.lane(false))
 	for _, db := range dbBatches {
 		if err := ht.InsertBatch(db); err != nil {
 			return err
@@ -550,7 +550,7 @@ func (e *Engine) probeLocalBroadcast(buffered, dbBatches []*batch.Batch, q *plan
 	for _, lb := range buffered {
 		probes += int64(lb.Len())
 	}
-	cmb := e.newCombiner(q.PostJoin, agg, true)
+	cmb := e.newCombiner(pj, agg, true)
 	if err := cmb.probeAll(ht, buffered, q.HDFSWireKey); err != nil {
 		return err
 	}

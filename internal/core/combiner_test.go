@@ -196,11 +196,11 @@ func TestCombinerMatchesFullConcat(t *testing.T) {
 							t.Fatal(err)
 						}
 						e := &Engine{cfg: Config{BatchRows: size}}
-						c := e.newCombiner(post, nil, probeLeft)
+						c := e.newCombiner(splitPostJoin(post, 3), nil, probeLeft)
 						var calls []bucketCall
-						tee := func(p types.Row, bucket []types.Row) error {
+						tee := func(p types.Row, bucket []types.Row, lane []int64) error {
 							calls = append(calls, bucketCall{p.Clone(), bucket})
-							return c.bucket(p, bucket)
+							return c.bucket(p, bucket, lane)
 						}
 						var err error
 						for _, pb := range probes {

@@ -29,6 +29,7 @@ import (
 // the final join; the second scan then ships L' exactly as db(BF) does.
 func (e *Engine) runDBSide(ctx context.Context, qs string, q *plan.JoinQuery, alg Algorithm) (*Result, error) {
 	n, m := e.jen.Workers(), e.db.Workers()
+	pj := newPostJoin(q)
 	tbl, scanPlan, accessPlan, err := e.resolve(q)
 	if err != nil {
 		return nil, err
@@ -84,7 +85,7 @@ func (e *Engine) runDBSide(ctx context.Context, qs string, q *plan.JoinQuery, al
 	for i := 0; i < m; i++ {
 		i := i
 		g.Go(func() error {
-			rows, err := e.dbJoinProgram(ctx, qs, q, tbl, accessPlan, strategy, i, m, groupSize[i], bfh)
+			rows, err := e.dbJoinProgram(ctx, qs, q, pj, tbl, accessPlan, strategy, i, m, groupSize[i], bfh)
 			if i == 0 {
 				resultRows = rows
 			}
@@ -195,7 +196,7 @@ func (e *Engine) materialize(tbl *edw.Table, w int, ap edw.AccessPlan, proj []in
 // completes the wire protocol (EOS to every peer) before reporting errors.
 // bfh, when set, further prunes the local T' (zigzag-db); db and db(BF)
 // pass nil.
-func (e *Engine) dbJoinProgram(ctx context.Context, qs string, q *plan.JoinQuery, tbl *edw.Table, ap edw.AccessPlan, strategy edw.JoinStrategy, i, m, ingestSenders int, bfh *bloom.Filter) ([]types.Row, error) {
+func (e *Engine) dbJoinProgram(ctx context.Context, qs string, q *plan.JoinQuery, pj postJoin, tbl *edw.Table, ap edw.AccessPlan, strategy edw.JoinStrategy, i, m, ingestSenders int, bfh *bloom.Filter) ([]types.Row, error) {
 	me := dbName(i)
 	var runErr error
 	pr := newProg(ctx, &runErr)
@@ -215,7 +216,7 @@ func (e *Engine) dbJoinProgram(ctx context.Context, qs string, q *plan.JoinQuery
 	// abort the program context (bgFail), so a failed receiver also unblocks
 	// its sibling and the ingest loop below.
 	bud := e.budget(qs)
-	ht := relop.NewHashTable(q.DBWireKey)
+	ht := relop.NewHashTable(q.DBWireKey).WithLane(pj.lane(false))
 	var lbatches []*batch.Batch
 	var probeTuples int64
 	var bg par.Group
@@ -309,7 +310,7 @@ func (e *Engine) dbJoinProgram(ctx context.Context, qs string, q *plan.JoinQuery
 	agg.SetBudget(bud)
 	defer func() { bud.Release(agg.MemBytes()) }()
 	if runErr == nil {
-		cmb := e.newCombiner(q.PostJoin, agg, true)
+		cmb := e.newCombiner(pj, agg, true)
 		pr.fail(cmb.probeAll(ht, lbatches, q.HDFSWireKey))
 		e.rec.Add(metrics.JoinOutputTuples, cmb.output)
 	}

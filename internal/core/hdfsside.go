@@ -45,6 +45,7 @@ func (e *Engine) runHDFSSide(ctx context.Context, qs string, q *plan.JoinQuery, 
 		dbF, hF = exactKeys, exactKeys
 	}
 	n, m := e.jen.Workers(), e.db.Workers()
+	pj := newPostJoin(q)
 
 	tbl, scanPlan, accessPlan, err := e.resolve(q)
 	if err != nil {
@@ -85,7 +86,7 @@ func (e *Engine) runHDFSSide(ctx context.Context, qs string, q *plan.JoinQuery, 
 	}
 	for w := 0; w < n; w++ {
 		w := w
-		g.Go(func() error { return e.jenRepartitionProgram(ctx, qs, q, scanPlan, w, n, m, dbF, hF, &decided) })
+		g.Go(func() error { return e.jenRepartitionProgram(ctx, qs, q, pj, scanPlan, w, n, m, dbF, hF, &decided) })
 	}
 	if err := g.Wait(); err != nil {
 		return nil, err
@@ -162,7 +163,7 @@ func (e *Engine) dbShipProgram(ctx context.Context, qs string, q *plan.JoinQuery
 // scan/filter/shuffle while concurrently building the hash table from
 // received rows and buffering database rows in the background, then probe,
 // partially aggregate, and participate in the global aggregation.
-func (e *Engine) jenRepartitionProgram(ctx context.Context, qs string, q *plan.JoinQuery, scanPlan *jen.ScanPlan, w, n, m int, dbF, hF filterKind, decided **adaptDecision) error {
+func (e *Engine) jenRepartitionProgram(ctx context.Context, qs string, q *plan.JoinQuery, pj postJoin, scanPlan *jen.ScanPlan, w, n, m int, dbF, hF filterKind, decided **adaptDecision) error {
 	me := jenName(w)
 	var runErr error
 	pr := newProg(ctx, &runErr)
@@ -184,7 +185,7 @@ func (e *Engine) jenRepartitionProgram(ctx context.Context, qs string, q *plan.J
 	// With a spill budget configured, the build side grace-spills to disk
 	// instead of growing without bound.
 	bud := e.budget(qs)
-	ht, err := e.newJoinTable(qs, q.HDFSWireKey)
+	ht, err := e.newJoinTable(qs, q.HDFSWireKey, pj.lane(true))
 	if err != nil {
 		pr.fail(err)
 		ht = relop.NewMemJoinTable(q.HDFSWireKey)
@@ -296,7 +297,7 @@ func (e *Engine) jenRepartitionProgram(ctx context.Context, qs string, q *plan.J
 		charged := chargeBatches(bud, dbBatches)
 		defer bud.Release(charged)
 		if runErr == nil {
-			pr.fail(e.probeLocalBroadcast(aw.takeBuffered(), dbBatches, q, agg, w, bud))
+			pr.fail(e.probeLocalBroadcast(aw.takeBuffered(), dbBatches, q, pj, agg, w, bud))
 		}
 	} else {
 		e.rec.AddAt(metrics.JoinBuildTuples, w, ht.Len())
@@ -310,7 +311,7 @@ func (e *Engine) jenRepartitionProgram(ctx context.Context, qs string, q *plan.J
 
 		// Probe with the database rows; combined layout is HDFS wire ++ DB wire.
 		if runErr == nil {
-			pr.fail(e.probeAndAggregateBatches(ht, dbBatches, q, agg, e.cfg.WorkerThreads))
+			pr.fail(e.probeAndAggregateBatches(ht, dbBatches, q, pj, agg, e.cfg.WorkerThreads))
 		}
 		e.recordSpillStats(ht, w)
 	}
@@ -322,14 +323,22 @@ func (e *Engine) jenRepartitionProgram(ctx context.Context, qs string, q *plan.J
 // hybrid hash join charging the query's shared budget when one is
 // registered (RunOpts.Budget), a privately-budgeted spilling table under
 // Config.SpillBudgetBytes, and the unbounded in-memory table otherwise.
-func (e *Engine) newJoinTable(qs string, keyIdx int) (relop.JoinTable, error) {
-	if bud := e.budget(qs); bud != nil {
-		return relop.NewSharedSpillingHashTable(keyIdx, bud, e.cfg.SpillDir)
+// Every hash table it seals computes its lanes with lane (nil: none).
+func (e *Engine) newJoinTable(qs string, keyIdx int, lane relop.LaneFunc) (relop.JoinTable, error) {
+	var s *relop.SpillingHashTable
+	var err error
+	switch bud := e.budget(qs); {
+	case bud != nil:
+		s, err = relop.NewSharedSpillingHashTable(keyIdx, bud, e.cfg.SpillDir)
+	case e.cfg.SpillBudgetBytes > 0:
+		s, err = relop.NewSpillingHashTable(keyIdx, e.cfg.SpillBudgetBytes, e.cfg.SpillDir)
+	default:
+		return &relop.MemJoinTable{H: relop.NewHashTable(keyIdx).WithLane(lane)}, nil
 	}
-	if e.cfg.SpillBudgetBytes > 0 {
-		return relop.NewSpillingHashTable(keyIdx, e.cfg.SpillBudgetBytes, e.cfg.SpillDir)
+	if err != nil {
+		return nil, err
 	}
-	return relop.NewMemJoinTable(keyIdx), nil
+	return s.WithLane(lane), nil
 }
 
 // combiner joins probe rows against sealed build buckets into the combined
@@ -347,6 +356,11 @@ func (e *Engine) newJoinTable(qs string, keyIdx int) (relop.JoinTable, error) {
 // every pair and filtering BatchRows pairs at a time would. Without a
 // predicate every pair survives and is gathered directly.
 //
+// When the predicate is a band (see postJoin), a bucket that comes with a
+// lane skips the narrow batch altogether: the probe row's term is evaluated
+// once, and the lane is scanned as an int64 range (bandBucket). Buckets
+// without a lane, and probe values the band cannot take, run as above.
+//
 // probe may run on several goroutines at once (morsel threads probing one
 // sealed table); it serializes on mu. The other methods are
 // single-goroutine.
@@ -357,6 +371,9 @@ type combiner struct {
 	probeLeft bool      // the probe row is the left (HDFS wire) part
 	agg       *relop.HashAgg
 	err       error // remapping post failed
+
+	probeTerm expr.Expr // the band's probe-side term; nil: no band path
+	lo, hi    int64     // the band's range for build value - probe value
 
 	mu     sync.Mutex // serializes concurrent probe calls
 	ready  bool       // early columns resolved (on the first pair)
@@ -384,16 +401,25 @@ type pairRun struct {
 }
 
 // newCombiner creates a combiner whose probe rows form the left (probeLeft)
-// or the right part of the combined layout.
-func (e *Engine) newCombiner(post expr.Expr, agg *relop.HashAgg, probeLeft bool) *combiner {
+// or the right part of the combined layout. The buckets it takes lanes from
+// must come from tables whose lane function is pj.lane(!probeLeft).
+func (e *Engine) newCombiner(pj postJoin, agg *relop.HashAgg, probeLeft bool) *combiner {
 	c := &combiner{size: e.cfg.BatchRows, agg: agg, probeLeft: probeLeft}
-	if post != nil {
+	if post := pj.pred; post != nil {
 		c.early = expr.ColumnSet(post)
 		mapping := make(map[int]int, len(c.early))
 		for j, col := range c.early {
 			mapping[col] = j
 		}
 		c.post, c.err = expr.Remap(post, mapping)
+	}
+	if b := pj.band; b != nil {
+		// The band bounds left - right; the lane holds build values.
+		if probeLeft {
+			c.probeTerm, c.lo, c.hi = b.Left, -b.Hi, -b.Lo
+		} else {
+			c.probeTerm, c.lo, c.hi = b.Right, b.Lo, b.Hi
+		}
 	}
 	return c
 }
@@ -424,10 +450,11 @@ func (c *combiner) resolve(probe, build types.Row) error {
 	return nil
 }
 
-// bucket joins one probe row against its bucket; it is the emit of
-// relop.JoinTable probes. probeRow may alias the caller's scratch; the
-// bucket's rows are sealed-table storage, held until the next settle.
-func (c *combiner) bucket(probeRow types.Row, bucket []types.Row) error {
+// bucket joins one probe row against its bucket; it is the
+// relop.BucketFunc of JoinTable probes. probeRow may alias the caller's
+// scratch; the bucket's rows are sealed-table storage, held until the next
+// settle.
+func (c *combiner) bucket(probeRow types.Row, bucket []types.Row, lane []int64) error {
 	if c.err != nil {
 		return c.err
 	}
@@ -441,6 +468,11 @@ func (c *combiner) bucket(probeRow types.Row, bucket []types.Row) error {
 			}
 		}
 		return nil
+	}
+	if lane != nil && c.probeTerm != nil {
+		if lo, hi, ok := c.probeRange(probeRow); ok {
+			return c.bandBucket(probeRow, bucket, lane, lo, hi)
+		}
 	}
 	var probe types.Row // the probe row's copy in the pending window
 	for len(bucket) > 0 {
@@ -560,7 +592,7 @@ func (c *combiner) probe(ht *relop.HashTable, pb *batch.Batch, keyIdx int, proj 
 	defer c.mu.Unlock()
 	var row types.Row
 	err := pb.Each(func(i int) error {
-		bucket := ht.Probe(keys[i].Int())
+		bucket, lane := ht.ProbeLane(keys[i].Int())
 		if len(bucket) == 0 {
 			return nil
 		}
@@ -568,7 +600,7 @@ func (c *combiner) probe(ht *relop.HashTable, pb *batch.Batch, keyIdx int, proj 
 		for _, p := range proj {
 			row = append(row, pb.Col(p)[i])
 		}
-		return c.bucket(row, bucket)
+		return c.bucket(row, bucket, lane)
 	})
 	if err != nil {
 		return err
@@ -594,11 +626,11 @@ func (c *combiner) probeAll(ht *relop.HashTable, bs []*batch.Batch, keyIdx int) 
 // Drain. With threads > 1 and a purely in-memory table the probe fans out
 // across goroutines; the spilling table stays sequential (its partition
 // files are not safe for concurrent probing).
-func (e *Engine) probeAndAggregateBatches(ht relop.JoinTable, probes []*batch.Batch, q *plan.JoinQuery, agg *relop.HashAgg, threads int) error {
+func (e *Engine) probeAndAggregateBatches(ht relop.JoinTable, probes []*batch.Batch, q *plan.JoinQuery, pj postJoin, agg *relop.HashAgg, threads int) error {
 	if mem, isMem := ht.(*relop.MemJoinTable); isMem && threads > 1 && len(probes) > 1 {
-		return e.probeAndAggregateParallel(mem, probes, q, agg, threads)
+		return e.probeAndAggregateParallel(mem, probes, q, pj, agg, threads)
 	}
-	cmb := e.newCombiner(q.PostJoin, agg, false)
+	cmb := e.newCombiner(pj, agg, false)
 	for _, pb := range probes {
 		if err := cmb.probeTable(ht, pb, q.DBWireKey); err != nil {
 			return err
@@ -621,7 +653,7 @@ func (e *Engine) probeAndAggregateBatches(ht relop.JoinTable, probes []*batch.Ba
 // privates merge into agg afterwards via MergePartial. Join output and group
 // totals are independent of how batches land on threads; only the per-thread
 // split (metrics.JoinProbeSplit) depends on scheduling.
-func (e *Engine) probeAndAggregateParallel(mem *relop.MemJoinTable, probes []*batch.Batch, q *plan.JoinQuery, agg *relop.HashAgg, threads int) error {
+func (e *Engine) probeAndAggregateParallel(mem *relop.MemJoinTable, probes []*batch.Batch, q *plan.JoinQuery, pj postJoin, agg *relop.HashAgg, threads int) error {
 	// Seal the flat table before any concurrent probe (idempotent — the
 	// caller's FinishBuild already did this on the normal path).
 	if err := mem.FinishBuild(); err != nil {
@@ -635,7 +667,7 @@ func (e *Engine) probeAndAggregateParallel(mem *relop.MemJoinTable, probes []*ba
 	var g par.Group
 	for t := 0; t < threads; t++ {
 		t := t
-		cmbs[t] = e.newCombiner(q.PostJoin, relop.NewHashAgg(q.GroupBy, q.Aggs), false)
+		cmbs[t] = e.newCombiner(pj, relop.NewHashAgg(q.GroupBy, q.Aggs), false)
 		g.Go(func() error {
 			var rows int64
 			for {
@@ -745,6 +777,7 @@ func (e *Engine) accessPlan(tbl *edw.Table, pred expr.Expr, proj []int) edw.Acce
 func (e *Engine) runBroadcast(ctx context.Context, qs string, q *plan.JoinQuery) (*Result, error) {
 	n, m := e.jen.Workers(), e.db.Workers()
 	relay := e.cfg.BroadcastRelay
+	pj := newPostJoin(q)
 	tbl, scanPlan, accessPlan, err := e.resolve(q)
 	if err != nil {
 		return nil, err
@@ -795,7 +828,7 @@ func (e *Engine) runBroadcast(ctx context.Context, qs string, q *plan.JoinQuery)
 			bud := e.budget(qs)
 			// Build the hash table from the broadcast T' first: local joins
 			// need the whole filtered database table.
-			ht := relop.NewHashTable(q.DBWireKey)
+			ht := relop.NewHashTable(q.DBWireKey).WithLane(pj.lane(false))
 			if relay {
 				firstErr(&runErr, e.broadcastRelayRecv(ctx, qs, me, w, n, directSenders[w], ht))
 			} else {
@@ -815,7 +848,7 @@ func (e *Engine) runBroadcast(ctx context.Context, qs string, q *plan.JoinQuery)
 			agg := relop.NewHashAgg(q.GroupBy, q.Aggs)
 			agg.SetBudget(bud)
 			defer func() { bud.Release(agg.MemBytes()) }()
-			cmb := e.newCombiner(q.PostJoin, agg, true)
+			cmb := e.newCombiner(pj, agg, true)
 			scanKey := q.HDFSWire[q.HDFSWireKey]
 			var probes atomic.Int64
 			if runErr == nil {

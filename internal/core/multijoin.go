@@ -230,7 +230,7 @@ func (e *Engine) materializeDim(ed *plan.EdgeExec) (*dimMat, error) {
 			dm.parts[w] = bs
 			return err
 		}
-		cmb := e.newCombiner(nil, nil, true)
+		cmb := e.newCombiner(postJoin{}, nil, true)
 		if err := cmb.probeAll(subHT, bs, ed.Dim.Sub.ParentFKWire); err != nil {
 			return err
 		}
@@ -457,9 +457,9 @@ func (e *Engine) multiJENProgram(ctx context.Context, qs string, q *plan.MultiQu
 				// Earlier stages keep their output whole as the next
 				// intermediate; the last folds into the partial aggregate.
 				last := ei == len(q.Edges)-1
-				cmb := e.newCombiner(nil, nil, true)
+				cmb := e.newCombiner(postJoin{}, nil, true)
 				if last {
-					cmb = e.newCombiner(q.PostJoin, agg, true)
+					cmb = e.newCombiner(postJoin{pred: q.PostJoin}, agg, true)
 				}
 				pr.fail(cmb.probeAll(ht, cur, ed.FactKeyCol))
 				if last {

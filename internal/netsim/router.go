@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 )
 
@@ -19,13 +20,21 @@ import (
 // the pending buffer. Without this, one aborted receiver would stall its
 // endpoint's whole inbox and deadlock every sender behind the backpressure —
 // the failure mode the query-abort protocol exists to prevent.
+//
+// A finished query's streams are dropped as a whole (UnroutePrefix): its
+// routes and pending messages go, and a message that arrives for one of its
+// streams afterwards is counted (Dropped) and discarded instead of pending
+// forever.
 type Router struct {
-	mu      sync.Mutex
-	routes  map[routeKey]*route     // guarded by mu
-	pending map[routeKey][]Envelope // guarded by mu
-	stopped bool                    // guarded by mu
-	stop    chan struct{}
-	done    chan struct{}
+	mu           sync.Mutex
+	routes       map[routeKey]*route     // guarded by mu
+	pending      map[routeKey][]Envelope // guarded by mu
+	dropped      map[string]struct{}     // guarded by mu — prefixes UnroutePrefix dropped
+	droppedMsgs  int64                   // guarded by mu
+	droppedBytes int64                   // guarded by mu
+	stopped      bool                    // guarded by mu
+	stop         chan struct{}
+	done         chan struct{}
 }
 
 type route struct {
@@ -48,6 +57,7 @@ func NewRouter(inbox <-chan Envelope) *Router {
 	r := &Router{
 		routes:  map[routeKey]*route{},
 		pending: map[routeKey][]Envelope{},
+		dropped: map[string]struct{}{},
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
@@ -76,7 +86,7 @@ func (r *Router) dispatch(env Envelope) {
 	r.mu.Lock()
 	rt, ok := r.routes[k]
 	if !ok {
-		r.pending[k] = append(r.pending[k], env)
+		r.pendLocked(k, env)
 		r.mu.Unlock()
 		return
 	}
@@ -89,11 +99,38 @@ func (r *Router) dispatch(env Envelope) {
 	case <-rt.gone:
 		r.mu.Lock()
 		if !r.stopped {
-			r.pending[k] = append(r.pending[k], env)
+			r.pendLocked(k, env)
 		}
 		r.mu.Unlock()
 	case <-r.stop:
 	}
+}
+
+// pendLocked keeps a message no route takes until its stream is routed —
+// unless the stream lies under a dropped prefix, where no route will ever
+// come: then the message is counted and discarded.
+func (r *Router) pendLocked(k routeKey, env Envelope) {
+	if r.droppedLocked(k.stream) {
+		r.droppedMsgs++
+		r.droppedBytes += env.wireSize()
+		return
+	}
+	r.pending[k] = append(r.pending[k], env)
+}
+
+// droppedLocked reports whether stream lies under a prefix UnroutePrefix
+// dropped. It looks up each of the stream's prefixes, so its cost does not
+// grow with the number of dropped prefixes.
+func (r *Router) droppedLocked(stream string) bool {
+	if len(r.dropped) == 0 {
+		return false
+	}
+	for i := 0; i <= len(stream); i++ {
+		if _, ok := r.dropped[stream[:i]]; ok {
+			return true
+		}
+	}
+	return false
 }
 
 // Route subscribes to messages of the given type and stream. Registering the
@@ -116,6 +153,10 @@ func (r *Router) Route(t MsgType, stream string) (<-chan Envelope, error) {
 		if _, dup := r.routes[k]; dup {
 			r.mu.Unlock()
 			return nil, fmt.Errorf("netsim: route %v/%q already registered", t, stream)
+		}
+		if r.droppedLocked(stream) {
+			r.mu.Unlock()
+			return nil, fmt.Errorf("netsim: route %v/%q is under a dropped prefix", t, stream)
 		}
 		more := r.pending[k]
 		if len(more) == 0 {
@@ -147,6 +188,42 @@ func (r *Router) Unroute(t MsgType, stream string) {
 		delete(r.routes, k)
 	}
 	r.mu.Unlock()
+}
+
+// UnroutePrefix drops every stream whose name starts with prefix — a
+// finished query's, when prefix is its stream prefix: each route goes as
+// Unroute removes it, every pending message goes, and from now on a message
+// for such a stream that no route takes is counted (Dropped) and discarded
+// instead of kept. Routing a stream under the prefix fails. The router
+// keeps the prefix itself, one string per dropped prefix.
+func (r *Router) UnroutePrefix(prefix string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for k, rt := range r.routes {
+		if strings.HasPrefix(k.stream, prefix) {
+			close(rt.gone)
+			delete(r.routes, k)
+		}
+	}
+	for k, envs := range r.pending {
+		if strings.HasPrefix(k.stream, prefix) {
+			for _, env := range envs {
+				r.droppedMsgs++
+				r.droppedBytes += env.wireSize()
+			}
+			delete(r.pending, k)
+		}
+	}
+	r.dropped[prefix] = struct{}{}
+}
+
+// Dropped reports the messages, and their accounted wire bytes, discarded
+// for streams under a dropped prefix: pending when UnroutePrefix ran, or
+// arriving after it with no route to take them.
+func (r *Router) Dropped() (msgs, bytes int64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.droppedMsgs, r.droppedBytes
 }
 
 // Stop terminates routing. Buffered messages are dropped. Stop never waits

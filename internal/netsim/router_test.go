@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -257,5 +258,163 @@ func TestRouterStopReturnsWhileDeliveryBlocked(t *testing.T) {
 	case <-done:
 	case <-time.After(2 * time.Second):
 		t.Fatal("Stop waited behind a blocked delivery")
+	}
+}
+
+// prefixFixture is routerFixture with two queries' worth of streams: for
+// each of q1/ and q2/, an open route and a stream with three pending
+// messages and no route; and q1/full, a route whose channel is full and
+// whose next delivery blocks the dispatch loop.
+func prefixFixture(t *testing.T) (*ChanBus, *Router, map[string]<-chan Envelope) {
+	t.Helper()
+	b, r := routerFixture(t)
+	chans := map[string]<-chan Envelope{}
+	for _, s := range []string{"q1/open", "q1/full", "q2/open"} {
+		ch, err := r.Route(MsgRows, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chans[s] = ch
+	}
+	for _, q := range []string{"q1/", "q2/"} {
+		for i := 0; i < 3; i++ {
+			if err := b.Send("db/0", "jen/0", Msg{Type: MsgRows, Stream: q + "early", Payload: []byte{byte(i)}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < routeBuffer+1; i++ {
+		if err := b.Send("db/0", "jen/0", Msg{Type: MsgRows, Stream: "q1/full"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The dispatch loop takes the inbox in order: once q1/full's channel is
+	// full, the early messages are pending, and the last q1/full message is
+	// blocked in delivery or about to be.
+	waitFor(t, "q1/full filled", func() bool { return len(chans["q1/full"]) == routeBuffer })
+	return b, r, chans
+}
+
+// waitFor polls cond until it holds, failing the test after 2 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: not after 2 s", what)
+		}
+	}
+}
+
+// heldUnder counts the routes and pending messages the router holds for
+// streams under prefix.
+func heldUnder(r *Router, prefix string) (routes, pending int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for k := range r.routes {
+		if strings.HasPrefix(k.stream, prefix) {
+			routes++
+		}
+	}
+	for k, envs := range r.pending {
+		if strings.HasPrefix(k.stream, prefix) {
+			pending += len(envs)
+		}
+	}
+	return routes, pending
+}
+
+// After UnroutePrefix the router holds nothing under the prefix: its routes
+// are gone, its pending messages are gone, and the delivery that was
+// blocked on its full route is released and discarded rather than parked.
+// Routing under the prefix fails.
+func TestRouterUnroutePrefixDropsEverything(t *testing.T) {
+	_, r, _ := prefixFixture(t)
+	if routes, pending := heldUnder(r, "q1/"); routes != 2 || pending != 3 {
+		t.Fatalf("before: %d routes, %d pending under q1/", routes, pending)
+	}
+	r.UnroutePrefix("q1/")
+	// The blocked q1/full delivery falls back once its route is gone; wait
+	// until it is counted.
+	waitFor(t, "blocked delivery discarded", func() bool {
+		msgs, _ := r.Dropped()
+		return msgs == 4
+	})
+	if routes, pending := heldUnder(r, "q1/"); routes != 0 || pending != 0 {
+		t.Errorf("after: %d routes, %d pending under q1/", routes, pending)
+	}
+	if _, err := r.Route(MsgRows, "q1/early"); err == nil {
+		t.Error("routed a stream under a dropped prefix")
+	}
+}
+
+// Messages sent under a dropped prefix after UnroutePrefix are discarded
+// and counted, never stored: 100 × 1 KB leave nothing pending.
+func TestRouterUnroutePrefixCountsLateMessages(t *testing.T) {
+	b, r, _ := prefixFixture(t)
+	r.UnroutePrefix("q1/")
+	waitFor(t, "blocked delivery discarded", func() bool {
+		msgs, _ := r.Dropped()
+		return msgs == 4
+	})
+	_, before := r.Dropped()
+	payload := make([]byte, 1024)
+	for i := 0; i < 100; i++ {
+		stream := []string{"q1/open", "q1/full", "q1/early", "q1/late"}[i%4]
+		if err := b.Send("db/0", "jen/0", Msg{Type: MsgRows, Stream: stream, Payload: payload}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "late messages counted", func() bool {
+		msgs, _ := r.Dropped()
+		return msgs == 104
+	})
+	if _, bytes := r.Dropped(); bytes-before < 100*1024 {
+		t.Errorf("dropped %d bytes for 100 × 1 KB", bytes-before)
+	}
+	if routes, pending := heldUnder(r, "q1/"); routes != 0 || pending != 0 {
+		t.Errorf("%d routes, %d pending under q1/", routes, pending)
+	}
+}
+
+// UnroutePrefix leaves every other prefix as it was: q2/'s open route still
+// delivers, and its pending messages still arrive, in order, when it
+// routes. A prefix that merely shares leading characters (q10/ with q1/) is
+// untouched.
+func TestRouterUnroutePrefixLeavesOtherPrefixes(t *testing.T) {
+	b, r, chans := prefixFixture(t)
+	ten, err := r.Route(MsgRows, "q10/open")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.UnroutePrefix("q1/")
+	if routes, pending := heldUnder(r, "q2/"); routes != 1 || pending != 3 {
+		t.Errorf("q2/: %d routes, %d pending", routes, pending)
+	}
+	early, err := r.Route(MsgRows, "q2/early")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		select {
+		case env := <-early:
+			if env.Payload[0] != byte(i) {
+				t.Fatalf("q2/early message %d arrived as %d", i, env.Payload[0])
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("q2/early message %d never arrived", i)
+		}
+	}
+	for stream, ch := range map[string]<-chan Envelope{"q2/open": chans["q2/open"], "q10/open": ten} {
+		if err := b.Send("db/0", "jen/0", Msg{Type: MsgRows, Stream: stream}); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-ch:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s no longer delivers", stream)
+		}
+	}
+	if msgs, _ := r.Dropped(); msgs > 4 {
+		t.Errorf("dropped %d messages; only q1/'s 4 were due", msgs)
 	}
 }

@@ -35,7 +35,15 @@ type HashTable struct {
 	parts  []htPart
 	rows   int64
 	built  bool
+	lane   LaneFunc // nil: no lanes
 }
+
+// LaneFunc computes a sealed partition's lane: one int64 per row of rows,
+// the partition's rows in group order. ok false leaves the partition
+// without a lane. Build calls it once per partition, from several
+// goroutines at once on a large table, so it must be safe for concurrent
+// use; it must not retain rows.
+type LaneFunc func(rows []types.Row) (lane []int64, ok bool)
 
 // htChunk is one staged insert into a partition: a row as Insert received
 // it, or InsertBatch's copy of a batch's rows for the partition, width
@@ -62,6 +70,7 @@ type htPart struct {
 	staged  []htChunk
 	slots   []htSlot
 	grouped []types.Row
+	lane    []int64 // aligned with grouped; nil when the table has no lane function or it declined
 	mask    uint64
 }
 
@@ -90,6 +99,15 @@ func NewHashTableParts(keyIdx, parts int) *HashTable {
 	return &HashTable{keyIdx: keyIdx, shift: shift, parts: make([]htPart, p)}
 }
 
+// WithLane gives the table a lane function and returns it; call it before
+// the first Build. Every Build then computes each partition's lane over its
+// group-ordered rows, so a bucket's lane is one contiguous run aligned with
+// its rows (see ProbeLane). A nil fn means no lanes.
+func (h *HashTable) WithLane(fn LaneFunc) *HashTable {
+	h.lane = fn
+	return h
+}
+
 // part returns the index of key's partition.
 func (h *HashTable) part(key int64) int { return int(types.Mix64(uint64(key)) >> h.shift) }
 
@@ -102,7 +120,7 @@ func (h *HashTable) unseal() {
 		for _, r := range p.grouped {
 			p.staged = append(p.staged, htChunk{r, len(r)})
 		}
-		p.slots, p.grouped = nil, nil
+		p.slots, p.grouped, p.lane = nil, nil, nil
 	}
 	h.built = false
 }
@@ -171,12 +189,12 @@ func (h *HashTable) Build() {
 	if len(h.parts) > 1 && h.rows >= parallelBuildRows {
 		// Error is always nil: htPart.build cannot fail.
 		_ = par.ForEach(len(h.parts), func(i int) error {
-			h.parts[i].build(h.keyIdx)
+			h.parts[i].build(h.keyIdx, h.lane)
 			return nil
 		})
 	} else {
 		for i := range h.parts {
-			h.parts[i].build(h.keyIdx)
+			h.parts[i].build(h.keyIdx, h.lane)
 		}
 	}
 	h.built = true
@@ -195,8 +213,8 @@ func (p *htPart) eachStaged(fn func(types.Row)) {
 // probing, load factor <= 0.5), prefix-sum group offsets, scatter the
 // staged rows into group order (a counting sort by key, stable in insertion
 // order), copy them, group by group, into one value arena the grouped rows
-// alias, and drop the staging.
-func (p *htPart) build(keyIdx int) {
+// alias, compute the lane over the grouped rows, and drop the staging.
+func (p *htPart) build(keyIdx int, lane LaneFunc) {
 	n, nvals := 0, 0
 	for _, c := range p.staged {
 		n += len(c.vals) / c.width
@@ -236,6 +254,11 @@ func (p *htPart) build(keyIdx int) {
 		p.grouped[g] = arena[:w:w]
 		arena = arena[w:]
 	}
+	if lane != nil {
+		if l, ok := lane(p.grouped); ok && len(l) == len(p.grouped) {
+			p.lane = l
+		}
+	}
 	p.staged = nil
 }
 
@@ -251,21 +274,37 @@ func (p *htPart) slot(key int64) *htSlot {
 	}
 }
 
-// probe returns the grouped rows for key (nil if absent).
-func (p *htPart) probe(key int64) []types.Row {
+// probe returns the grouped rows for key (nil if absent) and their lane
+// (nil if the partition has none).
+func (p *htPart) probe(key int64) ([]types.Row, []int64) {
 	if len(p.slots) == 0 {
-		return nil
+		return nil, nil
 	}
-	if s := p.slot(key); s.cnt > 0 {
-		return p.grouped[s.off-s.cnt : s.off]
+	s := p.slot(key)
+	if s.cnt == 0 {
+		return nil, nil
 	}
-	return nil
+	lo, hi := s.off-s.cnt, s.off
+	var lane []int64
+	if p.lane != nil {
+		lane = p.lane[lo:hi]
+	}
+	return p.grouped[lo:hi], lane
 }
 
 // Probe returns the rows matching the key in insertion order (nil if none).
 // The rows alias the sealed table's arena: they are immutable and stay
 // valid for as long as the caller holds them.
 func (h *HashTable) Probe(key int64) []types.Row {
+	bucket, _ := h.ProbeLane(key)
+	return bucket
+}
+
+// ProbeLane is Probe that also returns the bucket's lane, element k the
+// lane value of row k, or nil when the table has no lane function or the
+// key's partition has no lane. The lane is sealed-table storage, immutable
+// like the rows.
+func (h *HashTable) ProbeLane(key int64) ([]types.Row, []int64) {
 	if !h.built {
 		h.Build()
 	}

@@ -59,7 +59,7 @@ func TestHashTableJoin(t *testing.T) {
 		types.Row{types.Int64(102), types.Int32(2)},
 	)
 	var got []string
-	err := m.ProbeBuckets(probes, 1, func(p types.Row, bucket []types.Row) error {
+	err := m.ProbeBuckets(probes, 1, func(p types.Row, bucket []types.Row, _ []int64) error {
 		for _, b := range bucket {
 			got = append(got, fmt.Sprintf("%d:%s", p[0].Int(), b[1].Str()))
 		}

@@ -42,17 +42,22 @@ type JoinTable interface {
 	FinishBuild() error
 	// ProbeBuckets probes every live row of b on its key column keyIdx and
 	// calls emit once per probe row with a non-empty bucket, in row order.
-	// The probe row may alias scratch storage valid only for that call. The
-	// bucket is sealed-table storage in insertion order: it is immutable,
-	// and the caller may hold its rows after emit returns. Matches in
-	// spilled partitions are deferred to Drain.
-	ProbeBuckets(b *batch.Batch, keyIdx int, emit func(probeRow types.Row, bucket []types.Row) error) error
+	// Matches in spilled partitions are deferred to Drain.
+	ProbeBuckets(b *batch.Batch, keyIdx int, emit BucketFunc) error
 	// Drain emits all deferred matches, bucket by bucket as ProbeBuckets
 	// does, and releases resources.
-	Drain(emit func(probeRow types.Row, bucket []types.Row) error) error
+	Drain(emit BucketFunc) error
 	// Close releases resources without draining (error paths).
 	Close() error
 }
+
+// BucketFunc receives one probe row and its non-empty bucket. The probe row
+// may alias scratch storage valid only for that call. The bucket is
+// sealed-table storage in insertion order: it is immutable, and the caller
+// may hold its rows after the call returns. lane is the bucket's lane (see
+// HashTable.ProbeLane), aligned with bucket, or nil when the table that
+// sealed it has none; it is immutable too.
+type BucketFunc func(probeRow types.Row, bucket []types.Row, lane []int64) error
 
 // MemJoinTable adapts HashTable to JoinTable.
 type MemJoinTable struct{ H *HashTable }
@@ -80,19 +85,19 @@ func (m *MemJoinTable) FinishBuild() error {
 
 // ProbeBuckets implements JoinTable. The probe row is materialized into
 // reused scratch only for a non-empty bucket: a miss costs one table probe.
-func (m *MemJoinTable) ProbeBuckets(b *batch.Batch, keyIdx int, emit func(probeRow types.Row, bucket []types.Row) error) error {
+func (m *MemJoinTable) ProbeBuckets(b *batch.Batch, keyIdx int, emit BucketFunc) error {
 	if keyIdx >= b.NumCols() {
 		return fmt.Errorf("relop: probe key column %d out of range", keyIdx)
 	}
 	keys := b.Col(keyIdx)
 	var scratch types.Row
 	return b.Each(func(i int) error {
-		bucket := m.H.Probe(keys[i].Int())
+		bucket, lane := m.H.ProbeLane(keys[i].Int())
 		if len(bucket) == 0 {
 			return nil
 		}
 		scratch = b.RowAt(i, scratch)
-		return emit(scratch, bucket)
+		return emit(scratch, bucket, lane)
 	})
 }
 
@@ -100,7 +105,7 @@ func (m *MemJoinTable) ProbeBuckets(b *batch.Batch, keyIdx int, emit func(probeR
 // (build row, probe row) pair, in ProbeBuckets order. The probe row aliases
 // scratch storage valid only for that call.
 func (m *MemJoinTable) ProbeBatch(b *batch.Batch, keyIdx int, emit func(buildRow, probeRow types.Row) error) error {
-	return m.ProbeBuckets(b, keyIdx, func(probeRow types.Row, bucket []types.Row) error {
+	return m.ProbeBuckets(b, keyIdx, func(probeRow types.Row, bucket []types.Row, _ []int64) error {
 		for _, br := range bucket {
 			if err := emit(br, probeRow); err != nil {
 				return err
@@ -111,7 +116,7 @@ func (m *MemJoinTable) ProbeBatch(b *batch.Batch, keyIdx int, emit func(buildRow
 }
 
 // Drain implements JoinTable: an in-memory table defers nothing.
-func (m *MemJoinTable) Drain(func(types.Row, []types.Row) error) error { return nil }
+func (m *MemJoinTable) Drain(BucketFunc) error { return nil }
 
 // Close implements JoinTable.
 func (m *MemJoinTable) Close() error { return nil }
@@ -147,6 +152,7 @@ type SpillingHashTable struct {
 	bud    *mem.Budget
 	ownBud bool
 	dir    string
+	lane   LaneFunc // given to every HashTable the table makes
 
 	mu          sync.Mutex
 	fanout      int          // guarded by mu
@@ -223,6 +229,22 @@ func NewSharedSpillingHashTable(keyIdx int, bud *mem.Budget, dir string) (*Spill
 	s.parts = newParts(s.fanout)
 	bud.OnPressure(s.shed)
 	return s, nil
+}
+
+// WithLane gives the table a lane function and returns it; call it before
+// FinishBuild. Every hash table the spilling table seals — resident
+// partitions, rejoins and nested-loop chunks — computes its lanes with fn,
+// so every bucket Probe and Drain emit carries one where fn accepts the
+// partition. Lanes are not charged to the budget: eviction and spill
+// decisions are the same with and without them.
+func (s *SpillingHashTable) WithLane(fn LaneFunc) *SpillingHashTable {
+	s.lane = fn
+	return s
+}
+
+// newHashTable makes one of the table's in-memory hash tables.
+func (s *SpillingHashTable) newHashTable() *HashTable {
+	return NewHashTable(s.keyIdx).WithLane(s.lane)
 }
 
 func newParts(n int) []*spillPart {
@@ -482,7 +504,7 @@ func (s *SpillingHashTable) FinishBuild() error {
 		if !p.resident() || p.ht != nil {
 			continue
 		}
-		ht := NewHashTable(s.keyIdx)
+		ht := s.newHashTable()
 		for _, r := range p.rows {
 			if err := ht.Insert(r); err != nil {
 				return err
@@ -502,7 +524,7 @@ func (s *SpillingHashTable) FinishBuild() error {
 // probes after it are deferred and joined against the complete build file.
 // Probe rows are materialized into reused scratch; the spill path encodes
 // to disk immediately, so reuse is safe.
-func (s *SpillingHashTable) ProbeBuckets(b *batch.Batch, keyIdx int, emit func(probeRow types.Row, bucket []types.Row) error) error {
+func (s *SpillingHashTable) ProbeBuckets(b *batch.Batch, keyIdx int, emit BucketFunc) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.sealed {
@@ -520,12 +542,12 @@ func (s *SpillingHashTable) ProbeBuckets(b *batch.Batch, keyIdx int, emit func(p
 		key := keys[i].Int()
 		p := s.parts[hashPart(key, 0, s.fanout)]
 		if p.resident() {
-			bucket := p.ht.Probe(key)
+			bucket, lane := p.ht.ProbeLane(key)
 			if len(bucket) == 0 {
 				return nil
 			}
 			scratch = b.RowAt(i, scratch)
-			return emit(scratch, bucket)
+			return emit(scratch, bucket, lane)
 		}
 		if p.probe == nil {
 			pf, err := s.newFileLocked("probe")
@@ -544,20 +566,20 @@ func (s *SpillingHashTable) ProbeBuckets(b *batch.Batch, keyIdx int, emit func(p
 
 // probeFile streams a spilled probe file past a sealed table, emitting each
 // probe row's bucket.
-func probeFile(ht *HashTable, pf *spillFile, emit func(probeRow types.Row, bucket []types.Row) error) error {
+func probeFile(ht *HashTable, pf *spillFile, emit BucketFunc) error {
 	return pf.readRows(func(tagged types.Row) error {
 		probeRow := tagged[1:]
-		bucket := ht.Probe(probeRow[tagged[0].Int()].Int())
+		bucket, lane := ht.ProbeLane(probeRow[tagged[0].Int()].Int())
 		if len(bucket) == 0 {
 			return nil
 		}
-		return emit(probeRow, bucket)
+		return emit(probeRow, bucket, lane)
 	})
 }
 
 // Drain implements JoinTable: join each spilled partition, recursively
 // repartitioning the ones that still do not fit the budget.
-func (s *SpillingHashTable) Drain(emit func(probeRow types.Row, bucket []types.Row) error) error {
+func (s *SpillingHashTable) Drain(emit BucketFunc) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer s.cleanupLocked()
@@ -588,10 +610,10 @@ func (s *SpillingHashTable) Drain(emit func(probeRow types.Row, bucket []types.R
 // regimes, in order: load the build side and hash-join when the budget
 // admits it; recursively repartition with the next level's hash when it
 // does not; block nested-loop past maxDepth.
-func (s *SpillingHashTable) joinSpilledLocked(bf, pf *spillFile, depth int, emit func(probeRow types.Row, bucket []types.Row) error) error {
+func (s *SpillingHashTable) joinSpilledLocked(bf, pf *spillFile, depth int, emit BucketFunc) error {
 	if err := s.reserveLocked(bf.bytes); err == nil {
 		defer s.releaseLocked(bf.bytes)
-		ht := NewHashTable(s.keyIdx)
+		ht := s.newHashTable()
 		if err := bf.readRows(ht.Insert); err != nil {
 			return err
 		}
@@ -649,8 +671,8 @@ func (s *SpillingHashTable) joinSpilledLocked(bf, pf *spillFile, depth int, emit
 // block nested-loop join. It is exact for any input, including a single
 // join key larger than the entire budget, at the cost of rescanning the
 // probe file once per chunk.
-func (s *SpillingHashTable) nestedLoopLocked(bf, pf *spillFile, emit func(probeRow types.Row, bucket []types.Row) error) error {
-	ht := NewHashTable(s.keyIdx)
+func (s *SpillingHashTable) nestedLoopLocked(bf, pf *spillFile, emit BucketFunc) error {
+	ht := s.newHashTable()
 	chunkBytes, chunkRows := int64(0), 0
 	flush := func() error {
 		if chunkRows == 0 {
@@ -658,7 +680,7 @@ func (s *SpillingHashTable) nestedLoopLocked(bf, pf *spillFile, emit func(probeR
 		}
 		err := probeFile(ht, pf, emit)
 		s.releaseLocked(chunkBytes)
-		ht = NewHashTable(s.keyIdx)
+		ht = s.newHashTable()
 		chunkBytes, chunkRows = 0, 0
 		return err
 	}

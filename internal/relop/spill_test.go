@@ -40,8 +40,8 @@ func joinAll(t *testing.T, jt JoinTable, build, probe []types.Row, probeKeyIdx i
 
 // pairsOf adapts a per-pair emit to the per-bucket emit of ProbeBuckets and
 // Drain.
-func pairsOf(emit func(buildRow, probeRow types.Row) error) func(types.Row, []types.Row) error {
-	return func(probeRow types.Row, bucket []types.Row) error {
+func pairsOf(emit func(buildRow, probeRow types.Row) error) BucketFunc {
+	return func(probeRow types.Row, bucket []types.Row, _ []int64) error {
 		for _, br := range bucket {
 			if err := emit(br, probeRow); err != nil {
 				return err
@@ -227,7 +227,7 @@ func TestSpillingEmitErrorPropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := fmt.Errorf("boom")
-	fail := func(types.Row, []types.Row) error { return boom }
+	fail := func(types.Row, []types.Row, []int64) error { return boom }
 	for _, r := range mkRows(100, 20, "p") {
 		if err := sp.ProbeBuckets(rowBatch(r), 0, fail); err != nil && err != boom {
 			t.Fatal(err)
@@ -250,7 +250,7 @@ func TestMemJoinTableInterface(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := 0
-	if err := jt.ProbeBuckets(rowBatch(types.Row{types.Int32(1)}), 0, func(p types.Row, bucket []types.Row) error {
+	if err := jt.ProbeBuckets(rowBatch(types.Row{types.Int32(1)}), 0, func(p types.Row, bucket []types.Row, _ []int64) error {
 		n += len(bucket)
 		return nil
 	}); err != nil {
