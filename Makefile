@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check fmt build vet lint lint-strict test race fuzz claims bench bench-smoke perf perf-compare idle
+.PHONY: check fmt build vet lint lint-strict test race fuzz claims bench bench-smoke perf star-check perf-compare idle
 
 check: fmt build vet lint test
 
@@ -97,6 +97,14 @@ bench-smoke:
 # untraced run each (~95 s); add `-trace 1` by hand for the per-layer pass.
 perf:
 	$(BOUNDED) 200s bash bench/run.sh -workload all -seed 1
+
+# One star_cascade run at the benchmark's full data size (50x the smoke
+# test `make test` runs), every result verified: the N-way executor's
+# streamed stages with real shuffle volumes and timing. hwperf exits
+# non-zero on a wrong result.
+star-check:
+	@out=$$(mktemp -d); trap 'rm -rf "$$out"' EXIT; \
+	$(BOUNDED) 120s $(GO) run ./bench/hwperf -workload star_cascade -seconds 2 -results "$$out"
 
 # Three repeats per workload into a scratch run set, compared metric by
 # metric against the recorded baseline; exits 1 on a regression past a

@@ -14,6 +14,7 @@ import (
 	"hybridwh/internal/format"
 	"hybridwh/internal/hdfs"
 	"hybridwh/internal/netsim"
+	"hybridwh/internal/types"
 )
 
 // The failure-injection matrix: every join algorithm, on both transports,
@@ -125,6 +126,100 @@ func TestInjectedFailuresAbortEveryAlgorithm(t *testing.T) {
 						}
 						if elapsed >= abortTestDeadline {
 							t.Fatalf("%s: abort took %v; protocol stalled until the deadline", sc.name, elapsed)
+						}
+						if err := f.eng.Close(); err != nil {
+							t.Logf("engine close after abort: %v", err)
+						}
+						checkNoGoroutineLeak(t, baseline)
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestInjectedFailuresAbortMultiJoin is the failure-injection matrix for
+// the N-way executor, whose streamed stages send from inside their shuffle
+// receives: an all-repartition plan, a broadcast/repartition mix and an
+// adaptive-gated plan, on both transports, with a JEN or DB endpoint killed
+// after 2, 10, 40 or 150 messages (the Bloom exchange, the dimension
+// shipment, the scan's shuffle and the later stages' streams) or the caller
+// canceling. Each run ends with a classified error or — when the fault
+// fires after the query's last message to that endpoint — the correct
+// rows, within the deadline and without leaking a goroutine.
+func TestInjectedFailuresAbortMultiJoin(t *testing.T) {
+	transports := []struct {
+		name   string
+		newBus func() netsim.Bus
+	}{
+		{"chan", func() netsim.Bus { return netsim.NewChanBus(64) }},
+		{"tcp", func() netsim.Bus { return netsim.NewTCPBus(64) }},
+	}
+	plans := []struct {
+		name, pattern string
+		adaptive      bool
+	}{
+		{"all-repartition", "RRR", false},
+		{"mixed", "RBR", false},
+		{"gated", "RRR", true},
+	}
+	type fault struct {
+		name        string
+		kill        string
+		after       int64
+		cancelAfter int64
+		want        error
+	}
+	var faults []fault
+	for _, after := range []int64{2, 10, 40, 150} {
+		faults = append(faults,
+			fault{name: fmt.Sprintf("fail-jen-after-%d", after), kill: cluster.JENName(1), after: after, want: netsim.ErrEndpointDown},
+			fault{name: fmt.Sprintf("fail-db-after-%d", after), kill: cluster.DBName(1), after: after, want: netsim.ErrEndpointDown})
+	}
+	faults = append(faults, fault{name: "caller-cancel", cancelAfter: 40, want: context.Canceled})
+
+	var want []types.Row
+	for _, threads := range []int{1, 3} {
+		for _, tr := range transports {
+			for _, p := range plans {
+				for _, fl := range faults {
+					t.Run(fmt.Sprintf("threads=%d/%s/%s/%s", threads, tr.name, p.name, fl.name), func(t *testing.T) {
+						baseline := runtime.NumGoroutine()
+						ctx, cancel := context.WithTimeout(context.Background(), abortTestDeadline)
+						defer cancel()
+
+						bus := tr.newBus()
+						if fl.cancelAfter > 0 {
+							qctx, qcancel := context.WithCancel(ctx)
+							ctx = qctx
+							w := &cancelAfterBus{Bus: bus, cancel: qcancel}
+							w.remaining.Store(fl.cancelAfter)
+							bus = w
+						}
+						f := buildStarFixture(t, bus, 2, 3, smallStar(), Config{
+							BatchRows: 16, WorkerThreads: threads, AdaptiveSwitch: p.adaptive,
+						})
+						f.env.Options.CascadeBloom = !p.adaptive
+						if want == nil {
+							want = f.multiReference(t, starFullSQL)
+						}
+						mq := f.multiPlan(t, starFullSQL)
+						setEdgeAlgs(t, mq, p.pattern)
+						if fl.kill != "" {
+							f.eng.Bus().(netsim.FaultInjector).KillEndpointAfter(fl.kill, fl.after)
+						}
+
+						start := time.Now()
+						res, err := f.eng.RunMultiCtx(ctx, mq)
+						elapsed := time.Since(start)
+						switch {
+						case err == nil:
+							assertRowsEqual(t, res.Rows, want)
+						case !errors.Is(err, fl.want):
+							t.Fatalf("err = %v, want errors.Is %v", err, fl.want)
+						}
+						if elapsed >= abortTestDeadline {
+							t.Fatalf("abort took %v; protocol stalled until the deadline", elapsed)
 						}
 						if err := f.eng.Close(); err != nil {
 							t.Logf("engine close after abort: %v", err)

@@ -550,7 +550,7 @@ func (e *Engine) probeLocalBroadcast(buffered, dbBatches []*batch.Batch, q *plan
 	for _, lb := range buffered {
 		probes += int64(lb.Len())
 	}
-	cmb := e.newCombiner(pj, agg, true)
+	cmb := e.newCombiner(pj, agg.AddBatch, true)
 	if err := cmb.probeAll(ht, buffered, q.HDFSWireKey); err != nil {
 		return err
 	}

@@ -344,7 +344,8 @@ func runBandCase(t *testing.T, data bandData, mk func(*testing.T, relop.LaneFunc
 		t.Fatal(err)
 	}
 	e := &Engine{cfg: Config{BatchRows: size}}
-	c := e.newCombiner(pj, nil, probeLeft)
+	var kept []*batch.Batch
+	c := e.newCombiner(pj, keepBatches(&kept), probeLeft)
 	var calls []bucketCall
 	laned := 0
 	tee := func(p types.Row, bucket []types.Row, lane []int64) error {
@@ -427,7 +428,7 @@ func runBandCase(t *testing.T, data bandData, mk func(*testing.T, relop.LaneFunc
 	if c.output != total {
 		t.Errorf("output = %d, full concat %d", c.output, total)
 	}
-	if got := keptRows(c.kept); fmt.Sprint(got) != fmt.Sprint(nonEmpty) {
+	if got := keptRows(kept); fmt.Sprint(got) != fmt.Sprint(nonEmpty) {
 		t.Errorf("kept batches differ\ngot:  %.300v\nwant: %.300v", got, nonEmpty)
 	}
 }
@@ -463,6 +464,30 @@ func TestBandLaneUnderParallelBuild(t *testing.T) {
 			if lane[i] != want {
 				t.Fatalf("key %d row %d: lane %d, want %d", k, i, lane[i], want)
 			}
+		}
+	}
+}
+
+// TestBandProbeTermAllocatesNothing: the band path evaluates its probe term
+// once per (probe row, bucket), and for the paper's days(x) that evaluation
+// allocates nothing — Call.Eval borrows its argument slice from a pool
+// rather than making one per call (a per-node buffer would race, since
+// parallel probe threads share the expression tree).
+func TestBandProbeTermAllocatesNothing(t *testing.T) {
+	for _, probeLeft := range []bool{true, false} {
+		e := &Engine{cfg: Config{BatchRows: 8}}
+		c := e.newCombiner(splitPostJoin(bandPosts(t, probeLeft)["days"], 3), func(*batch.Batch) error { return nil }, probeLeft)
+		if c.probeTerm == nil {
+			t.Fatal("the days band was not recognised")
+		}
+		row := types.Row{types.Int64(1), types.Int64(2), types.Date(19000)}
+		allocs := testing.AllocsPerRun(1000, func() {
+			if _, _, ok := c.probeRange(row); !ok {
+				t.Fatal("probeRange rejected a date")
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("probeLeft=%v: %v allocations per probe-term evaluation, want 0", probeLeft, allocs)
 		}
 	}
 }

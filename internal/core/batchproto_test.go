@@ -68,13 +68,20 @@ func TestBatcherKeepsOtherBuffersOnSendError(t *testing.T) {
 	bus := &recordBus{failDest: "bad"}
 	e := testEngine(bus, 4)
 	b := e.newBatcher(context.Background(), "src", "s", []string{"good", "bad"}, "", "", 0)
+	// Keys below 100 route to "good" (dests[0]), the rest to "bad".
+	route := func(key int64) int {
+		if key < 100 {
+			return 0
+		}
+		return 1
+	}
 
 	// Two rows buffer for "good" (below the flush threshold of 4)...
-	if err := b.sendBatch("good", rowsBatch(wideRow(0), wideRow(1)), nil); err != nil {
+	if err := b.scatterBatch(rowsBatch(wideRow(0), wideRow(1)), nil, 0, nil, route); err != nil {
 		t.Fatal(err)
 	}
 	// ...then a full batch for "bad" flushes and fails.
-	if err := b.sendBatch("bad", rowsBatch(wideRow(100), wideRow(101), wideRow(102), wideRow(103)), nil); err == nil {
+	if err := b.scatterBatch(rowsBatch(wideRow(100), wideRow(101), wideRow(102), wideRow(103)), nil, 0, nil, route); err == nil {
 		t.Fatal("send to failing destination did not error")
 	}
 	if err := b.Close(); err == nil {
@@ -195,7 +202,7 @@ func TestSendBatchHonorsSelectionAndProjection(t *testing.T) {
 		sb.AppendRow(types.Row{types.Int32(int32(i)), types.String(fmt.Sprintf("s%d", i)), types.Int64(int64(100 + i))})
 	}
 	sb.SetSel([]int32{1, 4, 6})
-	if err := b.sendBatch("d", sb, []int{2, 0}); err != nil {
+	if err := b.sendBatch(sb, []int{2, 0}); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Close(); err != nil {

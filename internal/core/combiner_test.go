@@ -196,7 +196,8 @@ func TestCombinerMatchesFullConcat(t *testing.T) {
 							t.Fatal(err)
 						}
 						e := &Engine{cfg: Config{BatchRows: size}}
-						c := e.newCombiner(splitPostJoin(post, 3), nil, probeLeft)
+						var kept []*batch.Batch
+						c := e.newCombiner(splitPostJoin(post, 3), keepBatches(&kept), probeLeft)
 						var calls []bucketCall
 						tee := func(p types.Row, bucket []types.Row, lane []int64) error {
 							calls = append(calls, bucketCall{p.Clone(), bucket})
@@ -242,7 +243,7 @@ func TestCombinerMatchesFullConcat(t *testing.T) {
 						if c.output != total {
 							t.Errorf("output = %d, full concat %d", c.output, total)
 						}
-						if got := keptRows(c.kept); fmt.Sprint(got) != fmt.Sprint(nonEmpty) {
+						if got := keptRows(kept); fmt.Sprint(got) != fmt.Sprint(nonEmpty) {
 							t.Errorf("kept batches differ\ngot:  %.300v\nwant: %.300v", got, nonEmpty)
 						}
 					})

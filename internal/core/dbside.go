@@ -158,8 +158,7 @@ func (e *Engine) jenIngestProgram(ctx context.Context, qs string, q *plan.JoinQu
 	} else if bfdb != nil {
 		dbFilter = jen.BloomKeyFilter{F: bfdb}
 	}
-	dest := dbName(dbWorker)
-	b := e.newBatcher(ctx, me, qs+"ingest", []string{dest}, metrics.HDFSSentTuples, metrics.HDFSSentBytes, w)
+	b := e.newBatcher(ctx, me, qs+"ingest", []string{dbName(dbWorker)}, metrics.HDFSSentTuples, metrics.HDFSSentBytes, w)
 	scanKey := q.HDFSWire[q.HDFSWireKey]
 	if runErr == nil {
 		err := e.jen.ScanFilterBatches(jen.ScanSpec{
@@ -169,7 +168,7 @@ func (e *Engine) jenIngestProgram(ctx context.Context, qs string, q *plan.JoinQu
 			Threads: e.cfg.WorkerThreads,
 			Mem:     e.budget(qs),
 		}, func(sb *batch.Batch) error {
-			return b.sendBatch(dest, sb, q.HDFSWire)
+			return b.sendBatch(sb, q.HDFSWire)
 		})
 		firstErr(&runErr, err)
 	}
@@ -310,7 +309,7 @@ func (e *Engine) dbJoinProgram(ctx context.Context, qs string, q *plan.JoinQuery
 	agg.SetBudget(bud)
 	defer func() { bud.Release(agg.MemBytes()) }()
 	if runErr == nil {
-		cmb := e.newCombiner(pj, agg, true)
+		cmb := e.newCombiner(pj, agg.AddBatch, true)
 		pr.fail(cmb.probeAll(ht, lbatches, q.HDFSWireKey))
 		e.rec.Add(metrics.JoinOutputTuples, cmb.output)
 	}
@@ -318,7 +317,7 @@ func (e *Engine) dbJoinProgram(ctx context.Context, qs string, q *plan.JoinQuery
 	// Partial aggregates converge on db/0, which produces the result.
 	pb := e.newBatcher(ctx, me, qs+"partial", []string{dbName(0)}, "", "", i)
 	if runErr == nil {
-		pr.fail(pb.sendRows(dbName(0), agg.PartialRows()))
+		pr.fail(pb.sendRows(agg.PartialRows()))
 	}
 	pr.fail(pb.CloseWith(runErr))
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"hybridwh/internal/cluster"
 	"hybridwh/internal/format"
@@ -212,4 +213,20 @@ func TestBroadcastRelayAgrees(t *testing.T) {
 	if relayIntra == 0 {
 		t.Error("relay mode should move data intra-HDFS")
 	}
+
+	// One row per message through 4-slot inboxes: every JEN worker relays
+	// from inside its receive while its peers do the same, the shape that
+	// hangs unless that receive keeps draining its route (streamBatches).
+	g := buildFixture(t, netsim.NewChanBus(4), 2, 3, 4000, 1500, format.HWCName)
+	defer g.eng.Close()
+	g.eng.cfg.BatchRows = 1
+	g.eng.cfg.BroadcastRelay = true
+	err = finishWithin(t, 30*time.Second, func() (err error) {
+		res, err = g.eng.Run(exampleQuery(t, g, 1000, 1000), Broadcast)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkResult(t, res, reference(t, g, 1000, 1000), Broadcast)
 }

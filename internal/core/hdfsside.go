@@ -342,9 +342,11 @@ func (e *Engine) newJoinTable(qs string, keyIdx int, lane relop.LaneFunc) (relop
 }
 
 // combiner joins probe rows against sealed build buckets into the combined
-// layout (HDFS wire ++ DB wire) and folds the rows that pass the post-join
-// predicate into agg — or, for a stage whose output is the next stage's
-// input (agg nil), keeps them as batches. output counts survivors.
+// layout (HDFS wire ++ DB wire) and hands the rows that pass the post-join
+// predicate to its sink, one output batch at a time: a partial aggregate's
+// AddBatch, the next N-way stage's shuffle, or keepBatches. The batch is on
+// loan to the sink, which must copy what it keeps; the combiner reuses it.
+// output counts survivors.
 //
 // It materialises late. Each pair first contributes only the predicate's
 // columns (the early columns) to a narrow batch, and each probe row is
@@ -369,7 +371,7 @@ type combiner struct {
 	post      expr.Expr // remapped onto the narrow batch
 	early     []int     // combined-layout column of each narrow column
 	probeLeft bool      // the probe row is the left (HDFS wire) part
-	agg       *relop.HashAgg
+	sink      func(out *batch.Batch) error
 	err       error // remapping post failed
 
 	probeTerm expr.Expr // the band's probe-side term; nil: no band path
@@ -385,7 +387,6 @@ type combiner struct {
 	probes []types.Value // copies of the pending runs' probe rows
 	out    *batch.Batch
 	pairs  int // pairs behind out since it was last emitted
-	kept   []*batch.Batch
 	output int64
 }
 
@@ -403,8 +404,8 @@ type pairRun struct {
 // newCombiner creates a combiner whose probe rows form the left (probeLeft)
 // or the right part of the combined layout. The buckets it takes lanes from
 // must come from tables whose lane function is pj.lane(!probeLeft).
-func (e *Engine) newCombiner(pj postJoin, agg *relop.HashAgg, probeLeft bool) *combiner {
-	c := &combiner{size: e.cfg.BatchRows, agg: agg, probeLeft: probeLeft}
+func (e *Engine) newCombiner(pj postJoin, sink func(out *batch.Batch) error, probeLeft bool) *combiner {
+	c := &combiner{size: e.cfg.BatchRows, sink: sink, probeLeft: probeLeft}
 	if post := pj.pred; post != nil {
 		c.early = expr.ColumnSet(post)
 		mapping := make(map[int]int, len(c.early))
@@ -547,21 +548,25 @@ func (c *combiner) gather(probe, build types.Row) {
 	}
 }
 
-// emit hands the output batch of the last BatchRows pairs to agg or kept.
+// emit hands the output batch of the last BatchRows pairs to the sink.
 func (c *combiner) emit() error {
 	c.pairs = 0
-	if c.out == nil {
+	if c.out == nil || c.out.Len() == 0 {
 		return nil // no pair of the window survived
 	}
 	c.output += int64(c.out.Len())
-	if c.agg == nil {
-		c.kept = append(c.kept, c.out)
-		c.out = nil
-		return nil
-	}
-	err := c.agg.AddBatch(c.out)
+	err := c.sink(c.out)
 	c.out.Reset()
 	return err
+}
+
+// keepBatches is a combiner sink that keeps a copy of every output batch in
+// *dst: an intermediate the plan needs whole before it can go on.
+func keepBatches(dst *[]*batch.Batch) func(*batch.Batch) error {
+	return func(b *batch.Batch) error {
+		*dst = append(*dst, b.Clone())
+		return nil
+	}
 }
 
 // flush settles the pending pairs and emits the last, partial output batch.
@@ -630,7 +635,7 @@ func (e *Engine) probeAndAggregateBatches(ht relop.JoinTable, probes []*batch.Ba
 	if mem, isMem := ht.(*relop.MemJoinTable); isMem && threads > 1 && len(probes) > 1 {
 		return e.probeAndAggregateParallel(mem, probes, q, pj, agg, threads)
 	}
-	cmb := e.newCombiner(pj, agg, false)
+	cmb := e.newCombiner(pj, agg.AddBatch, false)
 	for _, pb := range probes {
 		if err := cmb.probeTable(ht, pb, q.DBWireKey); err != nil {
 			return err
@@ -663,11 +668,13 @@ func (e *Engine) probeAndAggregateParallel(mem *relop.MemJoinTable, probes []*ba
 		threads = len(probes)
 	}
 	cmbs := make([]*combiner, threads)
+	aggs := make([]*relop.HashAgg, threads)
 	var next atomic.Int64
 	var g par.Group
 	for t := 0; t < threads; t++ {
 		t := t
-		cmbs[t] = e.newCombiner(pj, relop.NewHashAgg(q.GroupBy, q.Aggs), false)
+		aggs[t] = relop.NewHashAgg(q.GroupBy, q.Aggs)
+		cmbs[t] = e.newCombiner(pj, aggs[t].AddBatch, false)
 		g.Go(func() error {
 			var rows int64
 			for {
@@ -688,9 +695,9 @@ func (e *Engine) probeAndAggregateParallel(mem *relop.MemJoinTable, probes []*ba
 		return err
 	}
 	var output int64
-	for _, cmb := range cmbs {
+	for t, cmb := range cmbs {
 		output += cmb.output
-		for _, partial := range cmb.agg.PartialRows() {
+		for _, partial := range aggs[t].PartialRows() {
 			if err := agg.MergePartial(partial); err != nil {
 				return err
 			}
@@ -717,7 +724,7 @@ func (e *Engine) finishAggregation(ctx context.Context, qs string, groupBy []exp
 	desig := e.jen.DesignatedWorker()
 	pb := e.newBatcher(ctx, jenName(w), qs+"partial", []string{jenName(desig)}, "", "", w)
 	if runErr == nil {
-		pr.fail(pb.sendRows(jenName(desig), agg.PartialRows()))
+		pr.fail(pb.sendRows(agg.PartialRows()))
 	}
 	pr.fail(pb.CloseWith(runErr))
 
@@ -729,7 +736,7 @@ func (e *Engine) finishAggregation(ctx context.Context, qs string, groupBy []exp
 		e.rec.Add(metrics.AggGroups, int64(len(rows)))
 		fb := e.newBatcher(ctx, jenName(w), qs+"final", []string{dbName(0)}, "", "", w)
 		if runErr == nil {
-			pr.fail(fb.sendRows(dbName(0), rows))
+			pr.fail(fb.sendRows(rows))
 		}
 		pr.fail(fb.CloseWith(runErr))
 	}
@@ -848,7 +855,7 @@ func (e *Engine) runBroadcast(ctx context.Context, qs string, q *plan.JoinQuery)
 			agg := relop.NewHashAgg(q.GroupBy, q.Aggs)
 			agg.SetBudget(bud)
 			defer func() { bud.Release(agg.MemBytes()) }()
-			cmb := e.newCombiner(pj, agg, true)
+			cmb := e.newCombiner(pj, agg.AddBatch, true)
 			scanKey := q.HDFSWire[q.HDFSWireKey]
 			var probes atomic.Int64
 			if runErr == nil {
@@ -881,7 +888,9 @@ func (e *Engine) runBroadcast(ctx context.Context, qs string, q *plan.JoinQuery)
 // broadcastRelayRecv implements the JEN side of the relay scheme: batches
 // from this worker's DB feeders go into the hash table AND onward to every
 // other JEN worker; batches relayed by peers complete the table. Receivers
-// drain the relay stream in the background so relays never deadlock.
+// drain the relay stream in the background, and the direct stream, whose
+// callback relays, is received through streamBatches, so relays never
+// deadlock.
 func (e *Engine) broadcastRelayRecv(ctx context.Context, qs, me string, w, n, directSenders int, ht *relop.HashTable) error {
 	var runErr error
 	pr := newProg(ctx, &runErr)
@@ -908,7 +917,7 @@ func (e *Engine) broadcastRelayRecv(ctx context.Context, qs, me string, w, n, di
 		return err
 	})
 	rb := e.newBatcher(ctx, me, qs+"relay", others, metrics.JENShuffleTuples, metrics.JENShuffleBytes, w)
-	pr.fail(e.recvBatches(ctx, me, qs+"dbrows", directSenders, func(b *batch.Batch) error {
+	pr.fail(e.streamBatches(ctx, me, qs+"dbrows", directSenders, func(b *batch.Batch) error {
 		if err := insert(b); err != nil {
 			return err
 		}

@@ -230,11 +230,10 @@ func (e *Engine) materializeDim(ed *plan.EdgeExec) (*dimMat, error) {
 			dm.parts[w] = bs
 			return err
 		}
-		cmb := e.newCombiner(postJoin{}, nil, true)
+		cmb := e.newCombiner(postJoin{}, keepBatches(&dm.parts[w]), true)
 		if err := cmb.probeAll(subHT, bs, ed.Dim.Sub.ParentFKWire); err != nil {
 			return err
 		}
-		dm.parts[w] = cmb.kept
 		dimJoined.Add(cmb.output)
 		return nil
 	})
@@ -286,12 +285,17 @@ func (e *Engine) multiDBProgram(ctx context.Context, qs string, q *plan.MultiQue
 
 // multiJENProgram is one JEN worker's side of the multi-join: receive the
 // cascaded Bloom filters, scan the fact table once with every filter
-// applied, then run the join edges as pipeline stages — repartition stages
-// reshuffle the intermediate result by the next edge's key, broadcast
-// stages probe the full dimension locally — and finish with the shared
-// aggregation fan-in. The last stage's matches fold straight into the
-// partial aggregate; every earlier stage's output replaces the live
-// intermediate, whose budget charge is released as it is replaced.
+// applied, then run the join edges as pipeline stages and finish with the
+// shared aggregation fan-in.
+//
+// The stages stream. A repartition edge builds its dimension share first,
+// then probes each batch of its shuffle stream as it arrives, while the
+// batch is still on loan, and its combiner scatters every output batch
+// straight into the next edge's shuffle; the last edge folds into the
+// partial aggregate. An intermediate is held whole only where the plan needs
+// all of it first: the input of a broadcast edge, whose full dimension
+// arrives after it, and of a gated edge, whose observation counts it. A held
+// intermediate is charged to the budget until the next stage replaces it.
 func (e *Engine) multiJENProgram(ctx context.Context, qs string, q *plan.MultiQuery, scanPlan *jen.ScanPlan, w, n, m int, gated []bool, switched []string) error {
 	me := jenName(w)
 	var runErr error
@@ -304,31 +308,50 @@ func (e *Engine) multiJENProgram(ctx context.Context, qs string, q *plan.MultiQu
 	route := hashRoute(n)
 	desig := e.jen.DesignatedWorker()
 
-	// The live intermediate, its row count and its budget charge.
-	var cur []*batch.Batch
-	var curRows, live int64
-	defer func() { bud.Release(live) }()
-	replace := func(next []*batch.Batch, rows int64) {
-		bud.Release(live)
-		cur, curRows, live = next, rows, chargeBatches(bud, next)
+	// shuffle opens this worker's side of edge ei's shuffle stream.
+	shuffle := func(ei int) *batcher {
+		return e.newBatcher(ctx, me, mstream(qs, "shuffle", ei), e.jenNames(), metrics.JENShuffleTuples, metrics.JENShuffleBytes, w)
 	}
-	// reshuffle scatters the intermediate by keyIdx into stage ei's shuffle
-	// stream (feed, when set, fills the stream instead — the fact scan) and
-	// replaces it with what this worker receives.
-	reshuffle := func(ei, keyIdx int, feed func(b *batcher) error) {
-		b := e.newBatcher(ctx, me, mstream(qs, "shuffle", ei), e.jenNames(), metrics.JENShuffleTuples, metrics.JENShuffleBytes, w)
-		if runErr == nil {
-			if feed != nil {
-				pr.fail(feed(b))
-			} else {
-				pr.fail(b.scatterBatches(cur, keyIdx, nil, route))
-			}
+	// The held intermediate, its row count and its budget charge.
+	var held []*batch.Batch
+	var heldRows, heldBytes int64
+	defer func() { bud.Release(heldBytes) }()
+	hold := func(bs []*batch.Batch) {
+		bud.Release(heldBytes)
+		held, heldRows, heldBytes = bs, 0, chargeBatches(bud, bs)
+		for _, b := range bs {
+			heldRows += int64(b.Len())
 		}
-		pr.fail(b.CloseWith(runErr))
-		bs, rows, err := e.collectBatches(ctx, me, mstream(qs, "shuffle", ei), n)
-		pr.fail(err)
-		e.rec.AddAt(metrics.JENRecvTuples, w, rows)
-		replace(bs, rows)
+	}
+	// feed opens edge ei's input for the stage before it (the fact scan
+	// before edge 0). put takes that stage's output batches, projected
+	// through proj (nil: as they are), and is safe for the scan's
+	// concurrent morsel threads. A repartition edge no decision can turn
+	// into a broadcast streams: put scatters straight into its shuffle and
+	// end closes it. Any other edge needs its input whole: put copies, and
+	// end holds the copies.
+	feed := func(ei int, proj []int) (put func(*batch.Batch) error, end func()) {
+		if ed := &q.Edges[ei]; ed.Algorithm == plan.EdgeRepartition && !gated[ei] {
+			b, key := shuffle(ei), ed.FactKeyCol
+			if proj != nil {
+				key = proj[key]
+			}
+			return func(src *batch.Batch) error { return b.scatterBatch(src, proj, key, nil, route) },
+				func() { pr.fail(b.CloseWith(runErr)) }
+		}
+		var mu sync.Mutex
+		var kept []*batch.Batch
+		return func(src *batch.Batch) error {
+			wb := batch.New(projWidth(src, proj), src.Len())
+			err := src.Each(func(i int) error {
+				wb.AppendFrom(src, i, proj)
+				return nil
+			})
+			mu.Lock()
+			kept = append(kept, wb)
+			mu.Unlock()
+			return err
+		}, func() { hold(kept) }
 	}
 
 	// Blocking: the cascaded dimension Bloom filters, in edge order (the
@@ -353,36 +376,12 @@ func (e *Engine) multiJENProgram(ctx context.Context, qs string, q *plan.MultiQu
 		Mem:     bud,
 	}
 
-	// Stage 0: the fact scan feeds the first edge directly — scattered by
-	// its key for a repartition edge, kept local for a broadcast edge.
-	first := &q.Edges[0]
-	if first.Algorithm == plan.EdgeRepartition {
-		scanKey := q.FactWire[first.FactKeyCol]
-		reshuffle(0, scanKey, func(b *batcher) error {
-			return e.jen.ScanFilterBatches(spec, func(sb *batch.Batch) error {
-				return b.scatterBatch(sb, q.FactWire, scanKey, nil, route)
-			})
-		})
-	} else {
-		var mu sync.Mutex // morsel workers yield concurrently
-		var local []*batch.Batch
-		var rows int64
-		if runErr == nil {
-			pr.fail(e.jen.ScanFilterBatches(spec, func(sb *batch.Batch) error {
-				wb := batch.New(len(q.FactWire), sb.Len())
-				perr := sb.Each(func(i int) error {
-					wb.AppendFrom(sb, i, q.FactWire)
-					return nil
-				})
-				mu.Lock()
-				local = append(local, wb)
-				rows += int64(wb.Len())
-				mu.Unlock()
-				return perr
-			}))
-		}
-		replace(local, rows)
+	// Stage 0: the fact scan feeds the first edge directly.
+	put, end := feed(0, q.FactWire)
+	if runErr == nil {
+		pr.fail(e.jen.ScanFilterBatches(spec, put))
 	}
+	end()
 
 	agg := relop.NewHashAgg(q.GroupBy, q.Aggs)
 	agg.SetBudget(bud)
@@ -394,13 +393,14 @@ func (e *Engine) multiJENProgram(ctx context.Context, qs string, q *plan.MultiQu
 	for ei := range q.Edges {
 		ed := &q.Edges[ei]
 		alg := ed.Algorithm
+		last := ei == len(q.Edges)-1
 
 		if gated[ei] {
 			// Keep-vs-broadcast handshake: every worker contributes its
 			// observed intermediate size — unconditionally, even when
 			// failing, so the designated fan-in always completes — and the
 			// decision reaches the JEN and DB workers alike.
-			pr.fail(e.sendControl(me, netsim.MsgControl, mstream(qs, "obs", ei), ctlPayload(curRows), metrics.AdaptBytes, []string{jenName(desig)}))
+			pr.fail(e.sendControl(me, netsim.MsgControl, mstream(qs, "obs", ei), ctlPayload(heldRows), metrics.AdaptBytes, []string{jenName(desig)}))
 			if w == desig {
 				var total int64
 				err := e.recvControl(ctx, me, netsim.MsgControl, mstream(qs, "obs", ei), n, addCtl(&total))
@@ -428,45 +428,74 @@ func (e *Engine) multiJENProgram(ctx context.Context, qs string, q *plan.MultiQu
 			pr.fail(err)
 			if err == nil && switchKind(d) == switchBroadcast {
 				alg = plan.EdgeBroadcast
+			} else {
+				// Kept: the held intermediate goes out by this edge's key.
+				b := shuffle(ei)
+				if runErr == nil {
+					pr.fail(b.scatterBatches(held, ed.FactKeyCol, nil, route))
+				}
+				pr.fail(b.CloseWith(runErr))
+				hold(nil)
 			}
-		}
-
-		// Reshuffle the intermediate result by this edge's key (the first
-		// edge was already routed by the scan).
-		if ei > 0 && alg == plan.EdgeRepartition {
-			reshuffle(ei, ed.FactKeyCol, nil)
 		}
 
 		// Receive this edge's dimension — the hash-local share under
-		// repartition, the full dimension under broadcast — and probe.
+		// repartition, the full dimension under broadcast — and build.
 		dimBatches, dimRows, err := e.collectBatches(ctx, me, mstream(qs, "dim", ei), m)
 		pr.fail(err)
-		if runErr == nil {
-			ht := relop.NewHashTable(ed.DimKeyWire)
-			for _, b := range dimBatches {
-				if err := ht.InsertBatch(b); err != nil {
-					pr.fail(err)
+		ht := relop.NewHashTable(ed.DimKeyWire)
+		for _, b := range dimBatches {
+			if runErr != nil {
+				break
+			}
+			pr.fail(ht.InsertBatch(b))
+		}
+		ht.Build()
+		jt := &relop.MemJoinTable{H: ht}
+		charged += chargeJoinBuild(bud, dimRows, ed.DimWireSchema.Len())
+
+		// The last stage folds into the partial aggregate; every other one
+		// feeds the next edge.
+		pj, sink, end := postJoin{pred: q.PostJoin}, agg.AddBatch, func() {}
+		if !last {
+			pj = postJoin{}
+			sink, end = feed(ei+1, nil)
+		}
+		cmb := e.newCombiner(pj, sink, true)
+
+		// Probe: the shuffle stream batch by batch as it arrives, or the
+		// held intermediate.
+		var probes int64
+		if alg == plan.EdgeRepartition {
+			pr.fail(e.streamBatches(ctx, me, mstream(qs, "shuffle", ei), n, func(pb *batch.Batch) error {
+				probes += int64(pb.Len())
+				if runErr != nil {
+					return nil
+				}
+				return cmb.probeTable(jt, pb, ed.FactKeyCol)
+			}))
+			e.rec.AddAt(metrics.JENRecvTuples, w, probes)
+		} else {
+			probes = heldRows
+			for _, pb := range held {
+				if runErr != nil {
 					break
 				}
+				pr.fail(cmb.probeTable(jt, pb, ed.FactKeyCol))
 			}
-			ht.Build()
-			charged += chargeJoinBuild(bud, dimRows, ed.DimWireSchema.Len())
+			hold(nil)
+		}
+		if runErr == nil {
+			pr.fail(cmb.flush())
+		}
+		// Run even when failing, so every peer learns the fate of this
+		// worker's stream instead of waiting on it.
+		end()
+		if runErr == nil {
 			e.rec.AddAt(metrics.JoinBuildTuples, w, dimRows)
-			e.rec.AddAt(metrics.JoinProbeTuples, w, curRows)
-			if runErr == nil {
-				// Earlier stages keep their output whole as the next
-				// intermediate; the last folds into the partial aggregate.
-				last := ei == len(q.Edges)-1
-				cmb := e.newCombiner(postJoin{}, nil, true)
-				if last {
-					cmb = e.newCombiner(postJoin{pred: q.PostJoin}, agg, true)
-				}
-				pr.fail(cmb.probeAll(ht, cur, ed.FactKeyCol))
-				if last {
-					e.rec.Add(metrics.JoinOutputTuples, cmb.output)
-				} else {
-					replace(cmb.kept, cmb.output)
-				}
+			e.rec.AddAt(metrics.JoinProbeTuples, w, probes)
+			if last {
+				e.rec.Add(metrics.JoinOutputTuples, cmb.output)
 			}
 		}
 		width += ed.DimWireSchema.Len()

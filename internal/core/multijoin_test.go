@@ -178,6 +178,14 @@ const starTestSQL = `select f.grp, count(*), sum(f.measure)
 	where c.attr < 400 and p.attr < 500 and s.attr < 700
 	group by f.grp`
 
+// starFullSQL joins the three dimensions with no dimension predicate.
+const starFullSQL = `select f.grp, count(*), sum(f.measure)
+	from fact f
+	join customer c on f.fk_customer = c.key
+	join product p on f.fk_product = p.key
+	join store s on f.fk_store = s.key
+	group by f.grp`
+
 func smallStar() datagen.Star {
 	return datagen.Star{
 		FactRows: 5000,
@@ -297,49 +305,55 @@ func TestMultiAdaptiveSwitch(t *testing.T) {
 	}
 }
 
-// TestMultiBudgetReleasesIntermediates: each N-way stage's intermediate
-// replaces the previous one, so the query budget may hold the live
-// intermediate and the one being built, never every stage's at once. In a
-// 3-edge all-repartition star whose dimensions keep every fact row, every
-// stage holds n rows, and the executor materializes five of them (the scan
-// output, then edge 0's and edge 1's probe output and its reshuffle by the
-// next key). Any accounting charges a held row at least 48 bytes (a row
-// header, or 16 bytes per value of a row at least three wide), so the
-// stacked intermediates would reserve at least 5 × 48 × n bytes — the peak
-// must stay below that, and every charge must come back.
+// TestMultiBudgetReleasesIntermediates: an all-repartition plan streams
+// every stage — the scan scatters into edge 0's shuffle, and each stage
+// probes its shuffle as it arrives and scatters its output into the next —
+// so it holds no intermediate at all. What the budget still carries is what
+// is held: the dimensions (materialised DB-side, built JEN-side), the
+// aggregation state and the scan's in-flight batches, none of which grows
+// with the fact table. Any accounting charges a held row at least 48 bytes
+// (a row header, or 16 bytes per value of a row at least three wide), so
+// with every fact row surviving every edge, the peak stays below one
+// intermediate's 48 × n bytes, quadrupling n adds less than that to it, and
+// every charge comes back.
 func TestMultiBudgetReleasesIntermediates(t *testing.T) {
-	s := smallStar()
-	f := buildStarFixture(t, netsim.NewChanBus(256), 3, 4, s, Config{})
-	defer f.eng.Close()
-	f.env.Advise = func(analyzer.EdgeStats) (plan.EdgeAlg, string) {
-		return plan.EdgeRepartition, "forced repartition"
+	peak := func(factRows int) int64 {
+		s := smallStar()
+		s.FactRows = int64(factRows)
+		f := buildStarFixture(t, netsim.NewChanBus(256), 3, 4, s, Config{})
+		defer f.eng.Close()
+		f.env.Advise = func(analyzer.EdgeStats) (plan.EdgeAlg, string) {
+			return plan.EdgeRepartition, "forced repartition"
+		}
+		mq := f.multiPlan(t, starFullSQL)
+		if len(mq.Edges) != 3 || len(mq.FactWire) < 3 {
+			t.Fatalf("want 3 edges over a fact wire of at least 3 columns, got %d over %d", len(mq.Edges), len(mq.FactWire))
+		}
+		bud := mem.NewBudget(1 << 40)
+		res, err := f.eng.RunMultiOpts(context.Background(), mq, RunOpts{Budget: bud})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertRowsEqual(t, res.Rows, f.multiReference(t, starFullSQL))
+		if got := res.Metrics[metrics.JoinOutputTuples]; got != int64(factRows) {
+			t.Fatalf("join output %d rows, want every fact row (%d)", got, factRows)
+		}
+		if bud.Used() != 0 {
+			t.Errorf("%d B still reserved after the query", bud.Used())
+		}
+		return bud.Peak()
 	}
-	const sql = `select f.grp, count(*), sum(f.measure)
-		from fact f
-		join customer c on f.fk_customer = c.key
-		join product p on f.fk_product = p.key
-		join store s on f.fk_store = s.key
-		group by f.grp`
-	mq := f.multiPlan(t, sql)
-	if len(mq.Edges) != 3 || len(mq.FactWire) < 3 {
-		t.Fatalf("want 3 edges over a fact wire of at least 3 columns, got %d over %d", len(mq.Edges), len(mq.FactWire))
+	const n = 5000
+	intermediate := int64(48 * n)
+	small, large := peak(n), peak(4*n)
+	if small >= intermediate {
+		t.Errorf("budget peak %d B at %d fact rows, want below the %d B of one held intermediate", small, n, intermediate)
 	}
-	bud := mem.NewBudget(1 << 40)
-	res, err := f.eng.RunMultiOpts(context.Background(), mq, RunOpts{Budget: bud})
-	if err != nil {
-		t.Fatal(err)
+	if large-small >= intermediate {
+		t.Errorf("budget peak grew %d → %d B when the fact table went %d → %d rows; want less than one intermediate (%d B) of growth",
+			small, large, n, 4*n, intermediate)
 	}
-	assertRowsEqual(t, res.Rows, f.multiReference(t, sql))
-	n := s.FactRows
-	if got := res.Metrics[metrics.JoinOutputTuples]; got != n {
-		t.Fatalf("join output %d rows, want every fact row (%d)", got, n)
-	}
-	if stacked := 5 * 48 * n; bud.Peak() >= stacked {
-		t.Errorf("budget peak %d B, want below the %d B of every stage's intermediate stacked", bud.Peak(), stacked)
-	}
-	if bud.Used() != 0 {
-		t.Errorf("%d B still reserved after the query", bud.Used())
-	}
+	t.Logf("budget peak: %d B at %d fact rows, %d B at %d", small, n, large, 4*n)
 }
 
 // TestRunMultiValidates rejects malformed plans up front.

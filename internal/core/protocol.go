@@ -9,6 +9,7 @@ import (
 	"hybridwh/internal/cluster"
 	"hybridwh/internal/compress"
 	"hybridwh/internal/netsim"
+	"hybridwh/internal/par"
 	"hybridwh/internal/skew"
 	"hybridwh/internal/types"
 )
@@ -45,7 +46,7 @@ type batcher struct {
 	dests  []string
 
 	mu   sync.Mutex
-	bufs map[string]*batch.Batch // guarded by mu
+	bufs []*batch.Batch // guarded by mu — dests[i]'s buffer, created on first use
 
 	// Counter names (vector counters, indexed by slot); empty to skip.
 	tupleCounter string
@@ -62,45 +63,47 @@ type batcher struct {
 func (e *Engine) newBatcher(ctx context.Context, from, stream string, dests []string, tupleCounter, byteCounter string, slot int) *batcher {
 	return &batcher{
 		e: e, ctx: ctx, from: from, stream: stream, size: e.cfg.BatchRows,
-		dests: dests, bufs: map[string]*batch.Batch{},
+		dests: dests, bufs: make([]*batch.Batch, len(dests)),
 		tupleCounter: tupleCounter, byteCounter: byteCounter, slot: slot,
 	}
 }
 
-// bufLocked returns dest's buffer, creating it with the stream's row width
-// on first use (all rows of one stream share a layout). Callers hold mu.
-func (b *batcher) bufLocked(dest string, ncols int) *batch.Batch {
-	bb := b.bufs[dest]
+// bufLocked returns dests[d]'s buffer, creating it with the stream's row
+// width on first use (all rows of one stream share a layout). Callers hold
+// mu.
+func (b *batcher) bufLocked(d, ncols int) *batch.Batch {
+	bb := b.bufs[d]
 	if bb == nil {
 		bb = batch.New(ncols, b.size)
-		b.bufs[dest] = bb
+		b.bufs[d] = bb
 	}
 	return bb
 }
 
 // appendLocked queues physical row i of src, projected through proj, for
-// dest, flushing a full batch. Callers hold mu.
-func (b *batcher) appendLocked(dest string, src *batch.Batch, i int, proj []int, ncols int) error {
-	bb := b.bufLocked(dest, ncols)
+// dests[d], flushing a full batch. Callers hold mu.
+func (b *batcher) appendLocked(d int, src *batch.Batch, i int, proj []int, ncols int) error {
+	bb := b.bufLocked(d, ncols)
 	bb.AppendFrom(src, i, proj)
 	b.tuples++
 	if bb.Full() {
-		return b.flushLocked(dest)
+		return b.flushLocked(d)
 	}
 	return nil
 }
 
-// sendRows queues a materialized row slice for one destination — the
-// aggregation fan-in, where relop.HashAgg hands out partial and final rows.
-func (b *batcher) sendRows(dest string, rows []types.Row) error {
+// sendRows queues a materialized row slice for the batcher's one
+// destination — the aggregation fan-in, where relop.HashAgg hands out
+// partial and final rows.
+func (b *batcher) sendRows(rows []types.Row) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for _, r := range rows {
-		bb := b.bufLocked(dest, len(r))
+		bb := b.bufLocked(0, len(r))
 		bb.AppendRow(r)
 		b.tuples++
 		if bb.Full() {
-			if err := b.flushLocked(dest); err != nil {
+			if err := b.flushLocked(0); err != nil {
 				return err
 			}
 		}
@@ -108,21 +111,22 @@ func (b *batcher) sendRows(dest string, rows []types.Row) error {
 	return nil
 }
 
-// sendBatchLocked queues every live row of src for dest. Callers hold mu.
-func (b *batcher) sendBatchLocked(dest string, src *batch.Batch, proj []int) error {
+// sendBatchLocked queues every live row of src for dests[d]. Callers hold
+// mu.
+func (b *batcher) sendBatchLocked(d int, src *batch.Batch, proj []int) error {
 	ncols := projWidth(src, proj)
 	return src.Each(func(i int) error {
-		return b.appendLocked(dest, src, i, proj, ncols)
+		return b.appendLocked(d, src, i, proj, ncols)
 	})
 }
 
-// sendBatch queues every live row of src for dest, projected through proj
-// (src column indexes; nil copies positionally). src is on loan: its values
-// are copied into the destination buffer.
-func (b *batcher) sendBatch(dest string, src *batch.Batch, proj []int) error {
+// sendBatch queues every live row of src for the batcher's one destination,
+// projected through proj (src column indexes; nil copies positionally). src
+// is on loan: its values are copied into the destination buffer.
+func (b *batcher) sendBatch(src *batch.Batch, proj []int) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.sendBatchLocked(dest, src, proj)
+	return b.sendBatchLocked(0, src, proj)
 }
 
 // scatterBatch routes every live row of src by its key column (an index
@@ -142,9 +146,9 @@ func (b *batcher) scatterBatch(src *batch.Batch, proj []int, keyIdx int, hot *sk
 	return src.Each(func(i int) error {
 		k := keys[i].Int()
 		if !replicate || !hot.Contains(k) {
-			return b.appendLocked(b.dests[route(k)], src, i, proj, ncols)
+			return b.appendLocked(route(k), src, i, proj, ncols)
 		}
-		for _, d := range b.dests {
+		for d := range b.dests {
 			if err := b.appendLocked(d, src, i, proj, ncols); err != nil {
 				return err
 			}
@@ -169,7 +173,7 @@ func (b *batcher) scatterBatches(bs []*batch.Batch, keyIdx int, hot *skew.HotSet
 func (b *batcher) broadcastBatch(src *batch.Batch, proj []int) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for _, d := range b.dests {
+	for d := range b.dests {
 		if err := b.sendBatchLocked(d, src, proj); err != nil {
 			return err
 		}
@@ -201,10 +205,10 @@ func projWidth(src *batch.Batch, proj []int) int {
 	return src.NumCols()
 }
 
-// flushLocked ships dest's buffered rows as one framed message. Callers
-// hold mu.
-func (b *batcher) flushLocked(dest string) error {
-	bb := b.bufs[dest]
+// flushLocked ships dests[d]'s buffered rows as one framed message.
+// Callers hold mu.
+func (b *batcher) flushLocked(d int) error {
+	bb := b.bufs[d]
 	if bb == nil || bb.Size() == 0 {
 		return nil
 	}
@@ -223,7 +227,7 @@ func (b *batcher) flushLocked(dest string) error {
 	if b.byteCounter != "" {
 		b.e.rec.AddAt(b.byteCounter, b.slot, int64(len(payload)))
 	}
-	return b.e.bus.Send(b.from, dest, netsim.Msg{Type: netsim.MsgRows, Stream: b.stream, Payload: payload})
+	return b.e.bus.Send(b.from, b.dests[d], netsim.Msg{Type: netsim.MsgRows, Stream: b.stream, Payload: payload})
 }
 
 // Close flushes every buffer and sends EOS to every destination. It must
@@ -236,7 +240,7 @@ func (b *batcher) Close() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	var firstErr error
-	for _, d := range b.dests {
+	for d := range b.dests {
 		if err := b.flushLocked(d); err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -285,6 +289,27 @@ func (b *batcher) CloseWith(runErr error) error {
 // on the abort teardown (router Unroute release + context cancellation) to
 // unblock the remaining senders.
 func (e *Engine) recvBatches(ctx context.Context, at, stream string, senders int, fn func(b *batch.Batch) error) error {
+	return e.recvFrames(ctx, at, stream, senders, false, fn)
+}
+
+// streamBatches is recvBatches for a receiver whose fn sends: an N-way stage
+// scatters its output into the next edge's shuffle as each shuffled batch
+// arrives, and the broadcast relay forwards each batch it receives. Such a
+// receiver must never stop draining its route.
+// If fn blocked on a full inbox while the route channel filled, this
+// endpoint's router would block on the route and its inbox would fill, so a
+// peer sending the same way — or this worker, sending to itself — would
+// block too: a cycle no context breaks, because a bus send does not observe
+// one. So the frames pass through relay, which takes each one off the route
+// as it arrives and queues it for fn without bound, as the router already
+// queues a stream nobody has routed yet.
+func (e *Engine) streamBatches(ctx context.Context, at, stream string, senders int, fn func(b *batch.Batch) error) error {
+	return e.recvFrames(ctx, at, stream, senders, true, fn)
+}
+
+// recvFrames is recvBatches, with the rows relayed when relayed is set (see
+// streamBatches).
+func (e *Engine) recvFrames(ctx context.Context, at, stream string, senders int, relayed bool, fn func(b *batch.Batch) error) error {
 	if senders == 0 {
 		return nil
 	}
@@ -332,9 +357,21 @@ func (e *Engine) recvBatches(ctx context.Context, at, stream string, senders int
 		}
 	}
 
+	in := rows
+	var fin chan struct{}
+	if relayed {
+		fin = make(chan struct{})
+		stop := make(chan struct{})
+		var g par.Group
+		in = relay(&g, rows, fin, stop)
+		defer func() {
+			close(stop)
+			_ = g.Wait() // the relay never fails; this joins it
+		}()
+	}
 	for remaining := senders; remaining > 0; {
 		select {
-		case env := <-rows:
+		case env := <-in:
 			consume(env)
 		case <-eos:
 			remaining--
@@ -345,9 +382,16 @@ func (e *Engine) recvBatches(ctx context.Context, at, stream string, senders int
 		}
 	}
 	// Bus ordering: each sender's rows precede its EOS, and the router
-	// dispatches sequentially, so by the final EOS every row is buffered.
-	// Leftover frames go through the same consume as the main loop —
-	// decode-checked, first error wins.
+	// dispatches sequentially, so by the final EOS every row is buffered —
+	// in the route channel or the relay's queue. Leftover frames go through
+	// the same consume as the main loop — decode-checked, first error wins.
+	if relayed {
+		close(fin)
+		for env := range in {
+			consume(env)
+		}
+		return consumeErr
+	}
 	for {
 		select {
 		case env := <-rows:
@@ -356,6 +400,53 @@ func (e *Engine) recvBatches(ctx context.Context, at, stream string, senders int
 			return consumeErr
 		}
 	}
+}
+
+// relay forwards src to the returned channel through an unbounded FIFO, so
+// whoever sends on src — the endpoint's router — never waits for the reader.
+// Once fin closes it takes what is left on src, delivers the queue and
+// closes the channel; it gives up when stop closes. It runs on g.
+func relay(g *par.Group, src <-chan netsim.Envelope, fin, stop <-chan struct{}) <-chan netsim.Envelope {
+	out := make(chan netsim.Envelope)
+	g.Go(func() error {
+		defer close(out)
+		var q []netsim.Envelope
+		for {
+			var send chan<- netsim.Envelope
+			var head netsim.Envelope
+			if len(q) > 0 {
+				send, head = out, q[0]
+			}
+			select {
+			case env := <-src:
+				q = append(q, env)
+			case send <- head:
+				q[0] = netsim.Envelope{}
+				q = q[1:]
+			case <-fin:
+			rest:
+				for {
+					select {
+					case env := <-src:
+						q = append(q, env)
+					default:
+						break rest
+					}
+				}
+				for _, env := range q {
+					select {
+					case out <- env:
+					case <-stop:
+						return nil
+					}
+				}
+				return nil
+			case <-stop:
+				return nil
+			}
+		}
+	})
+	return out
 }
 
 // collectRows receives a stream into materialized rows — the aggregation

@@ -16,7 +16,9 @@ type Func struct {
 	Name   string
 	Arity  int
 	Result types.Kind
-	Apply  func(args []types.Value) (types.Value, error)
+	// Apply must not keep args past its return: Call.Eval lends it a
+	// pooled slice.
+	Apply func(args []types.Value) (types.Value, error)
 	// Batch, when set, is the vectorized form: args holds one evaluated
 	// column per argument, and the function appends one result per row to
 	// out. It must agree with Apply value-for-value — the batch kernels in
@@ -75,16 +77,21 @@ func NewCall(fn *Func, args ...Expr) (*Call, error) {
 	return &Call{Fn: fn, Name: fn.Name, Args: args}, nil
 }
 
-// Eval implements Expr.
+// Eval implements Expr. The argument slice is borrowed from valBufPool, not
+// allocated per call and not kept on the node: one expression tree is
+// evaluated by several probe threads at once.
 func (c *Call) Eval(row types.Row) (types.Value, error) {
-	vals := make([]types.Value, len(c.Args))
-	for i, a := range c.Args {
+	p := valBufPool.Get().(*[]types.Value)
+	defer valBufPool.Put(p)
+	vals := (*p)[:0]
+	for _, a := range c.Args {
 		v, err := a.Eval(row)
 		if err != nil {
 			return types.Null, err
 		}
-		vals[i] = v
+		vals = append(vals, v)
 	}
+	*p = vals[:0] // keep any growth for the next borrower
 	return c.Fn.Apply(vals)
 }
 
