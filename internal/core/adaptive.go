@@ -10,11 +10,9 @@ import (
 	"hybridwh/internal/batch"
 	"hybridwh/internal/costmodel"
 	"hybridwh/internal/jen"
-	"hybridwh/internal/mem"
 	"hybridwh/internal/metrics"
 	"hybridwh/internal/netsim"
 	"hybridwh/internal/plan"
-	"hybridwh/internal/relop"
 	"hybridwh/internal/skew"
 )
 
@@ -199,7 +197,6 @@ type decisionWatch struct {
 	abort  <-chan netsim.Envelope
 	d      *adaptDecision
 	err    error
-	closed bool
 }
 
 // watchDecision opens the decision routes at a JEN endpoint.
@@ -260,12 +257,8 @@ func (w *decisionWatch) wait(ctx context.Context) (*adaptDecision, error) {
 	return w.d, w.err
 }
 
-// close releases the routes; safe to call twice.
+// close releases the routes.
 func (w *decisionWatch) close() {
-	if w.closed {
-		return
-	}
-	w.closed = true
 	w.r.Unroute(netsim.MsgControl, w.stream)
 	w.r.Unroute(netsim.MsgError, w.stream)
 }
@@ -374,14 +367,6 @@ type adaptJENWorker struct {
 	hotTuples int64
 }
 
-func newAdaptJENWorker(e *Engine, qs string, q *plan.JoinQuery, b *batcher, w, n, scanKey int, watch *decisionWatch, route func(key int64) int) *adaptJENWorker {
-	return &adaptJENWorker{
-		e: e, qs: qs, me: jenName(w), q: q, b: b, w: w, n: n,
-		scanKey: scanKey, watch: watch, route: route,
-		sketch: skew.NewSketch(sketchKeys),
-	}
-}
-
 // onBatch is the scan yield: poll for the decision, and either buffer
 // (undecided or broadcast) or route (keep/hybrid) this batch.
 func (a *adaptJENWorker) onBatch(sb *batch.Batch) error {
@@ -399,7 +384,7 @@ func (a *adaptJENWorker) onBatch(sb *batch.Batch) error {
 		}
 	}
 	if a.dec != nil && a.dec.kind != switchBroadcast {
-		return a.routeLiveLocked(sb)
+		return a.b.scatterBatch(sb, a.q.HDFSWire, a.scanKey, nil, a.routeFnLocked())
 	}
 	// Undecided (or switched to broadcast): copy the wire projection into
 	// the local buffer; while undecided, feed the sketch and count toward
@@ -472,12 +457,6 @@ func (a *adaptJENWorker) routeFnLocked() func(key int64) int {
 	}
 }
 
-// routeLiveLocked scatters a live scan batch under the installed decision.
-// Callers hold mu.
-func (a *adaptJENWorker) routeLiveLocked(sb *batch.Batch) error {
-	return a.b.scatterBatch(sb, a.q.HDFSWire, a.scanKey, nil, a.routeFnLocked())
-}
-
 // decided returns the installed decision kind (keepPlan when none arrived,
 // which only happens on failure paths).
 func (a *adaptJENWorker) decided() switchKind {
@@ -528,37 +507,6 @@ func (a *adaptJENWorker) finish(ctx context.Context, pr *prog, lTotal, lRowBytes
 	a.e.rec.AddAt(metrics.JENShuffleHotTuples, a.w, hot)
 }
 
-// probeLocalBroadcast is the JEN worker's join after a broadcast switch:
-// the shuffle never happened, the DB workers broadcast the full T', and the
-// worker joins its buffered L' wire batches against it locally. The
-// combined layout (HDFS wire ++ DB wire) and the post-join/aggregation
-// path reproduce runBroadcast exactly, so the adapted result is identical
-// to what a statically-planned broadcast would produce.
-func (e *Engine) probeLocalBroadcast(buffered, dbBatches []*batch.Batch, q *plan.JoinQuery, pj postJoin, agg *relop.HashAgg, w int, bud *mem.Budget) error {
-	ht := relop.NewHashTable(q.DBWireKey).WithLane(pj.lane(false))
-	for _, db := range dbBatches {
-		if err := ht.InsertBatch(db); err != nil {
-			return err
-		}
-	}
-	e.rec.AddAt(metrics.JoinBuildTuples, w, ht.Len())
-	charged := chargeJoinBuild(bud, ht.Len(), len(q.DBProj))
-	defer bud.Release(charged)
-	ht.Build()
-
-	var probes int64
-	for _, lb := range buffered {
-		probes += int64(lb.Len())
-	}
-	cmb := e.newCombiner(pj, agg.AddBatch, true)
-	if err := cmb.probeAll(ht, buffered, q.HDFSWireKey); err != nil {
-		return err
-	}
-	e.rec.AddAt(metrics.JoinProbeTuples, w, probes)
-	e.rec.Add(metrics.JoinOutputTuples, cmb.output)
-	return nil
-}
-
 // adaptObserveT contributes one DB worker's observed |T'| to the
 // designated fan-in. It is sent even on the failure path so the fan-in
 // always completes; in the zigzag program it goes out before the BF_H wait,
@@ -587,7 +535,7 @@ func (e *Engine) adaptRouteT(ctx context.Context, pr *prog, qs string, q *plan.J
 		return
 	}
 	if d.kind == switchBroadcast {
-		pr.fail(b.broadcastBatches(tw))
+		pr.fail(b.sendBatches(tw))
 		return
 	}
 	pr.fail(b.scatterBatches(tw, q.DBWireKey, d.hot, route))

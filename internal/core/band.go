@@ -3,59 +3,30 @@ package core
 import (
 	"hybridwh/internal/batch"
 	"hybridwh/internal/expr"
-	"hybridwh/internal/plan"
 	"hybridwh/internal/relop"
 	"hybridwh/internal/types"
 )
-
-// postJoin is a two-table query's post-join predicate as its join sites use
-// it: the predicate over the combined layout (HDFS wire ++ DB wire) and, when
-// the predicate is a band (expr.SplitBand) — the paper's
-// 0 <= days(T.date) - days(L.date) <= 1 is one — its two separated terms.
-// With a band, each table a join site builds carries a lane of its rows'
-// build-side term values, and the combiner tests a bucket against one probe
-// value as an int64 range instead of evaluating the predicate per pair.
-// The zero value is "no predicate".
-type postJoin struct {
-	pred expr.Expr
-	band *expr.Band // nil: no band, every pair runs the predicate
-}
-
-// newPostJoin finds q's band, once per query.
-func newPostJoin(q *plan.JoinQuery) postJoin {
-	return splitPostJoin(q.PostJoin, len(q.HDFSWire))
-}
-
-// splitPostJoin is newPostJoin for a predicate over a combined layout whose
-// left part is leftWidth columns wide.
-func splitPostJoin(pred expr.Expr, leftWidth int) postJoin {
-	pj := postJoin{pred: pred}
-	if b, ok := expr.SplitBand(pred, leftWidth); ok {
-		pj.band = b
-	}
-	return pj
-}
 
 // laneChunk is the row count the lane function evaluates at a time: its
 // narrow batch and value buffer stay cache-sized whatever the partition's
 // size.
 const laneChunk = 1024
 
-// lane returns the lane function for a table whose rows are the left (HDFS
-// wire, buildLeft) or the right (DB wire) part of the combined layout, nil
-// without a band. It evaluates the band's build-side term vectorised over a
-// narrow batch of the term's columns, a chunk of rows at a time, and maps
-// each value through expr.BandValue. A row too short for the term, an
-// evaluation error or a value BandValue rejects declines the whole
+// lane returns the lane function of the stage's build rows, nil without a
+// band: the band's build-side term, which is its right term when the probe
+// rows are the left part and its left term otherwise. It evaluates the term
+// vectorised over a narrow batch of the term's columns, a chunk of rows at a
+// time, and maps each value through expr.BandValue. A row too short for the
+// term, an evaluation error or a value BandValue rejects declines the whole
 // partition, whose buckets then take the general path and report any error
 // exactly where they always did.
-func (pj postJoin) lane(buildLeft bool) relop.LaneFunc {
-	if pj.band == nil {
+func (s *joinStage) lane() relop.LaneFunc {
+	if s.band == nil {
 		return nil
 	}
-	term := pj.band.Right
-	if buildLeft {
-		term = pj.band.Left
+	term := s.band.Left
+	if s.site.probeLeft {
+		term = s.band.Right
 	}
 	cols := expr.ColumnSet(term)
 	mapping := make(map[int]int, len(cols))

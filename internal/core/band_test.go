@@ -80,14 +80,31 @@ func naivePairs(f *fixture, tCor, lCor int32) int64 {
 	return pairs
 }
 
+// countingDayNumbers is countingDays for a schema without dates: days() of
+// an int64 day number is the number itself.
+func countingDayNumbers(calls *atomic.Int64) *expr.Func {
+	return &expr.Func{
+		Name: "days", Arity: 1, Result: types.KindInt64,
+		Apply: func(a []types.Value) (types.Value, error) {
+			calls.Add(1)
+			return a[0], nil
+		},
+		Batch: func(args [][]types.Value, out []types.Value) ([]types.Value, error) {
+			calls.Add(int64(len(args[0])))
+			return append(out, args[0]...), nil
+		},
+	}
+}
+
 // The paper's date band is evaluated once per build row (the lane) plus at
 // most once per probe row with a bucket — not once per pair — at every join
 // site: the repartition join (build = L) at one and three threads, the
 // skew-escalated hybrid shuffle, the DB-side joins, the broadcast join at
-// one and three threads and the adaptive switch's local broadcast (build =
-// T). The per-pair predicate would run days twice per pair, at least half
-// as many times again as the bound allows, so a silent fallback to the per-pair predicate fails here even though
-// every result stays right.
+// one and three threads, the adaptive switch's local broadcast (build = T)
+// and the last stage of an N-way star plan (build = the last dimension).
+// The per-pair predicate would run days twice per pair, at least half as
+// many times again as the bound allows, so a silent fallback to the
+// per-pair predicate fails here even though every result stays right.
 func TestBandPathEvaluatesTermsPerRowNotPerPair(t *testing.T) {
 	const tCor, lCor = 300, 400
 	var calls atomic.Int64
@@ -144,6 +161,43 @@ func TestBandPathEvaluatesTermsPerRowNotPerPair(t *testing.T) {
 			}
 		})
 	}
+	// The star's band crosses its last edge, customer, where every fact row
+	// meets exactly one dimension row: that stage probes FactRows rows into
+	// as many pairs, and builds the customer table once per worker under a
+	// broadcast.
+	t.Run("n-way-last-edge", func(t *testing.T) {
+		const jenWorkers = 4
+		star := smallStar()
+		sf := buildStarFixture(t, netsim.NewChanBus(256), 3, jenWorkers, star, Config{})
+		defer sf.eng.Close()
+		sf.env.Registry.Register(countingDayNumbers(&calls))
+		sql := starBandSQL("days")
+		mq := sf.multiPlan(t, sql)
+		last := mq.Edges[len(mq.Edges)-1]
+		if last.Dim.Table != "customer" || star.Dims[0].Name != "customer" {
+			t.Fatalf("the last edge joins %s, not customer", last.Dim.Table)
+		}
+		want := sf.multiReference(t, sql)
+		calls.Store(0)
+		res, err := sf.eng.RunMulti(mq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertRowsEqual(t, res.Rows, want)
+		build, probe := star.Dims[0].Rows, star.FactRows
+		if last.Algorithm == plan.EdgeBroadcast {
+			build *= jenWorkers
+		}
+		n := calls.Load()
+		t.Logf("days ran %d times: %d build rows, %d probe rows and pairs", n, build, probe)
+		if 4*probe < 3*(build+probe) {
+			t.Fatalf("fixture too sparse to tell: %d pairs for %d build + %d probe rows", probe, build, probe)
+		}
+		if n < build || n > build+probe {
+			t.Errorf("days ran %d times for %d build rows, %d probe rows and pairs; want between %d and %d",
+				n, build, probe, build, build+probe)
+		}
+	})
 }
 
 // bandData is one data set for the combiner's band tests. Build rows are
@@ -329,11 +383,16 @@ func TestCombinerBandMatchesFullConcat(t *testing.T) {
 }
 
 func runBandCase(t *testing.T, data bandData, mk func(*testing.T, relop.LaneFunc) relop.JoinTable, post expr.Expr, probeLeft bool, size int, dname, pname string) {
-	pj := splitPostJoin(post, 3)
-	if (pj.band == nil) != (pname == "int-general") {
-		t.Fatalf("SplitBand found band %v for %s", pj.band, post)
+	e := &Engine{cfg: Config{BatchRows: size}}
+	var kept []*batch.Batch
+	st, err := e.newJoinStage("", 0, joinSite{pred: post, leftWidth: 3, probeLeft: probeLeft, next: keepBatches(&kept)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	jt := mk(t, pj.lane(!probeLeft))
+	if (st.band == nil) != (pname == "int-general") {
+		t.Fatalf("SplitBand found band %v for %s", st.band, post)
+	}
+	jt := mk(t, st.lane())
 	defer jt.Close()
 	for _, r := range data.build {
 		if err := jt.Insert(r); err != nil {
@@ -343,18 +402,16 @@ func runBandCase(t *testing.T, data bandData, mk func(*testing.T, relop.LaneFunc
 	if err := jt.FinishBuild(); err != nil {
 		t.Fatal(err)
 	}
-	e := &Engine{cfg: Config{BatchRows: size}}
-	var kept []*batch.Batch
-	c := e.newCombiner(pj, keepBatches(&kept), probeLeft)
+	c := st.cmb
 	var calls []bucketCall
 	laned := 0
 	tee := func(p types.Row, bucket []types.Row, lane []int64) error {
 		calls = append(calls, bucketCall{p.Clone(), bucket})
 		if lane != nil {
 			laned++
-			term := pj.band.Right
+			term := st.band.Right
 			if !probeLeft {
-				term = pj.band.Left
+				term = st.band.Left
 			}
 			if len(lane) != len(bucket) {
 				t.Fatalf("lane of %d values for a bucket of %d rows", len(lane), len(bucket))
@@ -371,7 +428,6 @@ func runBandCase(t *testing.T, data bandData, mk func(*testing.T, relop.LaneFunc
 		}
 		return c.bucket(p, bucket, lane)
 	}
-	var err error
 	for _, pb := range data.probes {
 		if err = jt.ProbeBuckets(pb, 1, tee); err != nil {
 			break
@@ -411,7 +467,7 @@ func runBandCase(t *testing.T, data bandData, mk func(*testing.T, relop.LaneFunc
 	if err != nil || wantErr != nil {
 		t.Fatalf("error = %v, full concat %v", err, wantErr)
 	}
-	if pj.band != nil && dname == "clean" && laned == 0 {
+	if st.band != nil && dname == "clean" && laned == 0 {
 		t.Error("no bucket arrived with a lane")
 	}
 	var total int64
@@ -438,8 +494,11 @@ func runBandCase(t *testing.T, data bandData, mk func(*testing.T, relop.LaneFunc
 // term. (`make race` runs this under the race detector.)
 func TestBandLaneUnderParallelBuild(t *testing.T) {
 	post := bandPosts(t, false)["days"] // build rows are the left part
-	pj := splitPostJoin(post, 3)
-	h := relop.NewHashTableParts(0, 4).WithLane(pj.lane(true))
+	st, err := (&Engine{}).newJoinStage("", 0, joinSite{pred: post, leftWidth: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := relop.NewHashTableParts(0, 4).WithLane(st.lane())
 	const rows, keys = 1 << 15, 64
 	for i := 0; i < rows; i++ {
 		r := types.Row{types.Int64(int64(i % keys)), types.Date(int32(i % 1000)), types.Int64(0)}
@@ -475,8 +534,11 @@ func TestBandLaneUnderParallelBuild(t *testing.T) {
 // parallel probe threads share the expression tree).
 func TestBandProbeTermAllocatesNothing(t *testing.T) {
 	for _, probeLeft := range []bool{true, false} {
-		e := &Engine{cfg: Config{BatchRows: 8}}
-		c := e.newCombiner(splitPostJoin(bandPosts(t, probeLeft)["days"], 3), func(*batch.Batch) error { return nil }, probeLeft)
+		st, err := (&Engine{cfg: Config{BatchRows: 8}}).newJoinStage("", 0, joinSite{pred: bandPosts(t, probeLeft)["days"], leftWidth: 3, probeLeft: probeLeft})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := st.cmb
 		if c.probeTerm == nil {
 			t.Fatal("the days band was not recognised")
 		}

@@ -52,15 +52,6 @@ func wideRow(i int) types.Row {
 	return types.Row{types.Int32(int32(i)), types.String(fmt.Sprintf("v%d", i))}
 }
 
-// rowsBatch packs rows into one batch.
-func rowsBatch(rows ...types.Row) *batch.Batch {
-	b := batch.New(len(rows[0]), len(rows))
-	for _, r := range rows {
-		b.AppendRow(r)
-	}
-	return b
-}
-
 // TestBatcherKeepsOtherBuffersOnSendError is the ISSUE's fix check: when a
 // flush to one destination fails mid-send, the partial buffers of the other
 // destinations must still be flushed (and EOS'd) by Close, not dropped.

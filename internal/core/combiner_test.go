@@ -197,13 +197,16 @@ func TestCombinerMatchesFullConcat(t *testing.T) {
 						}
 						e := &Engine{cfg: Config{BatchRows: size}}
 						var kept []*batch.Batch
-						c := e.newCombiner(splitPostJoin(post, 3), keepBatches(&kept), probeLeft)
+						st, err := e.newJoinStage("", 0, joinSite{pred: post, leftWidth: 3, probeLeft: probeLeft, next: keepBatches(&kept)})
+						if err != nil {
+							t.Fatal(err)
+						}
+						c := st.cmb
 						var calls []bucketCall
 						tee := func(p types.Row, bucket []types.Row, lane []int64) error {
 							calls = append(calls, bucketCall{p.Clone(), bucket})
 							return c.bucket(p, bucket, lane)
 						}
-						var err error
 						for _, pb := range probes {
 							if err = jt.ProbeBuckets(pb, 1, tee); err != nil {
 								break

@@ -147,15 +147,6 @@ type Config struct {
 	// either way. Plain hash routing is the default; the hybrid partitioner
 	// (see internal/skew) engages only by observed decision.
 	AdaptiveSwitch bool
-	// WireCompression frame-compresses every MsgRows payload with
-	// internal/compress before it reaches the bus, trading CPU for
-	// inter-cluster bandwidth (most visible on netsim.TCPBus links). Byte
-	// counters record the compressed sizes. Both ends of the bus must agree
-	// on the setting; the engine applies it symmetrically. A frame's
-	// compressed size depends on the row order inside it, so combined with
-	// WorkerThreads > 1 the byte counters leave the deterministic contract
-	// (tuple and message counts stay exact).
-	WireCompression bool
 }
 
 func (c Config) withDefaults(j *jen.Cluster) Config {

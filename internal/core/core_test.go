@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"hybridwh/internal/catalog"
 	"hybridwh/internal/edw"
@@ -320,6 +321,28 @@ func TestDBSideStrategies(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		checkResult(t, res, want, DBSide)
+	}
+
+	// One row per message through 4-slot inboxes: under broadcast-ingested
+	// every DB worker forwards the ingested L' from inside its receive while
+	// its peers do the same, the shape that hangs unless that receive relays
+	// (as TestBroadcastRelayAgrees' relay case).
+	g := buildFixture(t, netsim.NewChanBus(4), 3, 2, 1500, 4000, format.HWCName)
+	defer g.eng.Close()
+	g.eng.cfg.BatchRows = 1
+	gWant := reference(t, g, 1000, 1000)
+	for name, hint := range hints {
+		q := *exampleQuery(t, g, 1000, 1000)
+		q.HDFSCardHint = hint
+		var res *Result
+		err := finishWithin(t, 30*time.Second, func() (err error) {
+			res, err = g.eng.Run(&q, DBSide)
+			return err
+		})
+		if err != nil {
+			t.Fatalf("one-row frames, %s: %v", name, err)
+		}
+		checkResult(t, res, gWant, DBSide)
 	}
 }
 

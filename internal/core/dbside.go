@@ -29,7 +29,6 @@ import (
 // the final join; the second scan then ships L' exactly as db(BF) does.
 func (e *Engine) runDBSide(ctx context.Context, qs string, q *plan.JoinQuery, alg Algorithm) (*Result, error) {
 	n, m := e.jen.Workers(), e.db.Workers()
-	pj := newPostJoin(q)
 	tbl, scanPlan, accessPlan, err := e.resolve(q)
 	if err != nil {
 		return nil, err
@@ -85,7 +84,7 @@ func (e *Engine) runDBSide(ctx context.Context, qs string, q *plan.JoinQuery, al
 	for i := 0; i < m; i++ {
 		i := i
 		g.Go(func() error {
-			rows, err := e.dbJoinProgram(ctx, qs, q, pj, tbl, accessPlan, strategy, i, m, groupSize[i], bfh)
+			rows, err := e.dbJoinProgram(ctx, qs, q, tbl, accessPlan, strategy, i, m, groupSize[i], bfh)
 			if i == 0 {
 				resultRows = rows
 			}
@@ -177,25 +176,20 @@ func (e *Engine) jenIngestProgram(ctx context.Context, qs string, q *plan.JoinQu
 }
 
 // materialize filters and projects worker w's partition of tbl into cloned
-// batches, returning their live row count alongside: the T' (or dimension)
-// a DB program must hold before it can route it — for a Bloom filter still
-// to arrive, a switch decision, or a DB-side pre-join.
-func (e *Engine) materialize(tbl *edw.Table, w int, ap edw.AccessPlan, proj []int) ([]*batch.Batch, int64, error) {
+// batches: the T' (or dimension) a DB program must hold before it can route
+// it — for a Bloom filter still to arrive, a switch decision, or a DB-side
+// pre-join.
+func (e *Engine) materialize(tbl *edw.Table, w int, ap edw.AccessPlan, proj []int) ([]*batch.Batch, error) {
 	var out []*batch.Batch
-	var n int64
-	err := e.db.FilterProjectBatches(tbl, w, ap, proj, e.cfg.BatchRows, e.cfg.WorkerThreads, func(b *batch.Batch) error {
-		out = append(out, b.Clone())
-		n += int64(b.Len())
-		return nil
-	})
-	return out, n, err
+	err := e.db.FilterProjectBatches(tbl, w, ap, proj, e.cfg.BatchRows, e.cfg.WorkerThreads, keepBatches(&out))
+	return out, err
 }
 
 // dbJoinProgram is a DB worker's role in the DB-side join. It always
 // completes the wire protocol (EOS to every peer) before reporting errors.
 // bfh, when set, further prunes the local T' (zigzag-db); db and db(BF)
 // pass nil.
-func (e *Engine) dbJoinProgram(ctx context.Context, qs string, q *plan.JoinQuery, pj postJoin, tbl *edw.Table, ap edw.AccessPlan, strategy edw.JoinStrategy, i, m, ingestSenders int, bfh *bloom.Filter) ([]types.Row, error) {
+func (e *Engine) dbJoinProgram(ctx context.Context, qs string, q *plan.JoinQuery, tbl *edw.Table, ap edw.AccessPlan, strategy edw.JoinStrategy, i, m, ingestSenders int, bfh *bloom.Filter) ([]types.Row, error) {
 	me := dbName(i)
 	var runErr error
 	pr := newProg(ctx, &runErr)
@@ -205,7 +199,7 @@ func (e *Engine) dbJoinProgram(ctx context.Context, qs string, q *plan.JoinQuery
 	// Local T' first. It is materialized: depending on the strategy it is
 	// inserted locally, reshuffled or broadcast, and the zigzag variant
 	// prunes it with BF_H before any of that.
-	tw, _, err := e.materialize(tbl, i, ap, q.DBProj)
+	tw, err := e.materialize(tbl, i, ap, q.DBProj)
 	pr.fail(err)
 	if err == nil && bfh != nil {
 		e.db.ApplyBloomBatches(tw, q.DBWireKey, bfh)
@@ -215,52 +209,49 @@ func (e *Engine) dbJoinProgram(ctx context.Context, qs string, q *plan.JoinQuery
 	// abort the program context (bgFail), so a failed receiver also unblocks
 	// its sibling and the ingest loop below.
 	bud := e.budget(qs)
-	ht := relop.NewHashTable(q.DBWireKey).WithLane(pj.lane(false))
+	agg := relop.NewHashAgg(q.GroupBy, q.Aggs)
+	agg.SetBudget(bud)
+	st, _ := e.newJoinStage(qs, i, twoTable(q, true, agg)) // in memory: cannot fail
+	defer st.close()
 	var lbatches []*batch.Batch
-	var probeTuples int64
 	var bg par.Group
 
 	switch strategy {
 	case edw.RepartitionBoth, edw.BroadcastDB:
 		// The hash table holds T' rows arriving on the treshuf stream.
 		bg.Go(func() error {
-			err := e.recvBatches(ctx, me, qs+"treshuf", m, func(b *batch.Batch) error { return ht.InsertBatch(b) })
+			err := e.receive(ctx, me, qs+"treshuf", m, false, st.insert)
 			pr.bgFail(err)
 			return err
 		})
 	case edw.BroadcastIngested:
 		// The hash table is the local T' partition; no T reshuffle.
 		for _, b := range tw {
-			if err := ht.InsertBatch(b); err != nil {
+			if err := st.insert(b); err != nil {
 				pr.fail(err)
 				break
 			}
 		}
 	}
-	switch strategy {
-	case edw.RepartitionBoth, edw.BroadcastIngested:
+	if strategy != edw.BroadcastDB {
 		// HDFS batches arrive reshuffled/broadcast on lreshuf.
 		bg.Go(func() error {
-			bs, tuples, err := e.collectBatches(ctx, me, qs+"lreshuf", m)
-			lbatches, probeTuples = bs, tuples
+			err := e.receive(ctx, me, qs+"lreshuf", m, false, keepBatches(&lbatches))
 			pr.bgFail(err)
 			return err
 		})
 	}
 
-	// Ship T' per strategy.
+	// Ship T' per strategy: scattered by the agreed hash or broadcast.
 	route := hashRoute(m)
-	switch strategy {
-	case edw.RepartitionBoth:
+	if strategy != edw.BroadcastIngested {
 		tb := e.newBatcher(ctx, me, qs+"treshuf", e.dbNames(), metrics.DBReshuffleTuples, metrics.DBReshuffleBytes, i)
-		if runErr == nil {
+		switch {
+		case runErr != nil:
+		case strategy == edw.RepartitionBoth:
 			pr.fail(tb.scatterBatches(tw, q.DBWireKey, nil, route))
-		}
-		pr.fail(tb.CloseWith(runErr))
-	case edw.BroadcastDB:
-		tb := e.newBatcher(ctx, me, qs+"treshuf", e.dbNames(), metrics.DBReshuffleTuples, metrics.DBReshuffleBytes, i)
-		if runErr == nil {
-			pr.fail(tb.broadcastBatches(tw))
+		default:
+			pr.fail(tb.sendBatches(tw))
 		}
 		pr.fail(tb.CloseWith(runErr))
 	}
@@ -268,66 +259,38 @@ func (e *Engine) dbJoinProgram(ctx context.Context, qs string, q *plan.JoinQuery
 	// Ingest the HDFS stream from this worker's JEN group, forwarding per
 	// strategy; pipelined — batches are forwarded as they arrive.
 	switch strategy {
-	case edw.RepartitionBoth:
-		lb := e.newBatcher(ctx, me, qs+"lreshuf", e.dbNames(), metrics.DBIngestTuples, metrics.DBIngestBytes, i)
-		err := e.recvBatches(ctx, me, qs+"ingest", ingestSenders, func(b *batch.Batch) error {
-			return lb.scatterBatch(b, nil, q.HDFSWireKey, nil, route)
-		})
-		pr.fail(err)
-		pr.fail(lb.CloseWith(runErr))
-	case edw.BroadcastIngested:
-		// Each ingested row is counted once even though it is replicated
-		// to every worker (the bus and byte counter see every copy).
+	case edw.RepartitionBoth, edw.BroadcastIngested:
+		// Each ingested row is counted once, even where it is replicated to
+		// every worker (the bus and byte counter see every copy).
 		lb := e.newBatcher(ctx, me, qs+"lreshuf", e.dbNames(), "", metrics.DBIngestBytes, i)
+		forward := func(b *batch.Batch) error { return lb.sendBatch(b, nil) }
+		if strategy == edw.RepartitionBoth {
+			forward = func(b *batch.Batch) error { return lb.scatterBatch(b, nil, q.HDFSWireKey, nil, route) }
+		}
 		var ingested int64
-		err := e.recvBatches(ctx, me, qs+"ingest", ingestSenders, func(b *batch.Batch) error {
+		pr.fail(e.receive(ctx, me, qs+"ingest", ingestSenders, true, func(b *batch.Batch) error {
 			ingested += int64(b.Len())
-			return lb.broadcastBatch(b, nil)
-		})
-		pr.fail(err)
+			return forward(b)
+		}))
 		pr.fail(lb.CloseWith(runErr))
 		e.rec.AddAt(metrics.DBIngestTuples, i, ingested)
 	case edw.BroadcastDB:
 		// No forwarding: buffer the ingested batches locally.
-		bs, tuples, err := e.collectBatches(ctx, me, qs+"ingest", ingestSenders)
-		lbatches, probeTuples = bs, tuples
-		pr.fail(err)
-		e.rec.AddAt(metrics.DBIngestTuples, i, tuples)
+		pr.fail(e.receive(ctx, me, qs+"ingest", ingestSenders, false, keepBatches(&lbatches)))
+		e.rec.AddAt(metrics.DBIngestTuples, i, liveRows(lbatches))
 	}
 
 	pr.fail(bg.Wait())
-	e.rec.AddAt(metrics.JoinBuildTuples, i, ht.Len())
-	e.rec.AddAt(metrics.JoinProbeTuples, i, probeTuples)
-
-	charged := chargeJoinBuild(bud, ht.Len(), len(q.DBProj)) + chargeBatches(bud, lbatches)
+	pr.fail(st.seal())
+	charged := chargeBatches(bud, lbatches)
 	defer bud.Release(charged)
 
 	// Probe: HDFS batches against the T' hash table. Combined layout is
 	// HDFS wire ++ DB wire; the post-join predicate and partial aggregation
-	// run batch-at-a-time through the combiner.
-	agg := relop.NewHashAgg(q.GroupBy, q.Aggs)
-	agg.SetBudget(bud)
-	defer func() { bud.Release(agg.MemBytes()) }()
+	// run batch-at-a-time through the combiner. The partials converge on
+	// db/0, which produces the result.
 	if runErr == nil {
-		cmb := e.newCombiner(pj, agg.AddBatch, true)
-		pr.fail(cmb.probeAll(ht, lbatches, q.HDFSWireKey))
-		e.rec.Add(metrics.JoinOutputTuples, cmb.output)
+		pr.fail(st.probeAll(lbatches, q.HDFSWireKey, 1))
 	}
-
-	// Partial aggregates converge on db/0, which produces the result.
-	pb := e.newBatcher(ctx, me, qs+"partial", []string{dbName(0)}, "", "", i)
-	if runErr == nil {
-		pr.fail(pb.sendRows(agg.PartialRows()))
-	}
-	pr.fail(pb.CloseWith(runErr))
-
-	if i != 0 {
-		return nil, runErr
-	}
-	partials, err := e.collectRows(ctx, me, qs+"partial", m)
-	pr.fail(err)
-	rows, err := mergePartials(q.GroupBy, q.Aggs, partials)
-	pr.fail(err)
-	e.rec.Add(metrics.AggGroups, int64(len(rows)))
-	return rows, runErr
+	return e.finishAggregation(ctx, qs, agg, i, true, runErr)
 }

@@ -216,7 +216,8 @@ func TestBroadcastRelayAgrees(t *testing.T) {
 
 	// One row per message through 4-slot inboxes: every JEN worker relays
 	// from inside its receive while its peers do the same, the shape that
-	// hangs unless that receive keeps draining its route (streamBatches).
+	// hangs unless that receive keeps draining its route (receive's relay,
+	// fnSends).
 	g := buildFixture(t, netsim.NewChanBus(4), 2, 3, 4000, 1500, format.HWCName)
 	defer g.eng.Close()
 	g.eng.cfg.BatchRows = 1

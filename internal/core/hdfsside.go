@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"sync"
-	"sync/atomic"
+	"slices"
 
 	"hybridwh/internal/batch"
 	"hybridwh/internal/cluster"
@@ -15,6 +13,7 @@ import (
 	"hybridwh/internal/par"
 	"hybridwh/internal/plan"
 	"hybridwh/internal/relop"
+	"hybridwh/internal/skew"
 	"hybridwh/internal/types"
 )
 
@@ -45,7 +44,6 @@ func (e *Engine) runHDFSSide(ctx context.Context, qs string, q *plan.JoinQuery, 
 		dbF, hF = exactKeys, exactKeys
 	}
 	n, m := e.jen.Workers(), e.db.Workers()
-	pj := newPostJoin(q)
 
 	tbl, scanPlan, accessPlan, err := e.resolve(q)
 	if err != nil {
@@ -69,29 +67,15 @@ func (e *Engine) runHDFSSide(ctx context.Context, qs string, q *plan.JoinQuery, 
 	// decision lands in decided for the facade to surface on the Result. Only
 	// that one program writes it, and it is read after the programs join.
 	var decided *adaptDecision
-
-	g, ctx := par.WithContext(ctx)
-	var resultRows []types.Row
-
-	// The designated JEN worker returns the final aggregate to one DB node
-	// (step 9 of Figure 4).
-	g.Go(func() (err error) {
-		resultRows, err = e.collectRows(ctx, dbName(0), qs+"final", 1)
-		return err
+	rows, err := e.runPrograms(ctx, qs, func(ctx context.Context, i int) error {
+		return e.dbShipProgram(ctx, qs, q, tbl, accessPlan, i, n, hF)
+	}, func(ctx context.Context, w int) error {
+		return e.jenRepartitionProgram(ctx, qs, q, scanPlan, w, n, m, dbF, hF, &decided)
 	})
-
-	for i := 0; i < m; i++ {
-		i := i
-		g.Go(func() error { return e.dbShipProgram(ctx, qs, q, tbl, accessPlan, i, n, hF) })
-	}
-	for w := 0; w < n; w++ {
-		w := w
-		g.Go(func() error { return e.jenRepartitionProgram(ctx, qs, q, pj, scanPlan, w, n, m, dbF, hF, &decided) })
-	}
-	if err := g.Wait(); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	res := &Result{Rows: resultRows}
+	res := &Result{Rows: rows}
 	if decided != nil {
 		res.SwitchReason = decided.reason
 		if decided.kind != keepPlan {
@@ -100,6 +84,24 @@ func (e *Engine) runHDFSSide(ctx context.Context, qs string, q *plan.JoinQuery, 
 		}
 	}
 	return res, nil
+}
+
+// runPrograms runs a query's worker programs — db on every DB worker, jen on
+// every JEN worker — in one group, under a context the first failure cancels
+// (see abort.go), and returns the final aggregate the designated JEN worker
+// sends to one DB node (step 9 of Figures 2–4).
+func (e *Engine) runPrograms(ctx context.Context, qs string, db, jen func(ctx context.Context, worker int) error) ([]types.Row, error) {
+	g, ctx := par.WithContext(ctx)
+	var rows []types.Row
+	g.Go(func() error { return e.receive(ctx, dbName(0), qs+"final", 1, false, appendRows(&rows)) })
+	for i := 0; i < e.db.Workers(); i++ {
+		g.Go(func() error { return db(ctx, i) })
+	}
+	for w := 0; w < e.jen.Workers(); w++ {
+		g.Go(func() error { return jen(ctx, w) })
+	}
+	err := g.Wait()
+	return rows, err
 }
 
 // dbShipProgram is one DB worker's side of the repartition/zigzag join:
@@ -133,13 +135,13 @@ func (e *Engine) dbShipProgram(ctx context.Context, qs string, q *plan.JoinQuery
 	// below runs under the aborted program context, so the protocol
 	// obligations (observation fan-in, BF_H and decision drains, MsgError to
 	// the JEN workers) complete without blocking.
-	tw, tRows, err := e.materialize(tbl, i, ap, q.DBProj)
+	tw, err := e.materialize(tbl, i, ap, q.DBProj)
 	pr.fail(err)
 	if adaptOn {
 		// The snapshot goes out before the BF_H wait (see adaptObserveT);
 		// |T'| is reported pre-pruning — an upper bound, which is what the
 		// committed plan would ship if BF_H turned out useless.
-		e.adaptObserveT(pr, qs, q, i, tRows)
+		e.adaptObserveT(pr, qs, q, i, liveRows(tw))
 	}
 	if hF != noFilter {
 		_, _, toDB := hF.streams()
@@ -163,7 +165,7 @@ func (e *Engine) dbShipProgram(ctx context.Context, qs string, q *plan.JoinQuery
 // scan/filter/shuffle while concurrently building the hash table from
 // received rows and buffering database rows in the background, then probe,
 // partially aggregate, and participate in the global aggregation.
-func (e *Engine) jenRepartitionProgram(ctx context.Context, qs string, q *plan.JoinQuery, pj postJoin, scanPlan *jen.ScanPlan, w, n, m int, dbF, hF filterKind, decided **adaptDecision) error {
+func (e *Engine) jenRepartitionProgram(ctx context.Context, qs string, q *plan.JoinQuery, scanPlan *jen.ScanPlan, w, n, m int, dbF, hF filterKind, decided **adaptDecision) error {
 	me := jenName(w)
 	var runErr error
 	pr := newProg(ctx, &runErr)
@@ -185,31 +187,30 @@ func (e *Engine) jenRepartitionProgram(ctx context.Context, qs string, q *plan.J
 	// With a spill budget configured, the build side grace-spills to disk
 	// instead of growing without bound.
 	bud := e.budget(qs)
-	ht, err := e.newJoinTable(qs, q.HDFSWireKey, pj.lane(true))
-	if err != nil {
-		pr.fail(err)
-		ht = relop.NewMemJoinTable(q.HDFSWireKey)
-	}
-	defer ht.Close()
+	agg := relop.NewHashAgg(q.GroupBy, q.Aggs)
+	agg.SetBudget(bud)
+	site := twoTable(q, false, agg)
+	site.spill = true
+	st, err := e.newJoinStage(qs, w, site)
+	pr.fail(err)
+	defer st.close()
 	var dbBatches []*batch.Batch
-	var probeTuples int64
 	// Receiver errors abort the program context (bgFail): if one receiver
 	// hits an incoming MsgError, its sibling and the rest of the program must
 	// not keep waiting for streams a dead peer will never finish.
 	var bg par.Group
 	bg.Go(func() error {
 		var recv int64
-		err := e.recvBatches(ctx, me, qs+"shuffle", n, func(b *batch.Batch) error {
+		err := e.receive(ctx, me, qs+"shuffle", n, false, func(b *batch.Batch) error {
 			recv += int64(b.Len())
-			return ht.InsertBatch(b)
+			return st.insert(b)
 		})
 		e.rec.AddAt(metrics.JENRecvTuples, w, recv)
 		pr.bgFail(err)
 		return err
 	})
 	bg.Go(func() error {
-		bs, tuples, err := e.collectBatches(ctx, me, qs+"dbrows", m)
-		dbBatches, probeTuples = bs, tuples
+		err := e.receive(ctx, me, qs+"dbrows", m, false, keepBatches(&dbBatches))
 		pr.bgFail(err)
 		return err
 	})
@@ -241,7 +242,11 @@ func (e *Engine) jenRepartitionProgram(ctx context.Context, qs string, q *plan.J
 		pr.fail(werr)
 		if werr == nil {
 			defer watch.close()
-			aw = newAdaptJENWorker(e, qs, q, b, w, n, scanKey, watch, route)
+			aw = &adaptJENWorker{
+				e: e, qs: qs, me: me, q: q, b: b, w: w, n: n,
+				scanKey: scanKey, watch: watch, route: route,
+				sketch: skew.NewSketch(sketchKeys),
+			}
 			spec.Progress = &aw.progress
 		}
 	}
@@ -282,437 +287,48 @@ func (e *Engine) jenRepartitionProgram(ctx context.Context, qs string, q *plan.J
 		}
 	}
 
-	// Wait for the hash table and the buffered database rows.
+	// Wait for the hash table and the buffered database rows. The buffered
+	// probe side is charged to the query budget for the probe's duration
+	// (the build side accounts for itself inside the spilling table).
 	pr.fail(bg.Wait())
-	pr.fail(ht.FinishBuild())
-
-	agg := relop.NewHashAgg(q.GroupBy, q.Aggs)
-	agg.SetBudget(bud)
-	defer func() { bud.Release(agg.MemBytes()) }()
+	pr.fail(st.seal())
+	charged := chargeBatches(bud, dbBatches)
+	defer bud.Release(charged)
 
 	if aw != nil && aw.decided() == switchBroadcast {
-		// Broadcast switch: the shuffle carried no rows (ht stayed empty)
-		// and dbBatches hold the full broadcast T'; join the buffered L'
-		// against it locally, exactly as runBroadcast would have.
-		charged := chargeBatches(bud, dbBatches)
-		defer bud.Release(charged)
+		// Broadcast switch: the shuffle carried no rows (the L' table stayed
+		// empty) and dbBatches hold the full broadcast T'. The buffered L'
+		// joins it locally through runBroadcast's join site, so the adapted
+		// result is exactly what a statically planned broadcast produces.
 		if runErr == nil {
-			pr.fail(e.probeLocalBroadcast(aw.takeBuffered(), dbBatches, q, pj, agg, w, bud))
+			bst, _ := e.newJoinStage(qs, w, twoTable(q, true, agg)) // in memory: cannot fail
+			for _, b := range dbBatches {
+				pr.fail(bst.insert(b))
+			}
+			pr.fail(bst.seal())
+			if runErr == nil {
+				pr.fail(bst.probeAll(aw.takeBuffered(), q.HDFSWireKey, 1))
+			}
+			bst.close()
 		}
-	} else {
-		e.rec.AddAt(metrics.JoinBuildTuples, w, ht.Len())
-		e.rec.AddAt(metrics.JoinProbeTuples, w, probeTuples)
-
-		// The buffered probe side is charged to the query budget for the
-		// probe's duration (the build side accounts for itself inside the
-		// spilling table).
-		charged := chargeBatches(bud, dbBatches)
-		defer bud.Release(charged)
-
+	} else if runErr == nil {
 		// Probe with the database rows; combined layout is HDFS wire ++ DB wire.
-		if runErr == nil {
-			pr.fail(e.probeAndAggregateBatches(ht, dbBatches, q, pj, agg, e.cfg.WorkerThreads))
-		}
-		e.recordSpillStats(ht, w)
+		pr.fail(st.probeAll(dbBatches, q.DBWireKey, e.cfg.WorkerThreads))
 	}
-
-	return e.finishAggregation(ctx, qs, q.GroupBy, q.Aggs, agg, w, n, runErr)
-}
-
-// newJoinTable builds the HDFS-side join table for the query: a dynamic
-// hybrid hash join charging the query's shared budget when one is
-// registered (RunOpts.Budget), a privately-budgeted spilling table under
-// Config.SpillBudgetBytes, and the unbounded in-memory table otherwise.
-// Every hash table it seals computes its lanes with lane (nil: none).
-func (e *Engine) newJoinTable(qs string, keyIdx int, lane relop.LaneFunc) (relop.JoinTable, error) {
-	var s *relop.SpillingHashTable
-	var err error
-	switch bud := e.budget(qs); {
-	case bud != nil:
-		s, err = relop.NewSharedSpillingHashTable(keyIdx, bud, e.cfg.SpillDir)
-	case e.cfg.SpillBudgetBytes > 0:
-		s, err = relop.NewSpillingHashTable(keyIdx, e.cfg.SpillBudgetBytes, e.cfg.SpillDir)
-	default:
-		return &relop.MemJoinTable{H: relop.NewHashTable(keyIdx).WithLane(lane)}, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	return s.WithLane(lane), nil
-}
-
-// combiner joins probe rows against sealed build buckets into the combined
-// layout (HDFS wire ++ DB wire) and hands the rows that pass the post-join
-// predicate to its sink, one output batch at a time: a partial aggregate's
-// AddBatch, the next N-way stage's shuffle, or keepBatches. The batch is on
-// loan to the sink, which must copy what it keeps; the combiner reuses it.
-// output counts survivors.
-//
-// It materialises late. Each pair first contributes only the predicate's
-// columns (the early columns) to a narrow batch, and each probe row is
-// copied once per bucket, not once per pair. The predicate runs over the
-// narrow batch when it reaches an output-batch boundary or when a probe
-// call returns, and only the surviving pairs are gathered into full
-// combined rows. Output batches close every BatchRows pairs, surviving or
-// not, so they hold exactly the rows, in the same order, that concatenating
-// every pair and filtering BatchRows pairs at a time would. Without a
-// predicate every pair survives and is gathered directly.
-//
-// When the predicate is a band (see postJoin), a bucket that comes with a
-// lane skips the narrow batch altogether: the probe row's term is evaluated
-// once, and the lane is scanned as an int64 range (bandBucket). Buckets
-// without a lane, and probe values the band cannot take, run as above.
-//
-// probe may run on several goroutines at once (morsel threads probing one
-// sealed table); it serializes on mu. The other methods are
-// single-goroutine.
-type combiner struct {
-	size      int
-	post      expr.Expr // remapped onto the narrow batch
-	early     []int     // combined-layout column of each narrow column
-	probeLeft bool      // the probe row is the left (HDFS wire) part
-	sink      func(out *batch.Batch) error
-	err       error // remapping post failed
-
-	probeTerm expr.Expr // the band's probe-side term; nil: no band path
-	lo, hi    int64     // the band's range for build value - probe value
-
-	mu     sync.Mutex // serializes concurrent probe calls
-	ready  bool       // early columns resolved (on the first pair)
-	fromP  []colRef   // narrow columns read from the probe row
-	fromB  []colRef   // narrow columns read from the build row
-	narrow *batch.Batch
-	nrow   types.Row     // scratch row of narrow
-	runs   []pairRun     // the pending pairs, run by run
-	probes []types.Value // copies of the pending runs' probe rows
-	out    *batch.Batch
-	pairs  int // pairs behind out since it was last emitted
-	output int64
-}
-
-// colRef is narrow column j, read from position idx of a pair's row.
-type colRef struct{ j, idx int }
-
-// pairRun is a run of pending pairs: one probe row against consecutive
-// rows of its bucket, the first of them at narrow row first.
-type pairRun struct {
-	first  int
-	probe  types.Row
-	bucket []types.Row
-}
-
-// newCombiner creates a combiner whose probe rows form the left (probeLeft)
-// or the right part of the combined layout. The buckets it takes lanes from
-// must come from tables whose lane function is pj.lane(!probeLeft).
-func (e *Engine) newCombiner(pj postJoin, sink func(out *batch.Batch) error, probeLeft bool) *combiner {
-	c := &combiner{size: e.cfg.BatchRows, sink: sink, probeLeft: probeLeft}
-	if post := pj.pred; post != nil {
-		c.early = expr.ColumnSet(post)
-		mapping := make(map[int]int, len(c.early))
-		for j, col := range c.early {
-			mapping[col] = j
-		}
-		c.post, c.err = expr.Remap(post, mapping)
-	}
-	if b := pj.band; b != nil {
-		// The band bounds left - right; the lane holds build values.
-		if probeLeft {
-			c.probeTerm, c.lo, c.hi = b.Left, -b.Hi, -b.Lo
-		} else {
-			c.probeTerm, c.lo, c.hi = b.Right, b.Lo, b.Hi
-		}
-	}
-	return c
-}
-
-// resolve locates the early columns from the widths of the first pair.
-func (c *combiner) resolve(probe, build types.Row) error {
-	left, right := build, probe
-	if c.probeLeft {
-		left, right = probe, build
-	}
-	for j, col := range c.early {
-		if col >= len(left)+len(right) {
-			return fmt.Errorf("core: post-join column %d out of range (combined row has %d)", col, len(left)+len(right))
-		}
-		onLeft := col < len(left)
-		if !onLeft {
-			col -= len(left)
-		}
-		if onLeft == c.probeLeft {
-			c.fromP = append(c.fromP, colRef{j, col})
-		} else {
-			c.fromB = append(c.fromB, colRef{j, col})
-		}
-	}
-	c.ready = true
-	c.narrow = batch.New(len(c.early), c.size)
-	c.nrow = make(types.Row, len(c.early))
-	return nil
-}
-
-// bucket joins one probe row against its bucket; it is the
-// relop.BucketFunc of JoinTable probes. probeRow may alias the caller's
-// scratch; the bucket's rows are sealed-table storage, held until the next
-// settle.
-func (c *combiner) bucket(probeRow types.Row, bucket []types.Row, lane []int64) error {
-	if c.err != nil {
-		return c.err
-	}
-	if c.post == nil {
-		for _, br := range bucket {
-			c.gather(probeRow, br)
-			if c.pairs++; c.pairs == c.size {
-				if err := c.emit(); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	if lane != nil && c.probeTerm != nil {
-		if lo, hi, ok := c.probeRange(probeRow); ok {
-			return c.bandBucket(probeRow, bucket, lane, lo, hi)
-		}
-	}
-	var probe types.Row // the probe row's copy in the pending window
-	for len(bucket) > 0 {
-		if !c.ready {
-			if err := c.resolve(probeRow, bucket[0]); err != nil {
-				return err
-			}
-		}
-		if probe == nil {
-			at := len(c.probes)
-			c.probes = append(c.probes, probeRow...)
-			probe = c.probes[at:len(c.probes):len(c.probes)]
-			for _, r := range c.fromP {
-				c.nrow[r.j] = probe[r.idx]
-			}
-		}
-		n := min(len(bucket), c.size-c.pairs-c.narrow.Size())
-		c.runs = append(c.runs, pairRun{first: c.narrow.Size(), probe: probe, bucket: bucket[:n]})
-		for _, br := range bucket[:n] {
-			for _, r := range c.fromB {
-				c.nrow[r.j] = br[r.idx]
-			}
-			c.narrow.AppendRow(c.nrow)
-		}
-		bucket = bucket[n:]
-		if c.pairs+c.narrow.Size() == c.size {
-			if err := c.settle(); err != nil {
-				return err
-			}
-			probe = nil
-		}
-	}
-	return nil
-}
-
-// settle runs the post-join predicate over the pending pairs and gathers
-// the survivors, in pair order, into the output batch.
-func (c *combiner) settle() error {
-	if c.narrow == nil || c.narrow.Size() == 0 {
-		return nil
-	}
-	if err := expr.FilterBatch(c.post, c.narrow); err != nil {
-		return err
-	}
-	r := 0
-	_ = c.narrow.Each(func(k int) error {
-		for r+1 < len(c.runs) && c.runs[r+1].first <= k {
-			r++
-		}
-		run := &c.runs[r]
-		c.gather(run.probe, run.bucket[k-run.first])
-		return nil
-	})
-	c.pairs += c.narrow.Size()
-	c.narrow.Reset()
-	c.runs, c.probes = c.runs[:0], c.probes[:0]
-	if c.pairs == c.size {
-		return c.emit()
-	}
-	return nil
-}
-
-// gather appends one pair's combined row to the output batch.
-func (c *combiner) gather(probe, build types.Row) {
-	if c.out == nil {
-		c.out = batch.New(len(probe)+len(build), c.size)
-	}
-	if c.probeLeft {
-		c.out.AppendConcat(probe, build)
-	} else {
-		c.out.AppendConcat(build, probe)
-	}
-}
-
-// emit hands the output batch of the last BatchRows pairs to the sink.
-func (c *combiner) emit() error {
-	c.pairs = 0
-	if c.out == nil || c.out.Len() == 0 {
-		return nil // no pair of the window survived
-	}
-	c.output += int64(c.out.Len())
-	err := c.sink(c.out)
-	c.out.Reset()
+	_, err = e.finishAggregation(ctx, qs, agg, w, false, runErr)
 	return err
 }
 
-// keepBatches is a combiner sink that keeps a copy of every output batch in
-// *dst: an intermediate the plan needs whole before it can go on.
-func keepBatches(dst *[]*batch.Batch) func(*batch.Batch) error {
-	return func(b *batch.Batch) error {
-		*dst = append(*dst, b.Clone())
-		return nil
-	}
-}
-
-// flush settles the pending pairs and emits the last, partial output batch.
-func (c *combiner) flush() error {
-	if err := c.settle(); err != nil {
-		return err
-	}
-	if c.pairs == 0 {
-		return nil
-	}
-	return c.emit()
-}
-
-// probeTable probes jt with every live row of pb (see bucket).
-func (c *combiner) probeTable(jt relop.JoinTable, pb *batch.Batch, keyIdx int) error {
-	if err := jt.ProbeBuckets(pb, keyIdx, c.bucket); err != nil {
-		return err
-	}
-	return c.settle()
-}
-
-// probe joins every live row of pb, projected through proj, against the
-// sealed table ht on pb's key column keyIdx. The projected probe row is
-// materialized only for rows with a non-empty bucket.
-func (c *combiner) probe(ht *relop.HashTable, pb *batch.Batch, keyIdx int, proj []int) error {
-	keys := pb.Col(keyIdx)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var row types.Row
-	err := pb.Each(func(i int) error {
-		bucket, lane := ht.ProbeLane(keys[i].Int())
-		if len(bucket) == 0 {
-			return nil
-		}
-		row = row[:0]
-		for _, p := range proj {
-			row = append(row, pb.Col(p)[i])
-		}
-		return c.bucket(row, bucket, lane)
-	})
-	if err != nil {
-		return err
-	}
-	return c.settle()
-}
-
-// probeAll probes ht with every batch of bs (see probeTable), then flushes.
-func (c *combiner) probeAll(ht *relop.HashTable, bs []*batch.Batch, keyIdx int) error {
-	mem := &relop.MemJoinTable{H: ht}
-	for _, pb := range bs {
-		if err := c.probeTable(mem, pb, keyIdx); err != nil {
-			return err
-		}
-	}
-	return c.flush()
-}
-
-// probeAndAggregateBatches probes the table of HDFS rows with the buffered
-// database batches: probe batches drive JoinTable.ProbeBuckets and buckets
-// go through a combiner, which applies the post-join predicate and folds
-// survivors into the partial aggregate. Spilled matches surface during
-// Drain. With threads > 1 and a purely in-memory table the probe fans out
-// across goroutines; the spilling table stays sequential (its partition
-// files are not safe for concurrent probing).
-func (e *Engine) probeAndAggregateBatches(ht relop.JoinTable, probes []*batch.Batch, q *plan.JoinQuery, pj postJoin, agg *relop.HashAgg, threads int) error {
-	if mem, isMem := ht.(*relop.MemJoinTable); isMem && threads > 1 && len(probes) > 1 {
-		return e.probeAndAggregateParallel(mem, probes, q, pj, agg, threads)
-	}
-	cmb := e.newCombiner(pj, agg.AddBatch, false)
-	for _, pb := range probes {
-		if err := cmb.probeTable(ht, pb, q.DBWireKey); err != nil {
-			return err
-		}
-	}
-	if err := ht.Drain(cmb.bucket); err != nil {
-		return err
-	}
-	if err := cmb.flush(); err != nil {
-		return err
-	}
-	e.rec.Add(metrics.JoinOutputTuples, cmb.output)
-	return nil
-}
-
-// probeAndAggregateParallel fans the probe batches out over `threads`
-// goroutines against the sealed in-memory table (the probe stage of the
-// paper's multi-threaded JEN worker). Each goroutine folds its matches into a
-// private combiner and partial aggregate — no locks on the hot path — and the
-// privates merge into agg afterwards via MergePartial. Join output and group
-// totals are independent of how batches land on threads; only the per-thread
-// split (metrics.JoinProbeSplit) depends on scheduling.
-func (e *Engine) probeAndAggregateParallel(mem *relop.MemJoinTable, probes []*batch.Batch, q *plan.JoinQuery, pj postJoin, agg *relop.HashAgg, threads int) error {
-	// Seal the flat table before any concurrent probe (idempotent — the
-	// caller's FinishBuild already did this on the normal path).
-	if err := mem.FinishBuild(); err != nil {
-		return err
-	}
-	if threads > len(probes) {
-		threads = len(probes)
-	}
-	cmbs := make([]*combiner, threads)
-	aggs := make([]*relop.HashAgg, threads)
-	var next atomic.Int64
-	var g par.Group
-	for t := 0; t < threads; t++ {
-		t := t
-		aggs[t] = relop.NewHashAgg(q.GroupBy, q.Aggs)
-		cmbs[t] = e.newCombiner(pj, aggs[t].AddBatch, false)
-		g.Go(func() error {
-			var rows int64
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(probes) {
-					break
-				}
-				rows += int64(probes[i].Len())
-				if err := cmbs[t].probeTable(mem, probes[i], q.DBWireKey); err != nil {
-					return err
-				}
-			}
-			e.rec.AddAt(metrics.JoinProbeSplit, t, rows)
-			return cmbs[t].flush()
-		})
-	}
-	if err := g.Wait(); err != nil {
-		return err
-	}
-	var output int64
-	for t, cmb := range cmbs {
-		output += cmb.output
-		for _, partial := range aggs[t].PartialRows() {
-			if err := agg.MergePartial(partial); err != nil {
-				return err
-			}
-		}
-	}
-	e.rec.Add(metrics.JoinOutputTuples, output)
-	return nil
-}
-
-// finishAggregation ships this worker's partial aggregate to the designated
-// worker; the designated worker merges all partials and sends the final rows
-// to a single DB node (steps 7–9 of Figures 2–4). The two-table algorithms
-// and the N-way executor share it. It always completes the protocol, then
+// finishAggregation is the one aggregation fan-in (steps 7–9 of Figures
+// 1–4): every worker ships its partial aggregate to the designated worker —
+// db/0 on the DB side, the designated JEN worker on the HDFS side — which
+// folds the partials into the final groups as they arrive. On the HDFS side
+// the designated worker sends the final rows on to a single DB node; on the
+// DB side db/0 returns them. w is the worker's index on its side. It always
+// completes the protocol, releases the partial aggregate's budget charge and
 // reports runErr.
-func (e *Engine) finishAggregation(ctx context.Context, qs string, groupBy []expr.Expr, aggs []relop.AggSpec, agg *relop.HashAgg, w, n int, runErr error) error {
+func (e *Engine) finishAggregation(ctx context.Context, qs string, agg *relop.HashAgg, w int, dbSide bool, runErr error) ([]types.Row, error) {
+	defer func() { e.budget(qs).Release(agg.MemBytes()) }()
 	// A worker that arrives here already failing must not block in the
 	// aggregation fan-in waiting for partials that will never come: the
 	// program context is aborted up front, so the receives below fail fast
@@ -721,37 +337,60 @@ func (e *Engine) finishAggregation(ctx context.Context, qs string, groupBy []exp
 	defer pr.release()
 	ctx = pr.ctx
 	pr.fail(runErr)
-	desig := e.jen.DesignatedWorker()
-	pb := e.newBatcher(ctx, jenName(w), qs+"partial", []string{jenName(desig)}, "", "", w)
+	me, desig, senders := jenName(w), jenName(e.jen.DesignatedWorker()), e.jen.Workers()
+	if dbSide {
+		me, desig, senders = dbName(w), dbName(0), e.db.Workers()
+	}
+	pb := e.newBatcher(ctx, me, qs+"partial", []string{desig}, "", "", w)
 	if runErr == nil {
-		pr.fail(pb.sendRows(agg.PartialRows()))
+		pr.fail(pb.sendBatch(rowsBatch(agg.PartialRows()...), nil))
 	}
 	pr.fail(pb.CloseWith(runErr))
-
-	if w == desig {
-		partials, err := e.collectRows(ctx, jenName(w), qs+"partial", n)
-		pr.fail(err)
-		rows, err := mergePartials(groupBy, aggs, partials)
-		pr.fail(err)
-		e.rec.Add(metrics.AggGroups, int64(len(rows)))
-		fb := e.newBatcher(ctx, jenName(w), qs+"final", []string{dbName(0)}, "", "", w)
-		if runErr == nil {
-			pr.fail(fb.sendRows(rows))
-		}
-		pr.fail(fb.CloseWith(runErr))
+	if me != desig {
+		return nil, runErr
 	}
-	return runErr
+
+	final := agg.Sibling()
+	var row types.Row
+	pr.fail(e.receive(ctx, me, qs+"partial", senders, false, func(b *batch.Batch) error {
+		return b.Each(func(i int) error {
+			row = b.RowAt(i, row)
+			return final.MergePartial(row)
+		})
+	}))
+	rows := final.FinalRows()
+	e.rec.Add(metrics.AggGroups, int64(len(rows)))
+	if dbSide {
+		return rows, runErr
+	}
+	fb := e.newBatcher(ctx, me, qs+"final", []string{dbName(0)}, "", "", w)
+	if runErr == nil {
+		pr.fail(fb.sendBatch(rowsBatch(rows...), nil))
+	}
+	pr.fail(fb.CloseWith(runErr))
+	return nil, runErr
 }
 
-// mergePartials folds partial aggregate rows into the final groups.
-func mergePartials(groupBy []expr.Expr, aggs []relop.AggSpec, partials []types.Row) ([]types.Row, error) {
-	final := relop.NewHashAgg(groupBy, aggs)
-	for _, r := range partials {
-		if err := final.MergePartial(r); err != nil {
-			return nil, err
-		}
+// appendRows is a receive sink that appends a copy of every row to *dst: the
+// query result at the DB node.
+func appendRows(dst *[]types.Row) func(*batch.Batch) error {
+	return func(b *batch.Batch) error {
+		*dst = append(*dst, b.Rows()...)
+		return nil
 	}
-	return final.FinalRows(), nil
+}
+
+// rowsBatch packs materialized rows — relop.HashAgg's partial and final
+// groups — into one batch for a batcher.
+func rowsBatch(rows ...types.Row) *batch.Batch {
+	if len(rows) == 0 {
+		return batch.New(0, 0)
+	}
+	b := batch.New(len(rows[0]), len(rows))
+	for _, r := range rows {
+		b.AppendRow(r)
+	}
+	return b
 }
 
 // resolve looks up a two-table query's inputs: the DB table, the HDFS scan
@@ -784,7 +423,6 @@ func (e *Engine) accessPlan(tbl *edw.Table, pred expr.Expr, proj []int) edw.Acce
 func (e *Engine) runBroadcast(ctx context.Context, qs string, q *plan.JoinQuery) (*Result, error) {
 	n, m := e.jen.Workers(), e.db.Workers()
 	relay := e.cfg.BroadcastRelay
-	pj := newPostJoin(q)
 	tbl, scanPlan, accessPlan, err := e.resolve(q)
 	if err != nil {
 		return nil, err
@@ -797,131 +435,91 @@ func (e *Engine) runBroadcast(ctx context.Context, qs string, q *plan.JoinQuery)
 		directSenders[i%n]++
 	}
 
-	g, ctx := par.WithContext(ctx)
-	var resultRows []types.Row
-	g.Go(func() (err error) {
-		resultRows, err = e.collectRows(ctx, dbName(0), qs+"final", 1)
+	rows, err := e.runPrograms(ctx, qs, func(ctx context.Context, i int) error {
+		// Tuples are counted once per row, not once per copy: the
+		// expensive per-row UDF read happens once, and the fan-out to
+		// every JEN worker is cheap replication (bytes are counted per
+		// copy by the bus and the byte counter).
+		dests := e.jenNames()
+		if relay {
+			dests = []string{jenName(i % n)}
+		}
+		b := e.newBatcher(ctx, dbName(i), qs+"dbrows", dests, "", metrics.DBSentBytes, i)
+		var sent int64
+		err := e.db.FilterProjectBatches(tbl, i, accessPlan, q.DBProj, e.cfg.BatchRows, e.cfg.WorkerThreads, func(fb *batch.Batch) error {
+			sent += int64(fb.Len())
+			return b.sendBatch(fb, nil)
+		})
+		firstErr(&err, b.CloseWith(err))
+		e.rec.AddAt(metrics.DBSentTuples, i, sent)
+		return err
+	}, func(ctx context.Context, w int) error {
+		me := jenName(w)
+		var runErr error
+		bud := e.budget(qs)
+		agg := relop.NewHashAgg(q.GroupBy, q.Aggs)
+		agg.SetBudget(bud)
+		// Build the hash table from the broadcast T' first: local joins
+		// need the whole filtered database table.
+		st, _ := e.newJoinStage(qs, w, twoTable(q, true, agg)) // in memory: cannot fail
+		defer st.close()
+		if relay {
+			firstErr(&runErr, e.broadcastRelayRecv(ctx, qs, me, w, n, directSenders[w], st.insert))
+		} else {
+			firstErr(&runErr, e.receive(ctx, me, qs+"dbrows", m, false, st.insert))
+		}
+		firstErr(&runErr, st.seal())
+
+		// Scan and probe in the pipeline; partial aggregation inline.
+		// Probe rows never leave the scan batch: the wire projection is
+		// materialized only for rows with a non-empty bucket. Morsel
+		// workers scan and filter concurrently and serialize on the
+		// combiner; totals are independent of the interleaving.
+		if runErr == nil {
+			scanKey := q.HDFSWire[q.HDFSWireKey]
+			firstErr(&runErr, e.jen.ScanFilterBatches(jen.ScanSpec{
+				Plan: scanPlan, Worker: w,
+				Proj: q.HDFSScanProj, Pred: q.HDFSPred, Pruner: q.Pruner(),
+				Threads: e.cfg.WorkerThreads,
+				Mem:     bud,
+			}, func(sb *batch.Batch) error {
+				return st.probe(sb, scanKey, q.HDFSWire)
+			}))
+			firstErr(&runErr, st.finish())
+		}
+		_, err := e.finishAggregation(ctx, qs, agg, w, false, runErr)
 		return err
 	})
-
-	for i := 0; i < m; i++ {
-		i := i
-		g.Go(func() error {
-			// Tuples are counted once per row, not once per copy: the
-			// expensive per-row UDF read happens once, and the fan-out to
-			// every JEN worker is cheap replication (bytes are counted per
-			// copy by the bus and the byte counter).
-			dests := e.jenNames()
-			if relay {
-				dests = []string{jenName(i % n)}
-			}
-			b := e.newBatcher(ctx, dbName(i), qs+"dbrows", dests, "", metrics.DBSentBytes, i)
-			var sent int64
-			err := e.db.FilterProjectBatches(tbl, i, accessPlan, q.DBProj, e.cfg.BatchRows, e.cfg.WorkerThreads, func(fb *batch.Batch) error {
-				sent += int64(fb.Len())
-				return b.broadcastBatch(fb, nil)
-			})
-			firstErr(&err, b.CloseWith(err))
-			e.rec.AddAt(metrics.DBSentTuples, i, sent)
-			return err
-		})
-	}
-
-	for w := 0; w < n; w++ {
-		w := w
-		g.Go(func() error {
-			me := jenName(w)
-			var runErr error
-			bud := e.budget(qs)
-			// Build the hash table from the broadcast T' first: local joins
-			// need the whole filtered database table.
-			ht := relop.NewHashTable(q.DBWireKey).WithLane(pj.lane(false))
-			if relay {
-				firstErr(&runErr, e.broadcastRelayRecv(ctx, qs, me, w, n, directSenders[w], ht))
-			} else {
-				firstErr(&runErr, e.recvBatches(ctx, me, qs+"dbrows", m, func(b *batch.Batch) error {
-					return ht.InsertBatch(b)
-				}))
-			}
-			e.rec.AddAt(metrics.JoinBuildTuples, w, ht.Len())
-			charged := chargeJoinBuild(bud, ht.Len(), len(q.DBProj))
-			defer bud.Release(charged)
-
-			// Scan and probe in the pipeline; partial aggregation inline.
-			// Probe rows never leave the scan batch: the wire projection is
-			// materialized only for rows with a non-empty bucket. Morsel
-			// workers scan and filter concurrently and serialize on the
-			// combiner; totals are independent of the interleaving.
-			agg := relop.NewHashAgg(q.GroupBy, q.Aggs)
-			agg.SetBudget(bud)
-			defer func() { bud.Release(agg.MemBytes()) }()
-			cmb := e.newCombiner(pj, agg.AddBatch, true)
-			scanKey := q.HDFSWire[q.HDFSWireKey]
-			var probes atomic.Int64
-			if runErr == nil {
-				ht.Build() // seal before concurrent probes
-				err := e.jen.ScanFilterBatches(jen.ScanSpec{
-					Plan: scanPlan, Worker: w,
-					Proj: q.HDFSScanProj, Pred: q.HDFSPred, Pruner: q.Pruner(),
-					Threads: e.cfg.WorkerThreads,
-					Mem:     bud,
-				}, func(sb *batch.Batch) error {
-					probes.Add(int64(sb.Len()))
-					return cmb.probe(ht, sb, scanKey, q.HDFSWire)
-				})
-				firstErr(&runErr, err)
-				firstErr(&runErr, cmb.flush())
-			}
-			e.rec.AddAt(metrics.JoinProbeTuples, w, probes.Load())
-			e.rec.Add(metrics.JoinOutputTuples, cmb.output)
-
-			return e.finishAggregation(ctx, qs, q.GroupBy, q.Aggs, agg, w, n, runErr)
-		})
-	}
-
-	if err := g.Wait(); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	return &Result{Rows: resultRows}, nil
+	return &Result{Rows: rows}, nil
 }
 
 // broadcastRelayRecv implements the JEN side of the relay scheme: batches
-// from this worker's DB feeders go into the hash table AND onward to every
-// other JEN worker; batches relayed by peers complete the table. Receivers
-// drain the relay stream in the background, and the direct stream, whose
-// callback relays, is received through streamBatches, so relays never
-// deadlock.
-func (e *Engine) broadcastRelayRecv(ctx context.Context, qs, me string, w, n, directSenders int, ht *relop.HashTable) error {
+// from this worker's DB feeders go into the hash table (insert) AND onward to
+// every other JEN worker; batches relayed by peers complete the table. The
+// relay stream drains in the background while the direct stream, whose
+// callback relays, is received in the foreground; insert must be safe for
+// the two at once.
+func (e *Engine) broadcastRelayRecv(ctx context.Context, qs, me string, w, n, directSenders int, insert func(*batch.Batch) error) error {
 	var runErr error
 	pr := newProg(ctx, &runErr)
 	defer pr.release()
 	ctx = pr.ctx
-	others := make([]string, 0, n-1)
-	for j := 0; j < n; j++ {
-		if j != w {
-			others = append(others, jenName(j))
-		}
-	}
-	// The relay drainer and the direct-stream receiver run concurrently and
-	// both feed the same hash table, so inserts must be serialized.
-	var htMu sync.Mutex
-	insert := func(b *batch.Batch) error {
-		htMu.Lock()
-		defer htMu.Unlock()
-		return ht.InsertBatch(b)
-	}
+	others := slices.DeleteFunc(e.jenNames(), func(name string) bool { return name == me })
 	var bg par.Group
 	bg.Go(func() error {
-		err := e.recvBatches(ctx, me, qs+"relay", n-1, insert)
+		err := e.receive(ctx, me, qs+"relay", n-1, false, insert)
 		pr.bgFail(err)
 		return err
 	})
 	rb := e.newBatcher(ctx, me, qs+"relay", others, metrics.JENShuffleTuples, metrics.JENShuffleBytes, w)
-	pr.fail(e.streamBatches(ctx, me, qs+"dbrows", directSenders, func(b *batch.Batch) error {
+	pr.fail(e.receive(ctx, me, qs+"dbrows", directSenders, true, func(b *batch.Batch) error {
 		if err := insert(b); err != nil {
 			return err
 		}
-		return rb.broadcastBatch(b, nil)
+		return rb.sendBatch(b, nil)
 	}))
 	pr.fail(rb.CloseWith(runErr))
 	pr.fail(bg.Wait())

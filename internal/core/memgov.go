@@ -15,15 +15,11 @@ import (
 // hash join's spill activity. With no budget every helper is a no-op, so
 // ungoverned runs keep byte-identical counter snapshots.
 
-// approxBatchBytes estimates a buffered batch's memory footprint: a boxed
-// value header per physical cell plus a batch header. It matches the batch
-// pool's accounting geometry so charges and releases line up.
-func approxBatchBytes(b *batch.Batch) int64 {
-	return int64(b.NumCols())*int64(b.Size())*16 + 64
-}
-
 // chargeBatches Force-charges buffered batches against bud and returns the
-// bytes charged, for the caller to Release once the batches are consumed.
+// bytes charged, for the caller to Release once the batches are consumed. A
+// batch is charged a boxed value header per physical cell plus a batch
+// header, the batch pool's accounting geometry, so charges and releases line
+// up.
 // The charge is a Force, not a Reserve: the batches already exist (they
 // were buffered by a background receiver), so refusing them cannot shrink
 // memory — but the pressure callbacks still fire, shedding join partitions
@@ -34,21 +30,8 @@ func chargeBatches(bud *mem.Budget, bs []*batch.Batch) int64 {
 	}
 	var n int64
 	for _, b := range bs {
-		n += approxBatchBytes(b)
+		n += int64(b.NumCols())*int64(b.Size())*16 + 64
 	}
-	bud.Force(n)
-	return n
-}
-
-// chargeJoinBuild charges an in-memory hash-table build of rows rows of
-// cols values each — the broadcast and DB-side joins, whose build sides
-// are plain HashTables fed from materialized wire rows rather than the
-// budget-aware spilling table.
-func chargeJoinBuild(bud *mem.Budget, rows int64, cols int) int64 {
-	if bud == nil || rows == 0 {
-		return 0
-	}
-	n := rows * (int64(cols)*16 + 48)
 	bud.Force(n)
 	return n
 }

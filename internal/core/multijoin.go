@@ -151,25 +151,16 @@ func (e *Engine) runMulti(ctx context.Context, qs string, q *plan.MultiQuery) (*
 		}
 	}
 
-	g, ctx := par.WithContext(ctx)
-	var resultRows []types.Row
-	g.Go(func() (err error) {
-		resultRows, err = e.collectRows(ctx, dbName(0), qs+"final", 1)
-		return err
+	rows, err := e.runPrograms(ctx, qs, func(ctx context.Context, i int) error {
+		return e.multiDBProgram(ctx, qs, q, dims, i, n, gated)
+	}, func(ctx context.Context, w int) error {
+		return e.multiJENProgram(ctx, qs, q, scanPlan, w, n, m, gated, switched)
 	})
-	for i := 0; i < m; i++ {
-		i := i
-		g.Go(func() error { return e.multiDBProgram(ctx, qs, q, dims, i, n, gated) })
-	}
-	for w := 0; w < n; w++ {
-		w := w
-		g.Go(func() error { return e.multiJENProgram(ctx, qs, q, scanPlan, w, n, m, gated, switched) })
-	}
-	if err := g.Wait(); err != nil {
+	if err != nil {
 		return nil, err
 	}
 
-	res := &MultiResult{Rows: resultRows}
+	res := &MultiResult{Rows: rows}
 	for ei, ed := range q.Edges {
 		s := EdgeSummary{Dim: ed.Dim.Table, Algorithm: ed.Algorithm, Bloom: ed.UseBloom}
 		if switched[ei] != "" {
@@ -205,7 +196,7 @@ func (e *Engine) materializeDim(ed *plan.EdgeExec) (*dimMat, error) {
 		subHT = relop.NewHashTable(0) // sub wire leads with its join key
 		subParts := make([][]*batch.Batch, e.db.Workers())
 		err = par.ForEach(e.db.Workers(), func(w int) error {
-			bs, _, err := e.materialize(subTbl, w, subAp, sub.Proj)
+			bs, err := e.materialize(subTbl, w, subAp, sub.Proj)
 			subParts[w] = bs
 			return err
 		})
@@ -225,17 +216,21 @@ func (e *Engine) materializeDim(ed *plan.EdgeExec) (*dimMat, error) {
 	dm := &dimMat{parts: make([][]*batch.Batch, e.db.Workers())}
 	var dimJoined atomic.Int64
 	err = par.ForEach(e.db.Workers(), func(w int) error {
-		bs, _, err := e.materialize(tbl, w, ap, ed.Dim.Proj)
+		bs, err := e.materialize(tbl, w, ap, ed.Dim.Proj)
 		if err != nil || subHT == nil {
 			dm.parts[w] = bs
 			return err
 		}
-		cmb := e.newCombiner(postJoin{}, keepBatches(&dm.parts[w]), true)
-		if err := cmb.probeAll(subHT, bs, ed.Dim.Sub.ParentFKWire); err != nil {
-			return err
+		sub := &relop.MemJoinTable{H: subHT}
+		cmb := newCombiner(e.cfg.BatchRows, nil, nil, true, keepBatches(&dm.parts[w]))
+		for _, b := range bs {
+			if err := cmb.probe(sub, b, ed.Dim.Sub.ParentFKWire, nil); err != nil {
+				return err
+			}
 		}
+		err = cmb.flush()
 		dimJoined.Add(cmb.output)
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -271,7 +266,7 @@ func (e *Engine) multiDBProgram(ctx context.Context, qs string, q *plan.MultiQue
 		if runErr == nil {
 			part := dims[ei].parts[i]
 			if alg == plan.EdgeBroadcast {
-				pr.fail(b.broadcastBatches(part))
+				pr.fail(b.sendBatches(part))
 			} else {
 				pr.fail(b.scatterBatches(part, ed.DimKeyWire, nil, route))
 			}
@@ -303,8 +298,12 @@ func (e *Engine) multiJENProgram(ctx context.Context, qs string, q *plan.MultiQu
 	defer pr.release()
 	ctx = pr.ctx
 	bud := e.budget(qs)
-	var charged int64 // dimension builds, held to the end
-	defer func() { bud.Release(charged) }()
+	var stages []*joinStage // their dimension builds are held to the end
+	defer func() {
+		for _, st := range stages {
+			st.close()
+		}
+	}()
 	route := hashRoute(n)
 	desig := e.jen.DesignatedWorker()
 
@@ -318,10 +317,7 @@ func (e *Engine) multiJENProgram(ctx context.Context, qs string, q *plan.MultiQu
 	defer func() { bud.Release(heldBytes) }()
 	hold := func(bs []*batch.Batch) {
 		bud.Release(heldBytes)
-		held, heldRows, heldBytes = bs, 0, chargeBatches(bud, bs)
-		for _, b := range bs {
-			heldRows += int64(b.Len())
-		}
+		held, heldRows, heldBytes = bs, liveRows(bs), chargeBatches(bud, bs)
 	}
 	// feed opens edge ei's input for the stage before it (the fact scan
 	// before edge 0). put takes that stage's output batches, projected
@@ -385,7 +381,6 @@ func (e *Engine) multiJENProgram(ctx context.Context, qs string, q *plan.MultiQu
 
 	agg := relop.NewHashAgg(q.GroupBy, q.Aggs)
 	agg.SetBudget(bud)
-	defer func() { bud.Release(agg.MemBytes()) }()
 
 	// Join stages. Width tracks the combined layout for the adaptive
 	// re-cost's bytes-per-row estimate.
@@ -439,68 +434,55 @@ func (e *Engine) multiJENProgram(ctx context.Context, qs string, q *plan.MultiQu
 			}
 		}
 
-		// Receive this edge's dimension — the hash-local share under
-		// repartition, the full dimension under broadcast — and build.
-		dimBatches, dimRows, err := e.collectBatches(ctx, me, mstream(qs, "dim", ei), m)
-		pr.fail(err)
-		ht := relop.NewHashTable(ed.DimKeyWire)
-		for _, b := range dimBatches {
-			if runErr != nil {
-				break
-			}
-			pr.fail(ht.InsertBatch(b))
-		}
-		ht.Build()
-		jt := &relop.MemJoinTable{H: ht}
-		charged += chargeJoinBuild(bud, dimRows, ed.DimWireSchema.Len())
-
-		// The last stage folds into the partial aggregate; every other one
+		// The last stage folds into the partial aggregate and applies the
+		// post-join predicate over the whole combined layout; every other one
 		// feeds the next edge.
-		pj, sink, end := postJoin{pred: q.PostJoin}, agg.AddBatch, func() {}
-		if !last {
-			pj = postJoin{}
-			sink, end = feed(ei+1, nil)
+		site := joinSite{leftWidth: width, probeLeft: true, key: ed.DimKeyWire}
+		end := func() {}
+		if last {
+			site.pred, site.agg = q.PostJoin, agg
+		} else {
+			site.next, end = feed(ei+1, nil)
 		}
-		cmb := e.newCombiner(pj, sink, true)
+		st, _ := e.newJoinStage(qs, w, site) // in memory: cannot fail
+		stages = append(stages, st)
+
+		// Receive this edge's dimension — the hash-local share under
+		// repartition, the full dimension under broadcast — into the build.
+		pr.fail(e.receive(ctx, me, mstream(qs, "dim", ei), m, false, st.insert))
+		pr.fail(st.seal())
 
 		// Probe: the shuffle stream batch by batch as it arrives, or the
 		// held intermediate.
-		var probes int64
 		if alg == plan.EdgeRepartition {
-			pr.fail(e.streamBatches(ctx, me, mstream(qs, "shuffle", ei), n, func(pb *batch.Batch) error {
-				probes += int64(pb.Len())
+			var recv int64
+			pr.fail(e.receive(ctx, me, mstream(qs, "shuffle", ei), n, true, func(pb *batch.Batch) error {
+				recv += int64(pb.Len())
 				if runErr != nil {
 					return nil
 				}
-				return cmb.probeTable(jt, pb, ed.FactKeyCol)
+				return st.probe(pb, ed.FactKeyCol, nil)
 			}))
-			e.rec.AddAt(metrics.JENRecvTuples, w, probes)
+			e.rec.AddAt(metrics.JENRecvTuples, w, recv)
 		} else {
-			probes = heldRows
 			for _, pb := range held {
 				if runErr != nil {
 					break
 				}
-				pr.fail(cmb.probeTable(jt, pb, ed.FactKeyCol))
+				pr.fail(st.probe(pb, ed.FactKeyCol, nil))
 			}
 			hold(nil)
 		}
 		if runErr == nil {
-			pr.fail(cmb.flush())
+			pr.fail(st.finish())
 		}
 		// Run even when failing, so every peer learns the fate of this
 		// worker's stream instead of waiting on it.
 		end()
-		if runErr == nil {
-			e.rec.AddAt(metrics.JoinBuildTuples, w, dimRows)
-			e.rec.AddAt(metrics.JoinProbeTuples, w, probes)
-			if last {
-				e.rec.Add(metrics.JoinOutputTuples, cmb.output)
-			}
-		}
 		width += ed.DimWireSchema.Len()
 	}
-	return e.finishAggregation(ctx, qs, q.GroupBy, q.Aggs, agg, w, n, runErr)
+	_, err := e.finishAggregation(ctx, qs, agg, w, false, runErr)
+	return err
 }
 
 // ctlPayload encodes one N-way control value: an observed intermediate

@@ -151,7 +151,7 @@ func (f *starFixture) multiReference(t testing.TB, sql string) []types.Row {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, _, err := analyzer.Reference(q, tables, nil)
+	rows, _, err := analyzer.Reference(q, tables, f.env.Registry)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,6 +177,20 @@ const starTestSQL = `select f.grp, count(*), sum(f.measure)
 	join store s on f.fk_store = s.key
 	where c.attr < 400 and p.attr < 500 and s.attr < 700
 	group by f.grp`
+
+// starBandSQL is starFullSQL with a band post-join across the plan's last
+// edge, customer (the edges run smallest dimension first): term(f.measure) -
+// term(c.attr) within [0, 4000], term a one-argument function or "" for the
+// bare columns.
+func starBandSQL(term string) string {
+	return fmt.Sprintf(`select f.grp, count(*), sum(f.measure)
+	from fact f
+	join customer c on f.fk_customer = c.key
+	join product p on f.fk_product = p.key
+	join store s on f.fk_store = s.key
+	where %[1]s(f.measure) - %[1]s(c.attr) >= 0 and %[1]s(f.measure) - %[1]s(c.attr) <= 4000
+	group by f.grp`, term)
+}
 
 // starFullSQL joins the three dimensions with no dimension predicate.
 const starFullSQL = `select f.grp, count(*), sum(f.measure)

@@ -32,8 +32,9 @@ func setEdgeAlgs(t testing.TB, mq *plan.MultiQuery, pattern string) {
 // every edge-to-edge transition — repartition→repartition (the output
 // scattered straight into the next shuffle), repartition→broadcast and
 // broadcast→repartition (a held intermediate on one side), and gated edges
-// (held for their observation, then kept or switched) — at BatchRows 1, 7
-// and 512 and one or three worker threads, against the nested-loop oracle.
+// (held for their observation, then kept or switched), and a band post-join
+// across the last edge — at BatchRows 1, 7 and 512 and one or three worker
+// threads, against the nested-loop oracle.
 // BatchRows 1 ships one row per message, so every receiver's route backlog
 // runs far past the bus inbox and route buffers while its own stage scatters
 // into the next shuffle.
@@ -53,6 +54,7 @@ func TestStreamedStagesMatchReference(t *testing.T) {
 		{"bc-rep-rep", "BRR", starFullSQL, true, ""},
 		{"gated-keep", "RRR", starFullSQL, false, "keep"},
 		{"gated-switch", "RRR", starTestSQL, false, "switch"},
+		{"band-rep-rep-rep", "RRR", starBandSQL(""), true, ""},
 	}
 	want := map[string]string{}
 	for _, rows := range []int{1, 7, 512} {
@@ -114,12 +116,12 @@ func finishWithin(t testing.TB, d time.Duration, fn func() error) error {
 	}
 }
 
-// TestStreamBatchesCallbackMaySend pins why a streamed stage receives
-// through a relay: its callback sends — here to its own endpoint — while a
-// peer floods the stream. Once the peer has filled the route channel and
-// the inbox and blocks, a receiver that stops draining its route while it
-// sends blocks on its own full inbox, behind the peer, and its router
-// blocks on the full route: recvBatches hangs here, streamBatches does not.
+// TestStreamBatchesCallbackMaySend pins why a receive whose callback sends
+// relays: the callback sends — here to its own endpoint — while a peer
+// floods the stream. Once the peer has filled the route channel and the
+// inbox and blocks, a receiver that stops draining its route while it sends
+// blocks on its own full inbox, behind the peer, and its router blocks on
+// the full route: receive with fnSends false hangs here.
 func TestStreamBatchesCallbackMaySend(t *testing.T) {
 	f := buildStarFixture(t, netsim.NewChanBus(4), 1, 2, smallStar(), Config{BatchRows: 1})
 	defer f.eng.Close()
@@ -143,7 +145,7 @@ func TestStreamBatchesCallbackMaySend(t *testing.T) {
 	})
 	got := 0
 	err := finishWithin(t, 20*time.Second, func() error {
-		return e.streamBatches(context.Background(), jenName(0), "flood", 1, func(b *batch.Batch) error {
+		return e.receive(context.Background(), jenName(0), "flood", 1, true, func(b *batch.Batch) error {
 			if got == 0 {
 				close(routed)
 				for sent.Load() < 256+4+4 {

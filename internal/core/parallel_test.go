@@ -100,49 +100,3 @@ func TestWorkerThreadsDeterministic(t *testing.T) {
 		t.Fatal("two WorkerThreads=4 sweeps disagree: parallel execution is not deterministic")
 	}
 }
-
-// TestWireCompressionRoundTrip runs the shuffle-heavy algorithms over the
-// TCP transport with frame compression on: results must be exact, and the
-// repetitive fixture rows must actually shrink on the wire.
-func TestWireCompressionRoundTrip(t *testing.T) {
-	run := func(compressed bool, threads int) (res map[string][][]string, sentBytes int64) {
-		f := buildFixture(t, netsim.NewTCPBus(256), 2, 3, 800, 2000, format.HWCName)
-		defer f.eng.Close()
-		f.eng.cfg.WireCompression = compressed
-		f.eng.cfg.WorkerThreads = threads
-		want := reference(t, f, 300, 400)
-		q := exampleQuery(t, f, 300, 400)
-		res = map[string][][]string{}
-		for _, alg := range []Algorithm{Repartition, Zigzag, Broadcast, DBSide} {
-			f.eng.Recorder().Reset()
-			r, err := f.eng.Run(q, alg)
-			if err != nil {
-				t.Fatalf("compressed=%v %v: %v", compressed, alg, err)
-			}
-			checkResult(t, r, want, alg)
-			var rendered [][]string
-			for _, row := range r.Rows {
-				rendered = append(rendered, []string{row.String()})
-			}
-			res[alg.String()] = rendered
-			if alg == Repartition {
-				sentBytes = r.Metrics["db.sent.bytes"] + r.Metrics["jen.shuffle.bytes"]
-			}
-		}
-		return res, sentBytes
-	}
-	plainRes, plainBytes := run(false, 1)
-	compRes, compBytes := run(true, 1)
-	if !reflect.DeepEqual(plainRes, compRes) {
-		t.Fatal("results differ with wire compression on")
-	}
-	if compBytes >= plainBytes {
-		t.Fatalf("compressed wire bytes %d >= uncompressed %d; frames are not being compressed", compBytes, plainBytes)
-	}
-	// Compression composes with morsel parallelism (byte counters are
-	// order-dependent there, so only results are asserted).
-	parRes, _ := run(true, 4)
-	if !reflect.DeepEqual(plainRes, parRes) {
-		t.Fatal("results differ with wire compression + WorkerThreads=4")
-	}
-}

@@ -7,11 +7,9 @@ import (
 
 	"hybridwh/internal/batch"
 	"hybridwh/internal/cluster"
-	"hybridwh/internal/compress"
 	"hybridwh/internal/netsim"
 	"hybridwh/internal/par"
 	"hybridwh/internal/skew"
-	"hybridwh/internal/types"
 )
 
 // The wire protocol shared by every algorithm. Row streams are identified
@@ -68,22 +66,16 @@ func (e *Engine) newBatcher(ctx context.Context, from, stream string, dests []st
 	}
 }
 
-// bufLocked returns dests[d]'s buffer, creating it with the stream's row
-// width on first use (all rows of one stream share a layout). Callers hold
-// mu.
-func (b *batcher) bufLocked(d, ncols int) *batch.Batch {
+// appendLocked queues physical row i of src, projected through proj, for
+// dests[d], flushing a full batch. dests[d]'s buffer is created with the
+// stream's row width, ncols, on first use (all rows of one stream share a
+// layout). Callers hold mu.
+func (b *batcher) appendLocked(d int, src *batch.Batch, i int, proj []int, ncols int) error {
 	bb := b.bufs[d]
 	if bb == nil {
 		bb = batch.New(ncols, b.size)
 		b.bufs[d] = bb
 	}
-	return bb
-}
-
-// appendLocked queues physical row i of src, projected through proj, for
-// dests[d], flushing a full batch. Callers hold mu.
-func (b *batcher) appendLocked(d int, src *batch.Batch, i int, proj []int, ncols int) error {
-	bb := b.bufLocked(d, ncols)
 	bb.AppendFrom(src, i, proj)
 	b.tuples++
 	if bb.Full() {
@@ -92,51 +84,14 @@ func (b *batcher) appendLocked(d int, src *batch.Batch, i int, proj []int, ncols
 	return nil
 }
 
-// sendRows queues a materialized row slice for the batcher's one
-// destination — the aggregation fan-in, where relop.HashAgg hands out
-// partial and final rows.
-func (b *batcher) sendRows(rows []types.Row) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for _, r := range rows {
-		bb := b.bufLocked(0, len(r))
-		bb.AppendRow(r)
-		b.tuples++
-		if bb.Full() {
-			if err := b.flushLocked(0); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// sendBatchLocked queues every live row of src for dests[d]. Callers hold
-// mu.
-func (b *batcher) sendBatchLocked(d int, src *batch.Batch, proj []int) error {
-	ncols := projWidth(src, proj)
-	return src.Each(func(i int) error {
-		return b.appendLocked(d, src, i, proj, ncols)
-	})
-}
-
-// sendBatch queues every live row of src for the batcher's one destination,
-// projected through proj (src column indexes; nil copies positionally). src
-// is on loan: its values are copied into the destination buffer.
-func (b *batcher) sendBatch(src *batch.Batch, proj []int) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.sendBatchLocked(0, src, proj)
-}
-
 // scatterBatch routes every live row of src by its key column (an index
 // into src's physical layout, read before projection) to the destination
 // route picks (an index into b.dests), projecting each row through proj
 // into the destination buffer. A row whose key is in hot (nil or empty for
 // none) goes to every destination instead — the small side of the hybrid
 // skew treatment: a hot T' row must be present wherever its scattered L'
-// partners landed. Tuples count once per copy, exactly as broadcastBatch
-// counts them.
+// partners landed. Tuples count once per copy, exactly as sendBatch counts
+// them.
 func (b *batcher) scatterBatch(src *batch.Batch, proj []int, keyIdx int, hot *skew.HotSet, route func(key int64) int) error {
 	ncols := projWidth(src, proj)
 	keys := src.Col(keyIdx)
@@ -168,23 +123,30 @@ func (b *batcher) scatterBatches(bs []*batch.Batch, keyIdx int, hot *skew.HotSet
 	return nil
 }
 
-// broadcastBatch queues every live row of src for every destination.
-// Tuples are counted once per copy.
-func (b *batcher) broadcastBatch(src *batch.Batch, proj []int) error {
+// sendBatch queues every live row of src, projected through proj (src
+// column indexes; nil copies positionally), for every destination: a
+// broadcast, or the one destination of a point-to-point stream. Tuples are
+// counted once per copy. src is on loan: its values are copied into the
+// destination buffers.
+func (b *batcher) sendBatch(src *batch.Batch, proj []int) error {
+	ncols := projWidth(src, proj)
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for d := range b.dests {
-		if err := b.sendBatchLocked(d, src, proj); err != nil {
+		err := src.Each(func(i int) error {
+			return b.appendLocked(d, src, i, proj, ncols)
+		})
+		if err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// broadcastBatches is broadcastBatch over a materialized slice.
-func (b *batcher) broadcastBatches(bs []*batch.Batch) error {
+// sendBatches is sendBatch over a materialized slice.
+func (b *batcher) sendBatches(bs []*batch.Batch) error {
 	for _, src := range bs {
-		if err := b.broadcastBatch(src, nil); err != nil {
+		if err := b.sendBatch(src, nil); err != nil {
 			return err
 		}
 	}
@@ -212,18 +174,11 @@ func (b *batcher) flushLocked(d int) error {
 	if bb == nil || bb.Size() == 0 {
 		return nil
 	}
-	if b.ctx != nil {
-		if err := b.ctx.Err(); err != nil {
-			return fmt.Errorf("core: %s send %s: %w", b.from, b.stream, context.Cause(b.ctx))
-		}
+	if err := b.ctx.Err(); err != nil {
+		return fmt.Errorf("core: %s send %s: %w", b.from, b.stream, context.Cause(b.ctx))
 	}
 	payload := batch.EncodeBatch(bb)
 	bb.Reset()
-	if b.e.cfg.WireCompression {
-		// Frame compression (Config.WireCompression): the byte counters see
-		// the compressed size — what actually crosses the interconnect.
-		payload = compress.Encode(payload)
-	}
 	if b.byteCounter != "" {
 		b.e.rec.AddAt(b.byteCounter, b.slot, int64(len(payload)))
 	}
@@ -275,41 +230,33 @@ func (b *batcher) CloseWith(runErr error) error {
 	return err
 }
 
-// recvBatches drains the stream at endpoint `at` until `senders` EOS
-// messages arrive, invoking fn for every decoded batch. The batch passed to
-// fn is on loan — it is reused for the next message, so fn must copy
-// (Clone, InsertBatch, …) anything it keeps. With senders == 0 it returns
-// immediately.
+// receive drains the stream at endpoint `at` until `senders` EOS messages
+// arrive, calling fn for every decoded batch: the one receive of data frames.
+// The batch passed to fn is on loan — it is reused for the next frame, so fn
+// copies what it keeps (keepBatches, appendRows, InsertBatch, …). With
+// senders == 0 it returns immediately.
+//
+// fnSends states that fn sends on the bus: an N-way stage scatters its output
+// into the next edge's shuffle as each shuffled batch arrives, the broadcast
+// relay and the DB-side ingest forward what they receive. Were such an fn to
+// block on a full inbox while the route channel filled, this endpoint's
+// router would block on the route and its inbox would fill, so a peer sending
+// the same way — or this worker, sending to itself — would block too: a cycle
+// no context breaks, because a bus send does not observe one. So its frames
+// pass through relay, which takes each one off the route as it arrives and
+// queues it for fn without bound, as the router already queues a stream
+// nobody has routed yet; the stream loses its backpressure. Every other
+// receive reads the route directly and keeps it: relaying all of them made
+// the N-way star measurably slower (DESIGN §13).
 //
 // Failure semantics: a decode failure or an fn error is recorded (first
 // error wins) and the loop keeps draining until every EOS arrives, so
-// senders are never left blocked on this receiver's backpressure. An
-// incoming MsgError is terminal — a peer aborted the stream — and so is
-// cancellation of the per-query context; both return immediately, relying
-// on the abort teardown (router Unroute release + context cancellation) to
-// unblock the remaining senders.
-func (e *Engine) recvBatches(ctx context.Context, at, stream string, senders int, fn func(b *batch.Batch) error) error {
-	return e.recvFrames(ctx, at, stream, senders, false, fn)
-}
-
-// streamBatches is recvBatches for a receiver whose fn sends: an N-way stage
-// scatters its output into the next edge's shuffle as each shuffled batch
-// arrives, and the broadcast relay forwards each batch it receives. Such a
-// receiver must never stop draining its route.
-// If fn blocked on a full inbox while the route channel filled, this
-// endpoint's router would block on the route and its inbox would fill, so a
-// peer sending the same way — or this worker, sending to itself — would
-// block too: a cycle no context breaks, because a bus send does not observe
-// one. So the frames pass through relay, which takes each one off the route
-// as it arrives and queues it for fn without bound, as the router already
-// queues a stream nobody has routed yet.
-func (e *Engine) streamBatches(ctx context.Context, at, stream string, senders int, fn func(b *batch.Batch) error) error {
-	return e.recvFrames(ctx, at, stream, senders, true, fn)
-}
-
-// recvFrames is recvBatches, with the rows relayed when relayed is set (see
-// streamBatches).
-func (e *Engine) recvFrames(ctx context.Context, at, stream string, senders int, relayed bool, fn func(b *batch.Batch) error) error {
+// senders are never left waiting on this receiver. An incoming MsgError is
+// terminal — a peer aborted the stream — and so is cancellation of the
+// per-query context; both return immediately, relying on the abort teardown
+// (router Unroute release + context cancellation) to unblock the remaining
+// senders.
+func (e *Engine) receive(ctx context.Context, at, stream string, senders int, fnSends bool, fn func(b *batch.Batch) error) error {
 	if senders == 0 {
 		return nil
 	}
@@ -330,22 +277,23 @@ func (e *Engine) recvFrames(ctx context.Context, at, stream string, senders int,
 	defer r.Unroute(netsim.MsgEOS, stream)
 	defer r.Unroute(netsim.MsgError, stream)
 
+	in, fin, stop := rows, make(chan struct{}), make(chan struct{})
+	if fnSends {
+		var g par.Group
+		in = relay(&g, rows, fin, stop)
+		defer func() {
+			close(stop)
+			_ = g.Wait() // the relay never fails; this joins it
+		}()
+	}
+
 	decoded := batch.New(0, 0)
 	var consumeErr error
 	consume := func(env netsim.Envelope) {
 		if consumeErr != nil {
 			return // already failed; keep draining the protocol
 		}
-		payload := env.Payload
-		if e.cfg.WireCompression {
-			raw, err := compress.Decode(payload)
-			if err != nil {
-				consumeErr = fmt.Errorf("core: %s decompressing %s from %s: %w", at, stream, env.From, err)
-				return
-			}
-			payload = raw
-		}
-		if err := batch.DecodeBatch(payload, decoded); err != nil {
+		if err := batch.DecodeBatch(env.Payload, decoded); err != nil {
 			consumeErr = fmt.Errorf("core: %s decoding %s from %s: %w", at, stream, env.From, err)
 			return
 		}
@@ -355,19 +303,6 @@ func (e *Engine) recvFrames(ctx context.Context, at, stream string, senders int,
 		if err := fn(decoded); err != nil {
 			consumeErr = err
 		}
-	}
-
-	in := rows
-	var fin chan struct{}
-	if relayed {
-		fin = make(chan struct{})
-		stop := make(chan struct{})
-		var g par.Group
-		in = relay(&g, rows, fin, stop)
-		defer func() {
-			close(stop)
-			_ = g.Wait() // the relay never fails; this joins it
-		}()
 	}
 	for remaining := senders; remaining > 0; {
 		select {
@@ -382,10 +317,10 @@ func (e *Engine) recvFrames(ctx context.Context, at, stream string, senders int,
 		}
 	}
 	// Bus ordering: each sender's rows precede its EOS, and the router
-	// dispatches sequentially, so by the final EOS every row is buffered —
-	// in the route channel or the relay's queue. Leftover frames go through
-	// the same consume as the main loop — decode-checked, first error wins.
-	if relayed {
+	// dispatches sequentially, so by the final EOS every frame is in the
+	// route channel or the relay's queue. The leftovers go through the same
+	// consume as the main loop — decode-checked, first error wins.
+	if fnSends {
 		close(fin)
 		for env := range in {
 			consume(env)
@@ -449,30 +384,23 @@ func relay(g *par.Group, src <-chan netsim.Envelope, fin, stop <-chan struct{}) 
 	return out
 }
 
-// collectRows receives a stream into materialized rows — the aggregation
-// fan-in, whose partial and final rows feed relop.HashAgg.
-func (e *Engine) collectRows(ctx context.Context, at, stream string, senders int) ([]types.Row, error) {
-	var out []types.Row
-	err := e.recvBatches(ctx, at, stream, senders, func(b *batch.Batch) error {
-		return b.Each(func(i int) error {
-			out = append(out, b.CloneRow(i))
-			return nil
-		})
-	})
-	return out, err
+// keepBatches is a sink — of a receive, a scan or a combiner — that keeps a
+// copy of every batch in *dst: a stream or an intermediate the plan needs
+// whole before it can go on.
+func keepBatches(dst *[]*batch.Batch) func(*batch.Batch) error {
+	return func(b *batch.Batch) error {
+		*dst = append(*dst, b.Clone())
+		return nil
+	}
 }
 
-// collectBatches is recvBatches into a slice of cloned batches, returning
-// the total live row count alongside.
-func (e *Engine) collectBatches(ctx context.Context, at, stream string, senders int) ([]*batch.Batch, int64, error) {
-	var out []*batch.Batch
+// liveRows is the total live row count of bs.
+func liveRows(bs []*batch.Batch) int64 {
 	var n int64
-	err := e.recvBatches(ctx, at, stream, senders, func(b *batch.Batch) error {
-		out = append(out, b.Clone())
+	for _, b := range bs {
 		n += int64(b.Len())
-		return nil
-	})
-	return out, n, err
+	}
+	return n
 }
 
 // sendControl ships one control payload — a join-key filter, an observation
@@ -490,7 +418,7 @@ func (e *Engine) sendControl(from string, typ netsim.MsgType, stream string, pay
 
 // recvControl is the one control fan-in: it receives `parts` messages of
 // type typ on stream at endpoint `at` and hands each payload to merge, which
-// decodes it and folds it into the caller's result. Like recvBatches, a bad
+// decodes it and folds it into the caller's result. Like receive, a bad
 // part (a merge error) is recorded and the loop keeps collecting the
 // remaining parts so senders are never stranded; an incoming MsgError or
 // context cancellation is terminal.
@@ -527,19 +455,16 @@ func (e *Engine) recvControl(ctx context.Context, at string, typ netsim.MsgType,
 }
 
 // jenNames returns all JEN worker endpoint names.
-func (e *Engine) jenNames() []string {
-	out := make([]string, e.jen.Workers())
-	for i := range out {
-		out[i] = jenName(i)
-	}
-	return out
-}
+func (e *Engine) jenNames() []string { return names(e.jen.Workers(), jenName) }
 
 // dbNames returns all DB worker endpoint names.
-func (e *Engine) dbNames() []string {
-	out := make([]string, e.db.Workers())
+func (e *Engine) dbNames() []string { return names(e.db.Workers(), dbName) }
+
+// names returns the endpoint names of workers 0..n-1.
+func names(n int, name func(int) string) []string {
+	out := make([]string, n)
 	for i := range out {
-		out[i] = dbName(i)
+		out[i] = name(i)
 	}
 	return out
 }

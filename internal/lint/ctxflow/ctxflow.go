@@ -179,7 +179,7 @@ func checkReceives(pass *analysis.Pass, body *ast.BlockStmt) {
 		}
 		_ = comm
 		if !selectHasAbortArm(pass, sel) {
-			pass.Reportf(recv.Pos(), "select has no abort/ctx.Done arm; a failed sender strands every case — add one (see recvBatches)")
+			pass.Reportf(recv.Pos(), "select has no abort/ctx.Done arm; a failed sender strands every case — add one (see core's receive)")
 		}
 	})
 }

@@ -108,6 +108,10 @@ func NewHashAgg(groupBy []expr.Expr, aggs []AggSpec) *HashAgg {
 	}
 }
 
+// Sibling returns an empty aggregator over the same grouping and aggregates:
+// a private partial for one probe thread, or the final merge of partials.
+func (h *HashAgg) Sibling() *HashAgg { return NewHashAgg(h.groupBy, h.aggs) }
+
 // NumGroups returns the current group count.
 func (h *HashAgg) NumGroups() int64 { return h.n }
 

@@ -279,15 +279,21 @@ func TestCloseFailsQueued(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Close fails the queued query before it waits on the running one, and
+	// the running one is released only once that has happened: released
+	// earlier, it could finish and the queued one be admitted and complete
+	// before Close ever saw it queued.
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	if _, err := queued.Wait(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("queued query error = %v, want ErrClosed", err)
+	}
 	close(release)
-	if err := s.Close(); err != nil {
+	if err := <-closed; err != nil {
 		t.Fatal(err)
 	}
 	if _, err := running.Wait(); err != nil {
 		t.Fatalf("running query failed on Close: %v", err)
-	}
-	if _, err := queued.Wait(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("queued query error = %v, want ErrClosed", err)
 	}
 	if _, err := s.Submit(context.Background(), Request{Lane: costmodel.LanePoint, Run: blockingRun(nil, nil)}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after close = %v, want ErrClosed", err)
