@@ -33,7 +33,8 @@ test:
 
 # Non-test Go lines per package (build-constrained files as go list sees
 # them, testdata never), the figure the ROADMAP's line budgets are stated
-# in. Information only: it always succeeds.
+# in. Information only: it always succeeds. TestLineBudgets (loc_test.go,
+# part of `make test`) holds the guarded packages to loc_budget.txt.
 loc:
 	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | \
 	while read -r pkg files; do \
@@ -52,13 +53,15 @@ BOUNDED = timeout -k 10s
 # netsim) fail in minutes instead of the 10-minute default. The core package
 # run includes the adaptive-switch fault matrix
 # (TestInjectedFailuresAbortAdaptiveSwitch): workers killed before, during,
-# and after the mid-query switch handshake, on both transports. The cfg and
+# and after the mid-query switch handshake, on both transports. relop rides
+# along for the budgeted join table: other goroutines' Reserve calls run its
+# pressure callback, and probe threads share it. The cfg and
 # callgraph packages ride along without -race (they are single-threaded but
 # underpin the analyzers that guard the racy packages, so they belong to the
 # same gate).
 race:
 	$(BOUNDED) 240s sh -c '\
-	$(GO) test -race -timeout=120s ./internal/netsim/ ./internal/par/ ./internal/jen/ ./internal/core/ ./internal/skew/ ./internal/mem/ ./internal/sched/ ./internal/analyzer/ && \
+	$(GO) test -race -timeout=120s ./internal/netsim/ ./internal/par/ ./internal/jen/ ./internal/core/ ./internal/skew/ ./internal/mem/ ./internal/sched/ ./internal/analyzer/ ./internal/relop/ && \
 	$(GO) test -race -timeout=300s -run "TestConcurrent|TestAdaptive|TestStar|TestSnowflake" . && \
 	$(GO) test ./internal/lint/cfg/ ./internal/lint/callgraph/'
 

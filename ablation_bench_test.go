@@ -147,7 +147,9 @@ func BenchmarkAblationSemijoinVsBloom(b *testing.B) {
 }
 
 // BenchmarkAblationSpill compares the all-in-memory build against the
-// grace-spilling build (the paper's future work) on the same join.
+// spilling build (the paper's future work) on the same join: under a 64 KiB
+// MemBudgetBytes the scheduler grants the query half of it, and the
+// shuffle join's build tables evict partitions to stay inside that.
 func BenchmarkAblationSpill(b *testing.B) {
 	for _, tc := range []struct {
 		name   string
@@ -155,7 +157,7 @@ func BenchmarkAblationSpill(b *testing.B) {
 	}{{"in-memory", 0}, {"spill-64KiB", 64 << 10}} {
 		b.Run(tc.name, func(b *testing.B) {
 			w := ablWarehouse(b, func(c *hybridwh.Config) {
-				c.SpillBudgetBytes = tc.budget
+				c.MemBudgetBytes = tc.budget
 				c.SpillDir = b.TempDir()
 			})
 			defer w.Close()

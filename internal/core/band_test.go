@@ -341,11 +341,11 @@ func bandPosts(t *testing.T, probeLeft bool) map[string]expr.Expr {
 // function of the post-join predicate it serves: a multi-partition
 // in-memory table, and a spilling one whose pairs come from resident
 // partitions, Drain's hash rejoins and the block nested-loop fallback.
-var bandTables = map[string]func(t *testing.T, lane relop.LaneFunc) relop.JoinTable{
-	"mem": func(_ *testing.T, lane relop.LaneFunc) relop.JoinTable {
-		return &relop.MemJoinTable{H: relop.NewHashTableParts(0, 4).WithLane(lane)}
+var bandTables = map[string]func(t *testing.T, lane relop.LaneFunc) *relop.HashTable{
+	"mem": func(_ *testing.T, lane relop.LaneFunc) *relop.HashTable {
+		return relop.NewHashTableParts(0, 4).WithLane(lane)
 	},
-	"spill": func(t *testing.T, lane relop.LaneFunc) relop.JoinTable {
+	"spill": func(t *testing.T, lane relop.LaneFunc) *relop.HashTable {
 		s, err := relop.NewSpillingHashTable(0, 6<<10, t.TempDir())
 		if err != nil {
 			t.Fatal(err)
@@ -367,13 +367,13 @@ var bandTables = map[string]func(t *testing.T, lane relop.LaneFunc) relop.JoinTa
 // it is not. Every lane a bucket arrives with is aligned with its rows.
 func TestCombinerBandMatchesFullConcat(t *testing.T) {
 	for dname, data := range bandDataSets() {
-		for tname, mk := range bandTables {
+		for tname := range bandTables {
 			for _, probeLeft := range []bool{true, false} {
 				for pname, post := range bandPosts(t, probeLeft) {
 					for _, size := range []int{1, 7, 512} {
 						name := fmt.Sprintf("%s/%s/probeLeft=%v/%s/size=%d", dname, tname, probeLeft, pname, size)
 						t.Run(name, func(t *testing.T) {
-							runBandCase(t, data, mk, post, probeLeft, size, dname, pname)
+							runBandCase(t, data, tname, post, probeLeft, size, dname, pname)
 						})
 					}
 				}
@@ -382,17 +382,14 @@ func TestCombinerBandMatchesFullConcat(t *testing.T) {
 	}
 }
 
-func runBandCase(t *testing.T, data bandData, mk func(*testing.T, relop.LaneFunc) relop.JoinTable, post expr.Expr, probeLeft bool, size int, dname, pname string) {
+func runBandCase(t *testing.T, data bandData, tname string, post expr.Expr, probeLeft bool, size int, dname, pname string) {
 	e := &Engine{cfg: Config{BatchRows: size}}
 	var kept []*batch.Batch
-	st, err := e.newJoinStage("", 0, joinSite{pred: post, leftWidth: 3, probeLeft: probeLeft, next: keepBatches(&kept)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := e.newJoinStage("", 0, joinSite{pred: post, leftWidth: 3, probeLeft: probeLeft, next: keepBatches(&kept)})
 	if (st.band == nil) != (pname == "int-general") {
 		t.Fatalf("SplitBand found band %v for %s", st.band, post)
 	}
-	jt := mk(t, st.lane())
+	jt := bandTables[tname](t, st.lane())
 	defer jt.Close()
 	for _, r := range data.build {
 		if err := jt.Insert(r); err != nil {
@@ -428,8 +425,9 @@ func runBandCase(t *testing.T, data bandData, mk func(*testing.T, relop.LaneFunc
 		}
 		return c.bucket(p, bucket, lane)
 	}
+	var err error
 	for _, pb := range data.probes {
-		if err = jt.ProbeBuckets(pb, 1, tee); err != nil {
+		if err = jt.ProbeBuckets(pb, 1, nil, tee); err != nil {
 			break
 		}
 		if err = c.settle(); err != nil {
@@ -442,7 +440,7 @@ func runBandCase(t *testing.T, data bandData, mk func(*testing.T, relop.LaneFunc
 			err = c.flush()
 		}
 	}
-	if s, ok := jt.(*relop.SpillingHashTable); ok && err == nil {
+	if s := jt; tname == "spill" && err == nil {
 		// Key 0's partition is evicted, and at rejoin its hot key outgrows
 		// the budget even after a repartition pass, so it goes to the
 		// nested loop while the keys split off with it rejoin by hash.
@@ -494,10 +492,7 @@ func runBandCase(t *testing.T, data bandData, mk func(*testing.T, relop.LaneFunc
 // term. (`make race` runs this under the race detector.)
 func TestBandLaneUnderParallelBuild(t *testing.T) {
 	post := bandPosts(t, false)["days"] // build rows are the left part
-	st, err := (&Engine{}).newJoinStage("", 0, joinSite{pred: post, leftWidth: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := (&Engine{}).newJoinStage("", 0, joinSite{pred: post, leftWidth: 3})
 	h := relop.NewHashTableParts(0, 4).WithLane(st.lane())
 	const rows, keys = 1 << 15, 64
 	for i := 0; i < rows; i++ {
@@ -534,10 +529,7 @@ func TestBandLaneUnderParallelBuild(t *testing.T) {
 // parallel probe threads share the expression tree).
 func TestBandProbeTermAllocatesNothing(t *testing.T) {
 	for _, probeLeft := range []bool{true, false} {
-		st, err := (&Engine{cfg: Config{BatchRows: 8}}).newJoinStage("", 0, joinSite{pred: bandPosts(t, probeLeft)["days"], leftWidth: 3, probeLeft: probeLeft})
-		if err != nil {
-			t.Fatal(err)
-		}
+		st := (&Engine{cfg: Config{BatchRows: 8}}).newJoinStage("", 0, joinSite{pred: bandPosts(t, probeLeft)["days"], leftWidth: 3, probeLeft: probeLeft})
 		c := st.cmb
 		if c.probeTerm == nil {
 			t.Fatal("the days band was not recognised")

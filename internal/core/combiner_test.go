@@ -1,19 +1,21 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"hybridwh/internal/batch"
 	"hybridwh/internal/expr"
 	"hybridwh/internal/format"
+	"hybridwh/internal/mem"
 	"hybridwh/internal/metrics"
 	"hybridwh/internal/netsim"
 	"hybridwh/internal/relop"
 	"hybridwh/internal/types"
 )
 
-// bucketCall is one emit of a JoinTable probe, recorded.
+// bucketCall is one emit of a table probe, recorded.
 type bucketCall struct {
 	probe  types.Row
 	bucket []types.Row
@@ -163,12 +165,12 @@ func combinerPosts(t *testing.T, probeLeft bool) map[string]expr.Expr {
 // and a predicate that fails fails with the same error.
 func TestCombinerMatchesFullConcat(t *testing.T) {
 	build, probes := combinerBuild(), combinerProbes()
-	tables := map[string]func(t *testing.T) relop.JoinTable{
-		"mem": func(*testing.T) relop.JoinTable { return relop.NewMemJoinTable(0) },
+	tables := map[string]func(t *testing.T) *relop.HashTable{
+		"mem": func(*testing.T) *relop.HashTable { return relop.NewHashTable(0) },
 		// A budget far below the build side spills every partition; a
 		// 2-way fan-out with no recursion sends the rejoin to the block
 		// nested-loop fallback, so every pair comes through Drain.
-		"spill-nested-loop": func(t *testing.T) relop.JoinTable {
+		"spill-nested-loop": func(t *testing.T) *relop.HashTable {
 			s, err := relop.NewSpillingHashTable(0, 2048, t.TempDir())
 			if err != nil {
 				t.Fatal(err)
@@ -197,18 +199,16 @@ func TestCombinerMatchesFullConcat(t *testing.T) {
 						}
 						e := &Engine{cfg: Config{BatchRows: size}}
 						var kept []*batch.Batch
-						st, err := e.newJoinStage("", 0, joinSite{pred: post, leftWidth: 3, probeLeft: probeLeft, next: keepBatches(&kept)})
-						if err != nil {
-							t.Fatal(err)
-						}
+						st := e.newJoinStage("", 0, joinSite{pred: post, leftWidth: 3, probeLeft: probeLeft, next: keepBatches(&kept)})
 						c := st.cmb
 						var calls []bucketCall
 						tee := func(p types.Row, bucket []types.Row, lane []int64) error {
 							calls = append(calls, bucketCall{p.Clone(), bucket})
 							return c.bucket(p, bucket, lane)
 						}
+						var err error
 						for _, pb := range probes {
-							if err = jt.ProbeBuckets(pb, 1, tee); err != nil {
+							if err = jt.ProbeBuckets(pb, 1, nil, tee); err != nil {
 								break
 							}
 							if err = c.settle(); err != nil {
@@ -326,15 +326,20 @@ func TestLateMaterialisedJoinMatchesReference(t *testing.T) {
 			{"repartition", Repartition, 1, 0},
 			{"repartition-3-threads", Repartition, 3, 0},
 			{"repartition-spilled", Repartition, 1, 1},
+			{"repartition-spilled-3-threads", Repartition, 3, 1},
 			{"broadcast", Broadcast, 1, 0},
 			{"broadcast-3-threads", Broadcast, 3, 0},
 			{"db", DBSide, 1, 0},
 		} {
 			t.Run(pname+"/"+c.name, func(t *testing.T) {
-				f.eng.cfg.WorkerThreads, f.eng.cfg.SpillBudgetBytes = c.threads, c.budget
-				defer func() { f.eng.cfg.WorkerThreads, f.eng.cfg.SpillBudgetBytes = 1, 0 }()
+				f.eng.cfg.WorkerThreads, f.eng.cfg.SpillDir = c.threads, t.TempDir()
+				defer func() { f.eng.cfg.WorkerThreads, f.eng.cfg.SpillDir = 1, "" }()
+				var opts RunOpts
+				if c.budget > 0 {
+					opts.Budget = mem.NewBudget(c.budget)
+				}
 				resetCounters(f.eng)
-				res, err := f.eng.Run(&q, c.alg)
+				res, err := f.eng.RunCtxOpts(context.Background(), &q, c.alg, opts)
 				if err != nil {
 					t.Fatal(err)
 				}

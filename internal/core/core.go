@@ -114,12 +114,9 @@ type Config struct {
 	BloomHashes int
 	// BatchRows is the wire batch size. Defaults to the JEN batch size.
 	BatchRows int
-	// SpillBudgetBytes bounds each JEN worker's in-memory hash table for
-	// the repartition-based joins; beyond it the build side grace-spills
-	// to disk (the paper's stated future work). Zero = unbounded memory,
-	// the paper's current behaviour.
-	SpillBudgetBytes int64
-	// SpillDir hosts spill files ("" = the OS temp dir).
+	// SpillDir hosts spill files ("" = the OS temp dir): a query run under
+	// a budget (RunOpts.Budget) spills the shuffle joins' build partitions
+	// that do not fit.
 	SpillDir string
 	// BroadcastRelay switches the broadcast join to the paper's alternative
 	// §4.3 transfer scheme: each DB worker ships its partition to a single
@@ -301,7 +298,7 @@ type RunOpts struct {
 	// Budget, when non-nil, governs this query's operator memory: scan
 	// pools, hash-join builds and aggregation state all charge against it,
 	// and the dynamic hybrid hash join sheds partitions to stay inside it.
-	// It overrides Config.SpillBudgetBytes for this run. The caller keeps
+	// It is the engine's one memory knob. The caller keeps
 	// ownership (the engine never closes it), so one budget may be shared
 	// across queries — the scheduler's global-governance mode.
 	Budget *mem.Budget

@@ -211,7 +211,7 @@ func (e *Engine) dbJoinProgram(ctx context.Context, qs string, q *plan.JoinQuery
 	bud := e.budget(qs)
 	agg := relop.NewHashAgg(q.GroupBy, q.Aggs)
 	agg.SetBudget(bud)
-	st, _ := e.newJoinStage(qs, i, twoTable(q, true, agg)) // in memory: cannot fail
+	st := e.newJoinStage(qs, i, twoTable(q, true, agg))
 	defer st.close()
 	var lbatches []*batch.Batch
 	var bg par.Group

@@ -1,34 +1,37 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
 	"hybridwh/internal/cluster"
 	"hybridwh/internal/format"
+	"hybridwh/internal/mem"
 	"hybridwh/internal/metrics"
 	"hybridwh/internal/netsim"
 )
 
-// TestSpillingJoinAgrees forces the HDFS-side build tables to grace-spill
-// and checks every repartition-based algorithm still produces the exact
-// reference result.
+// TestSpillingJoinAgrees runs every repartition-based algorithm under a
+// query budget far below its HDFS-side build tables, so they spill, and
+// checks each still produces the exact reference result.
 func TestSpillingJoinAgrees(t *testing.T) {
 	f := buildFixture(t, netsim.NewChanBus(256), 4, 6, 3000, 9000, format.HWCName)
 	defer f.eng.Close()
-	// Rebuild the engine config with a tiny spill budget.
-	f.eng.cfg.SpillBudgetBytes = 2048
 	f.eng.cfg.SpillDir = t.TempDir()
 
 	want := reference(t, f, 300, 400)
 	q := exampleQuery(t, f, 300, 400)
 	for _, alg := range []Algorithm{Repartition, RepartitionBloom, Zigzag} {
 		f.eng.Recorder().Reset()
-		res, err := f.eng.Run(q, alg)
+		res, err := f.eng.RunCtxOpts(context.Background(), q, alg, RunOpts{Budget: mem.NewBudget(8 << 10)})
 		if err != nil {
 			t.Fatalf("%v with spilling: %v", alg, err)
 		}
 		checkResult(t, res, want, alg)
+		if res.Metrics[metrics.SpillEvictions] == 0 {
+			t.Errorf("%v: the budget evicted no partition", alg)
+		}
 	}
 }
 

@@ -184,15 +184,14 @@ func (e *Engine) jenRepartitionProgram(ctx context.Context, qs string, q *plan.J
 	// Background receivers start before any sending to keep the shuffle
 	// deadlock-free: the hash table builds from shuffled rows as they
 	// arrive, and database rows are buffered as they arrive (Section 4.4).
-	// With a spill budget configured, the build side grace-spills to disk
+	// Under a query budget, the build side spills partitions to disk
 	// instead of growing without bound.
 	bud := e.budget(qs)
 	agg := relop.NewHashAgg(q.GroupBy, q.Aggs)
 	agg.SetBudget(bud)
 	site := twoTable(q, false, agg)
 	site.spill = true
-	st, err := e.newJoinStage(qs, w, site)
-	pr.fail(err)
+	st := e.newJoinStage(qs, w, site)
 	defer st.close()
 	var dbBatches []*batch.Batch
 	// Receiver errors abort the program context (bgFail): if one receiver
@@ -289,7 +288,7 @@ func (e *Engine) jenRepartitionProgram(ctx context.Context, qs string, q *plan.J
 
 	// Wait for the hash table and the buffered database rows. The buffered
 	// probe side is charged to the query budget for the probe's duration
-	// (the build side accounts for itself inside the spilling table).
+	// (the build side's table accounts for itself).
 	pr.fail(bg.Wait())
 	pr.fail(st.seal())
 	charged := chargeBatches(bud, dbBatches)
@@ -301,7 +300,7 @@ func (e *Engine) jenRepartitionProgram(ctx context.Context, qs string, q *plan.J
 		// joins it locally through runBroadcast's join site, so the adapted
 		// result is exactly what a statically planned broadcast produces.
 		if runErr == nil {
-			bst, _ := e.newJoinStage(qs, w, twoTable(q, true, agg)) // in memory: cannot fail
+			bst := e.newJoinStage(qs, w, twoTable(q, true, agg))
 			for _, b := range dbBatches {
 				pr.fail(bst.insert(b))
 			}
@@ -315,7 +314,7 @@ func (e *Engine) jenRepartitionProgram(ctx context.Context, qs string, q *plan.J
 		// Probe with the database rows; combined layout is HDFS wire ++ DB wire.
 		pr.fail(st.probeAll(dbBatches, q.DBWireKey, e.cfg.WorkerThreads))
 	}
-	_, err = e.finishAggregation(ctx, qs, agg, w, false, runErr)
+	_, err := e.finishAggregation(ctx, qs, agg, w, false, runErr)
 	return err
 }
 
@@ -461,7 +460,7 @@ func (e *Engine) runBroadcast(ctx context.Context, qs string, q *plan.JoinQuery)
 		agg.SetBudget(bud)
 		// Build the hash table from the broadcast T' first: local joins
 		// need the whole filtered database table.
-		st, _ := e.newJoinStage(qs, w, twoTable(q, true, agg)) // in memory: cannot fail
+		st := e.newJoinStage(qs, w, twoTable(q, true, agg))
 		defer st.close()
 		if relay {
 			firstErr(&runErr, e.broadcastRelayRecv(ctx, qs, me, w, n, directSenders[w], st.insert))

@@ -24,7 +24,7 @@ type joinSite struct {
 	leftWidth int
 	probeLeft bool // the probe rows are the left part, the build rows the right
 	key       int
-	spill     bool // the build may grace-spill: the shuffle join's L' table
+	spill     bool // under a query budget the build may spill: the shuffle join's L' table
 
 	// The output folds into agg, the worker's partial aggregate, and counts
 	// as JoinOutputTuples; without agg it feeds next, the next N-way stage.
@@ -51,14 +51,14 @@ func twoTable(q *plan.JoinQuery, probeLeft bool, agg *relop.HashAgg) joinSite {
 // combiners test a bucket against one probe value as an int64 range instead
 // of running the predicate per pair. It records JoinBuildTuples,
 // JoinProbeTuples and JoinOutputTuples, the spill statistics, and the
-// budget charge of an in-memory build.
+// budget charge of a build that does not charge itself.
 type joinStage struct {
 	e    *Engine
 	site joinSite
 	slot int // the worker, for the per-worker counters
 	bud  *mem.Budget
 	band *expr.Band // nil: no band, every pair runs the predicate
-	jt   relop.JoinTable
+	jt   *relop.HashTable
 	cmb  *combiner
 
 	mu      sync.Mutex // serializes inserts: the broadcast relay receives on two goroutines
@@ -67,13 +67,11 @@ type joinStage struct {
 	probes  atomic.Int64
 }
 
-// newJoinStage opens a join site's stage for worker slot of query qs. A
-// spill site builds a dynamic hybrid hash join charging the query's shared
-// budget when one is registered (RunOpts.Budget), or a privately-budgeted
-// one under Config.SpillBudgetBytes; every other build is the in-memory
-// table. When the spilling table cannot be made the error comes back with an
-// in-memory stage, so the program can still complete its protocol.
-func (e *Engine) newJoinStage(qs string, slot int, site joinSite) (*joinStage, error) {
+// newJoinStage opens a join site's stage for worker slot of query qs. Under
+// the query's budget (RunOpts.Budget) a spill site builds a table that
+// charges the budget and spills its partitions, a dynamic hybrid hash join;
+// every other build stays in memory.
+func (e *Engine) newJoinStage(qs string, slot int, site joinSite) *joinStage {
 	s := &joinStage{e: e, site: site, slot: slot, bud: e.budget(qs)}
 	if b, ok := expr.SplitBand(site.pred, site.leftWidth); ok {
 		s.band = b
@@ -83,20 +81,13 @@ func (e *Engine) newJoinStage(qs string, slot int, site joinSite) (*joinStage, e
 		out = site.agg.AddBatch
 	}
 	s.cmb = newCombiner(e.cfg.BatchRows, site.pred, s.band, site.probeLeft, out)
-	var sp *relop.SpillingHashTable
-	var err error
-	switch {
-	case site.spill && s.bud != nil:
-		sp, err = relop.NewSharedSpillingHashTable(site.key, s.bud, e.cfg.SpillDir)
-	case site.spill && e.cfg.SpillBudgetBytes > 0:
-		sp, err = relop.NewSpillingHashTable(site.key, e.cfg.SpillBudgetBytes, e.cfg.SpillDir)
-	}
-	if sp != nil {
-		s.jt = sp.WithLane(s.lane())
+	if site.spill && s.bud != nil {
+		s.jt = relop.NewSharedSpillingHashTable(site.key, s.bud, e.cfg.SpillDir)
 	} else {
-		s.jt = &relop.MemJoinTable{H: relop.NewHashTable(site.key).WithLane(s.lane())}
+		s.jt = relop.NewHashTable(site.key)
 	}
-	return s, err
+	s.jt.WithLane(s.lane())
+	return s
 }
 
 // insert adds every live row of b to the build table: a receive sink, safe
@@ -109,12 +100,13 @@ func (s *joinStage) insert(b *batch.Batch) error {
 }
 
 // seal ends the build: the table is sealed for (concurrent) probing, its
-// rows count as JoinBuildTuples, and an in-memory build is charged to the
-// query budget until close — the spilling table accounts for itself.
+// rows count as JoinBuildTuples, and a build that is not a spill site's is
+// charged to the query budget until close — a spill site's table accounts
+// for itself.
 func (s *joinStage) seal() error {
 	err := s.jt.FinishBuild()
 	s.e.rec.AddAt(metrics.JoinBuildTuples, s.slot, s.jt.Len())
-	if _, inMem := s.jt.(*relop.MemJoinTable); inMem && s.bud != nil && s.jt.Len() > 0 {
+	if !s.site.spill && s.bud != nil && s.jt.Len() > 0 {
 		s.charged = s.jt.Len() * (int64(s.width)*16 + 48) // a boxed value per cell and a row header
 		s.bud.Force(s.charged)
 	}
@@ -123,16 +115,16 @@ func (s *joinStage) seal() error {
 
 // probe joins every live row of pb, its key at keyIdx, against the sealed
 // table. A scan batch comes with proj, the wire projection, and probes the
-// in-memory table before it is projected: the wire row is materialized only
-// for rows with a non-empty bucket. Morsel threads may probe at once.
+// table before it is projected (relop.HashTable.ProbeBuckets). Morsel
+// threads may probe at once.
 func (s *joinStage) probe(pb *batch.Batch, keyIdx int, proj []int) error {
 	s.probes.Add(int64(pb.Len()))
 	return s.cmb.probe(s.jt, pb, keyIdx, proj)
 }
 
-// finish emits the matches a spilling table deferred, flushes the last
+// finish emits the matches a budgeted table deferred, flushes the last
 // output batch and records the probe's counters: JoinProbeTuples, the output
-// when it folds into the aggregate, and a spilling table's statistics.
+// when it folds into the aggregate, and the table's spill statistics.
 func (s *joinStage) finish() error {
 	if err := s.jt.Drain(s.cmb.bucket); err != nil {
 		return err
@@ -149,17 +141,16 @@ func (s *joinStage) finish() error {
 }
 
 // probeAll probes with every batch of probes, its key at keyIdx, then
-// finishes. Into an aggregate, with threads > 1 and an in-memory table, the
-// batches fan out over threads goroutines (the probe stage of the paper's
-// multi-threaded JEN worker): each folds its matches through a private
-// combiner into a private partial aggregate — no contention on the hot path
-// — and the privates merge into the site's aggregate afterwards. Join output and
-// group totals are independent of how batches land on threads; only the
-// per-thread split (metrics.JoinProbeSplit) depends on scheduling. The
-// spilling table stays sequential: its partition files are not safe for
-// concurrent probing.
+// finishes. Into an aggregate, with threads > 1, the batches fan out over
+// threads goroutines (the probe stage of the paper's multi-threaded JEN
+// worker): each folds its matches through a private combiner into a private
+// partial aggregate — no contention on the hot path — and the privates
+// merge into the site's aggregate afterwards. Join output and group totals
+// are independent of how batches land on threads; only the per-thread split
+// (metrics.JoinProbeSplit) depends on scheduling. The matches a budgeted
+// table defers are drained by finish, after the threads.
 func (s *joinStage) probeAll(probes []*batch.Batch, keyIdx, threads int) error {
-	if _, inMem := s.jt.(*relop.MemJoinTable); !inMem || s.site.agg == nil || threads <= 1 || len(probes) <= 1 {
+	if s.site.agg == nil || threads <= 1 || len(probes) <= 1 {
 		for _, pb := range probes {
 			if err := s.probe(pb, keyIdx, nil); err != nil {
 				return err
@@ -324,7 +315,7 @@ func (c *combiner) resolve(probe, build types.Row) error {
 }
 
 // bucket joins one probe row against its bucket; it is the
-// relop.BucketFunc of JoinTable probes. probeRow may alias the caller's
+// relop.BucketFunc of table probes. probeRow may alias the caller's
 // scratch; the bucket's rows are sealed-table storage, held until the next
 // settle.
 func (c *combiner) bucket(probeRow types.Row, bucket []types.Row, lane []int64) error {
@@ -444,31 +435,12 @@ func (c *combiner) flush() error {
 }
 
 // probe joins every live row of pb, its key at keyIdx, against the sealed
-// table jt (see bucket). With proj, pb is a scan batch probing an in-memory
-// table, and a row takes the wire layout (proj's columns) only where its
-// bucket is non-empty.
-func (c *combiner) probe(jt relop.JoinTable, pb *batch.Batch, keyIdx int, proj []int) error {
+// table jt (see bucket). With proj, pb is a scan batch, and a row takes the
+// wire layout (proj's columns) only where it is joined.
+func (c *combiner) probe(jt *relop.HashTable, pb *batch.Batch, keyIdx int, proj []int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var err error
-	if proj == nil {
-		err = jt.ProbeBuckets(pb, keyIdx, c.bucket)
-	} else {
-		ht, keys := jt.(*relop.MemJoinTable).H, pb.Col(keyIdx)
-		var row types.Row
-		err = pb.Each(func(i int) error {
-			bucket, lane := ht.ProbeLane(keys[i].Int())
-			if len(bucket) == 0 {
-				return nil
-			}
-			row = row[:0]
-			for _, p := range proj {
-				row = append(row, pb.Col(p)[i])
-			}
-			return c.bucket(row, bucket, lane)
-		})
-	}
-	if err != nil {
+	if err := jt.ProbeBuckets(pb, keyIdx, proj, c.bucket); err != nil {
 		return err
 	}
 	return c.settle()

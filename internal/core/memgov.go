@@ -36,16 +36,12 @@ func chargeBatches(bud *mem.Budget, bs []*batch.Batch) int64 {
 	return n
 }
 
-// recordSpillStats copies a spilling table's counters into the per-worker
-// spill vectors. Only non-zero values are recorded so spill-free runs keep
-// byte-identical snapshots; under a shared budget the per-worker split
-// depends on which worker the pressure lands on — diagnostic, like
+// recordSpillStats copies a join table's spill counters into the
+// per-worker spill vectors. Only non-zero values are recorded so spill-free
+// runs keep byte-identical snapshots; under a shared budget the per-worker
+// split depends on which worker the pressure lands on — diagnostic, like
 // JENMorselTuples.
-func (e *Engine) recordSpillStats(ht relop.JoinTable, slot int) {
-	s, ok := ht.(*relop.SpillingHashTable)
-	if !ok {
-		return
-	}
+func (e *Engine) recordSpillStats(s *relop.HashTable, slot int) {
 	for _, c := range []struct {
 		name string
 		v    int64

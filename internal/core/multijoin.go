@@ -221,10 +221,9 @@ func (e *Engine) materializeDim(ed *plan.EdgeExec) (*dimMat, error) {
 			dm.parts[w] = bs
 			return err
 		}
-		sub := &relop.MemJoinTable{H: subHT}
 		cmb := newCombiner(e.cfg.BatchRows, nil, nil, true, keepBatches(&dm.parts[w]))
 		for _, b := range bs {
-			if err := cmb.probe(sub, b, ed.Dim.Sub.ParentFKWire, nil); err != nil {
+			if err := cmb.probe(subHT, b, ed.Dim.Sub.ParentFKWire, nil); err != nil {
 				return err
 			}
 		}
@@ -444,7 +443,7 @@ func (e *Engine) multiJENProgram(ctx context.Context, qs string, q *plan.MultiQu
 		} else {
 			site.next, end = feed(ei+1, nil)
 		}
-		st, _ := e.newJoinStage(qs, w, site) // in memory: cannot fail
+		st := e.newJoinStage(qs, w, site)
 		stages = append(stages, st)
 
 		// Receive this edge's dimension — the hash-local share under

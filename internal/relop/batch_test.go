@@ -204,8 +204,8 @@ func TestInsertBatchMatchesInsert(t *testing.T) {
 }
 
 // TestProbeBatchMatchesProbe runs the same probes batch-at-a-time through
-// ProbeBuckets against both JoinTable implementations and row-at-a-time
-// through MemJoinTable.ProbeBatch.
+// ProbeBuckets against an in-memory and a budgeted table, and row-at-a-time
+// through the MemJoinTable shim's ProbeBatch.
 func TestProbeBatchMatchesProbe(t *testing.T) {
 	build := make([]types.Row, 40)
 	for i := range build {
@@ -219,9 +219,9 @@ func TestProbeBatchMatchesProbe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, mk := range map[string]func() JoinTable{
-		"mem":   func() JoinTable { return NewMemJoinTable(0) },
-		"spill": func() JoinTable { return spill },
+	for name, mk := range map[string]func() *HashTable{
+		"mem":   func() *HashTable { return NewHashTable(0) },
+		"spill": func() *HashTable { return spill },
 	} {
 		t.Run(name, func(t *testing.T) {
 			jt := mk()
@@ -242,7 +242,7 @@ func TestProbeBatchMatchesProbe(t *testing.T) {
 				got = append(got, fmt.Sprintf("%v|%v", b, p))
 				return nil
 			}
-			if err := jt.ProbeBuckets(pb, 1, pairsOf(collect)); err != nil {
+			if err := jt.ProbeBuckets(pb, 1, nil, pairsOf(collect)); err != nil {
 				t.Fatal(err)
 			}
 			if err := jt.Drain(pairsOf(collect)); err != nil {
@@ -250,10 +250,11 @@ func TestProbeBatchMatchesProbe(t *testing.T) {
 			}
 			// Reference: row-at-a-time probes against a fresh mem table.
 			ref := NewMemJoinTable(0)
-			for _, r := range build {
-				if err := ref.Insert(r); err != nil {
-					t.Fatal(err)
-				}
+			if err := ref.InsertBatch(rowBatch(build...)); err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.FinishBuild(); err != nil {
+				t.Fatal(err)
 			}
 			var want []string
 			for _, p := range probes {

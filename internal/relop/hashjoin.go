@@ -8,46 +8,67 @@ package relop
 import (
 	"fmt"
 	"runtime"
+	"slices"
+	"sync"
 
 	"hybridwh/internal/batch"
+	"hybridwh/internal/mem"
 	"hybridwh/internal/par"
 	"hybridwh/internal/types"
 )
 
-// HashTable is an in-memory equi-join hash table keyed by an integer join
-// key column. Inserted rows are radix-partitioned by the top bits of the key
+// HashTable is the equi-join hash table keyed by an integer join key
+// column. Inserted rows are radix-partitioned by the top bits of the key
 // hash and staged per partition; Build seals the table by laying each
 // partition out as a flat open-addressing slot array over one value arena
 // that holds the partition's rows grouped by key. A probe is one hash, a
-// short linear scan of contiguous 16-byte slots and a slice of the arena,
-// and a bucket's rows are adjacent in memory, so reading a bucket front to
-// back is a sequential scan — no per-key allocations and no pointer
-// chasing. Within a bucket, rows keep their insertion order.
+// short linear scan of contiguous 16-byte slots and a slice of the arena:
+// a bucket's rows are adjacent, in insertion order, with no per-key
+// allocation and no pointer chasing. A table made with a budget (spill.go)
+// charges its partitions to the budget and evicts whole ones to disk.
 //
-// Insert/InsertBatch are not safe for concurrent use (callers serialize the
-// build phase, as before). Build is idempotent; once it has run, Probe is
-// safe for concurrent use by multiple goroutines. Probing an unsealed table
-// builds it on the spot, which preserves the old single-goroutine
-// insert-then-probe usage; concurrent probers must call Build first.
+// Insert/InsertBatch are not safe for concurrent use. Build is idempotent;
+// once it has run, probes are safe for concurrent use, and an in-memory
+// table takes no lock to probe. Probing an unsealed in-memory table builds
+// it on the spot; concurrent probers must call Build (or FinishBuild) first.
 type HashTable struct {
 	keyIdx int
-	shift  uint // partition = hash >> shift; 64 means "single partition"
+	shift  uint   // partition = hash >> shift; 64 means "single partition"
+	salt   uint64 // xored into a key before the partition hash (a rejoin level's)
 	parts  []htPart
 	rows   int64
 	built  bool
 	lane   LaneFunc // nil: no lanes
+
+	// A budgeted table's (spill.go); bud is nil for an in-memory table.
+	bud         *mem.Budget
+	ownBud      bool   // NewSpillingHashTable's private budget, closed with the table
+	dir         string // where the spill directory goes ("" = os.TempDir())
+	tmp         string // guarded by mu — the spill directory, made at the first eviction
+	depth       int    // the rejoin level: 0 for a table a join builds
+	maxDepth    int    // past it, Drain joins by block nested loop
+	mu          sync.RWMutex
+	reserved    int64 // guarded by mu — bytes this table holds in bud
+	closed      bool  // guarded by mu
+	pressureErr error // guarded by mu — an eviction under pressure failed
+
+	// Spill statistics, stable once Drain or Close returns.
+	SpilledBuildRows int64 // build rows written to disk
+	SpilledProbeRows int64 // probe rows deferred to disk
+	Evictions        int64 // partitions evicted under budget pressure
+	Repartitions     int64 // rejoins that had to evict in turn
+	NLFallbacks      int64 // block nested-loop joins past maxDepth
 }
 
 // LaneFunc computes a sealed partition's lane: one int64 per row of rows,
-// the partition's rows in group order. ok false leaves the partition
-// without a lane. Build calls it once per partition, from several
-// goroutines at once on a large table, so it must be safe for concurrent
-// use; it must not retain rows.
+// the partition's rows in group order; ok false leaves it without one.
+// Build may call it from several goroutines at once; it must not retain
+// rows.
 type LaneFunc func(rows []types.Row) (lane []int64, ok bool)
 
-// htChunk is one staged insert into a partition: a row as Insert received
-// it, or InsertBatch's copy of a batch's rows for the partition, width
-// values each.
+// htChunk is one staged insert into a partition: InsertBatch's copy of a
+// batch's rows for the partition, or a sealed row unseal stages again,
+// width values each.
 type htChunk struct {
 	vals  []types.Value
 	width int
@@ -65,13 +86,19 @@ type htSlot struct {
 
 // htPart is one radix partition: the rows staged since the last Build, in
 // insertion order, and, once sealed, the slot table and the partition's
-// rows in group order, each aliasing the partition's one value arena.
+// rows in group order, each aliasing the partition's one value arena; in a
+// budgeted table also its charge and, once evicted, its files.
 type htPart struct {
 	staged  []htChunk
 	slots   []htSlot
 	grouped []types.Row
 	lane    []int64 // aligned with grouped; nil when the table has no lane function or it declined
 	mask    uint64
+
+	bytes    int64      // the budget charge of the resident rows
+	spilled  *spillFile // non-nil once evicted: every build row is on disk
+	deferred *spillFile // probe rows for Drain
+	mu       sync.Mutex // serializes appends to deferred: probers share the table
 }
 
 // parallelBuildRows is the row count below which Build stays sequential:
@@ -85,18 +112,24 @@ func NewHashTable(keyIdx int) *HashTable {
 }
 
 // NewHashTableParts creates a table with an explicit partition count
-// (rounded up to a power of two; values < 1 mean 1). Exposed so tests can
-// exercise multi-partition layouts regardless of the host's CPU count.
+// (rounded up to a power of two; values < 1 mean 1), for tests.
 func NewHashTableParts(keyIdx, parts int) *HashTable {
+	h := &HashTable{keyIdx: keyIdx}
+	h.partition(parts)
+	return h
+}
+
+// partition lays out n empty radix partitions, rounded up to a power of 2.
+func (h *HashTable) partition(n int) {
 	p := 1
-	for p < parts {
+	for p < n {
 		p <<= 1
 	}
-	shift := uint(64)
-	for 1<<(64-shift) < p {
-		shift--
+	h.shift = 64
+	for 1<<(64-h.shift) < p {
+		h.shift--
 	}
-	return &HashTable{keyIdx: keyIdx, shift: shift, parts: make([]htPart, p)}
+	h.parts = make([]htPart, p)
 }
 
 // WithLane gives the table a lane function and returns it; call it before
@@ -109,7 +142,7 @@ func (h *HashTable) WithLane(fn LaneFunc) *HashTable {
 }
 
 // part returns the index of key's partition.
-func (h *HashTable) part(key int64) int { return int(types.Mix64(uint64(key)) >> h.shift) }
+func (h *HashTable) part(key int64) int { return int(types.Mix64(uint64(key)^h.salt) >> h.shift) }
 
 // unseal returns a sealed table's rows to staging ahead of a new insert.
 // Group order keeps every key's rows in insertion order, which is all the
@@ -125,19 +158,11 @@ func (h *HashTable) unseal() {
 	h.built = false
 }
 
-// Insert adds a row. The table keeps the row until Build copies it into the
-// arena.
+// Insert adds one row: a one-row InsertBatch.
 func (h *HashTable) Insert(row types.Row) error {
-	if h.keyIdx >= len(row) {
-		return fmt.Errorf("relop: join key column %d out of range (row has %d)", h.keyIdx, len(row))
-	}
-	if h.built {
-		h.unseal()
-	}
-	p := &h.parts[h.part(row[h.keyIdx].Int())]
-	p.staged = append(p.staged, htChunk{row, len(row)})
-	h.rows++
-	return nil
+	b := batch.New(len(row), 1)
+	b.AppendRow(row)
+	return h.InsertBatch(b)
 }
 
 // InsertBatch adds every live row of b, copied into one exact-size staging
@@ -151,7 +176,16 @@ func (h *HashTable) InsertBatch(b *batch.Batch) error {
 	if b.Len() == 0 {
 		return nil
 	}
-	if h.built {
+	if h.bud != nil {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		if h.built {
+			return fmt.Errorf("relop: insert after FinishBuild")
+		}
+		if h.pressureErr != nil {
+			return h.pressureErr
+		}
+	} else if h.built {
 		h.unseal()
 	}
 	keys := b.Col(h.keyIdx)
@@ -174,14 +208,23 @@ func (h *HashTable) InsertBatch(b *batch.Batch) error {
 		return nil
 	})
 	h.rows += int64(b.Len())
+	if h.bud == nil {
+		return nil
+	}
+	for i, n := range counts {
+		if n > 0 {
+			if err := h.admitLocked(i); err != nil {
+				return err
+			}
+		}
+	}
 	return nil
 }
 
 // Build seals the table: every partition gets its slot table and grouped
-// arena laid out, and its staging is released, so a sealed table holds one
-// copy of its rows. Partitions are independent, so large builds run one
-// goroutine per partition with no locks. Idempotent; inserting after Build
-// unseals the table and the next Build (or Probe) lays everything out again.
+// arena laid out and its staging released, one goroutine per partition on
+// a large table. Idempotent; inserting into a sealed in-memory table
+// unseals it, and the next Build (or probe) lays everything out again.
 func (h *HashTable) Build() {
 	if h.built {
 		return
@@ -221,7 +264,7 @@ func (p *htPart) build(keyIdx int, lane LaneFunc) {
 		nvals += len(c.vals)
 	}
 	if n == 0 {
-		*p = htPart{}
+		p.staged = nil
 		return
 	}
 	size := uint64(8)
@@ -292,18 +335,15 @@ func (p *htPart) probe(key int64) ([]types.Row, []int64) {
 	return p.grouped[lo:hi], lane
 }
 
-// Probe returns the rows matching the key in insertion order (nil if none).
-// The rows alias the sealed table's arena: they are immutable and stay
-// valid for as long as the caller holds them.
+// Probe returns the rows matching the key in insertion order (nil if none):
+// immutable sealed-table storage, valid for as long as the caller holds it.
 func (h *HashTable) Probe(key int64) []types.Row {
 	bucket, _ := h.ProbeLane(key)
 	return bucket
 }
 
-// ProbeLane is Probe that also returns the bucket's lane, element k the
-// lane value of row k, or nil when the table has no lane function or the
-// key's partition has no lane. The lane is sealed-table storage, immutable
-// like the rows.
+// ProbeLane is Probe that also returns the bucket's lane, element k row k's
+// value (nil when the key's partition has none), immutable like the rows.
 func (h *HashTable) ProbeLane(key int64) ([]types.Row, []int64) {
 	if !h.built {
 		h.Build()
@@ -314,12 +354,9 @@ func (h *HashTable) ProbeLane(key int64) ([]types.Row, []int64) {
 // Len returns the number of inserted rows.
 func (h *HashTable) Len() int64 { return h.rows }
 
-// MaxBucket returns the row count of the table's largest key group — the
-// build-side footprint of the single most frequent join key (0 when empty).
-// Skew diagnostics read it per worker: a plain hash repartition parks a hot
-// key's entire group on one worker, while the hybrid skew shuffle scatters
-// the group so every worker's MaxBucket stays near the mean. Builds the
-// table if it is not sealed yet.
+// MaxBucket returns the row count of the table's largest key group (0 when
+// empty), building the table if need be: skew diagnostics read it per
+// worker, where a plain hash repartition parks a hot key's group on one.
 func (h *HashTable) MaxBucket() int64 {
 	if !h.built {
 		h.Build()
@@ -335,18 +372,91 @@ func (h *HashTable) MaxBucket() int64 {
 	return int64(most)
 }
 
-// EachRow visits every row, partition by partition in group order (so a
-// key's rows keep their insertion order), building the table first if it
-// is not sealed. The spill path uses it to dump the in-memory phase to disk
-// when the budget overflows.
-func (h *HashTable) EachRow(fn func(types.Row) error) error {
-	h.Build()
-	for i := range h.parts {
-		for _, r := range h.parts[i].grouped {
-			if err := fn(r); err != nil {
+// BucketFunc receives one probe row, which may alias scratch storage valid
+// only for the call, and its non-empty bucket and the bucket's lane (nil:
+// none), both immutable sealed-table storage the caller may keep.
+type BucketFunc func(probeRow types.Row, bucket []types.Row, lane []int64) error
+
+// ProbeBuckets probes every live row of b on its key column keyIdx and
+// calls emit once per probe row with a non-empty bucket, in row order. The
+// probe row is b's row or, with proj, its columns proj (a scan batch's wire
+// projection, which must keep the key); it is materialized only for a hit
+// or a deferral, so a miss costs one table probe. A budgeted table defers
+// the probe rows of evicted partitions to disk, and Drain emits their
+// buckets. Safe for concurrent use once the table is sealed.
+func (h *HashTable) ProbeBuckets(b *batch.Batch, keyIdx int, proj []int, emit BucketFunc) error {
+	if keyIdx >= b.NumCols() {
+		return fmt.Errorf("relop: probe key column %d out of range", keyIdx)
+	}
+	rowKey := keyIdx // the key's column in the materialized probe row
+	if h.bud != nil {
+		h.mu.RLock()
+		defer h.mu.RUnlock()
+		if !h.built {
+			return fmt.Errorf("relop: probe before FinishBuild")
+		}
+		if proj != nil {
+			rowKey = slices.Index(proj, keyIdx)
+		}
+	} else if !h.built {
+		h.Build()
+	}
+	keys := b.Col(keyIdx)
+	var row types.Row
+	return b.Each(func(i int) error {
+		key := keys[i].Int()
+		p := &h.parts[h.part(key)]
+		if p.spilled != nil {
+			if rowKey < 0 {
+				return fmt.Errorf("relop: probe key column %d not in the projection", keyIdx)
+			}
+			row = project(b, i, proj, row)
+			return h.deferProbe(p, row, rowKey)
+		}
+		bucket, lane := p.probe(key)
+		if len(bucket) == 0 {
+			return nil
+		}
+		row = project(b, i, proj, row)
+		return emit(row, bucket, lane)
+	})
+}
+
+// project materializes row i of b, or its columns proj, into dst.
+func project(b *batch.Batch, i int, proj []int, dst types.Row) types.Row {
+	if proj == nil {
+		return b.RowAt(i, dst)
+	}
+	dst = dst[:0]
+	for _, c := range proj {
+		dst = append(dst, b.Col(c)[i])
+	}
+	return dst
+}
+
+// MemJoinTable is a shim over an in-memory HashTable, kept only because the
+// frozen hwperf replay (bench/hwperf/replay.go) compiles against it. New
+// code uses HashTable.
+type MemJoinTable struct{ H *HashTable }
+
+// NewMemJoinTable wraps a new in-memory hash table.
+func NewMemJoinTable(keyIdx int) *MemJoinTable { return &MemJoinTable{H: NewHashTable(keyIdx)} }
+
+// InsertBatch is HashTable.InsertBatch.
+func (m *MemJoinTable) InsertBatch(b *batch.Batch) error { return m.H.InsertBatch(b) }
+
+// FinishBuild is HashTable.FinishBuild.
+func (m *MemJoinTable) FinishBuild() error { return m.H.FinishBuild() }
+
+// ProbeBatch is ProbeBuckets calling emit once per (build row, probe row)
+// pair.
+func (m *MemJoinTable) ProbeBatch(b *batch.Batch, keyIdx int, emit func(buildRow, probeRow types.Row) error) error {
+	return m.H.ProbeBuckets(b, keyIdx, nil, func(probeRow types.Row, bucket []types.Row, _ []int64) error {
+		for _, br := range bucket {
+			if err := emit(br, probeRow); err != nil {
 				return err
 			}
 		}
-	}
-	return nil
+		return nil
+	})
 }

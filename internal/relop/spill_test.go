@@ -11,7 +11,7 @@ import (
 
 // joinAll runs a full build+probe+drain cycle and returns the matched
 // (buildKey, probePayload) pairs, sorted.
-func joinAll(t *testing.T, jt JoinTable, build, probe []types.Row, probeKeyIdx int) []string {
+func joinAll(t *testing.T, jt *HashTable, build, probe []types.Row, probeKeyIdx int) []string {
 	t.Helper()
 	for _, r := range build {
 		if err := jt.Insert(r); err != nil {
@@ -27,7 +27,7 @@ func joinAll(t *testing.T, jt JoinTable, build, probe []types.Row, probeKeyIdx i
 		return nil
 	})
 	for _, r := range probe {
-		if err := jt.ProbeBuckets(rowBatch(r), probeKeyIdx, emit); err != nil {
+		if err := jt.ProbeBuckets(rowBatch(r), probeKeyIdx, nil, emit); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -77,7 +77,7 @@ func TestSpillingMatchesInMemory(t *testing.T) {
 	build := mkRows(2000, 150, "b")
 	probe := mkRows(500, 300, "p") // half the probe keys have no match
 
-	want := joinAll(t, NewMemJoinTable(0), build, probe, 0)
+	want := joinAll(t, NewHashTable(0), build, probe, 0)
 	if len(want) == 0 {
 		t.Fatal("fixture produced no matches")
 	}
@@ -88,7 +88,7 @@ func TestSpillingMatchesInMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := joinAll(t, sp, build, probe, 0)
-	if !sp.Spilled() {
+	if sp.Evictions == 0 {
 		t.Fatal("expected the table to spill")
 	}
 	if sp.SpilledBuildRows == 0 || sp.SpilledProbeRows == 0 {
@@ -127,7 +127,7 @@ func TestSpillingBatchesUnderMemoryPressure(t *testing.T) {
 		return bs
 	}
 
-	want := joinAll(t, NewMemJoinTable(0), build, probe, 0)
+	want := joinAll(t, NewHashTable(0), build, probe, 0)
 
 	sp, err := NewSpillingHashTable(0, 8192, t.TempDir())
 	if err != nil {
@@ -141,7 +141,7 @@ func TestSpillingBatchesUnderMemoryPressure(t *testing.T) {
 	if err := sp.FinishBuild(); err != nil {
 		t.Fatal(err)
 	}
-	if !sp.Spilled() {
+	if sp.Evictions == 0 {
 		t.Fatal("expected batch inserts to overflow the budget")
 	}
 	var got []string
@@ -150,7 +150,7 @@ func TestSpillingBatchesUnderMemoryPressure(t *testing.T) {
 		return nil
 	})
 	for _, pb := range toBatches(probe) {
-		if err := sp.ProbeBuckets(pb, 0, emit); err != nil {
+		if err := sp.ProbeBuckets(pb, 0, nil, emit); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -176,10 +176,10 @@ func TestSpillingStaysInMemoryUnderBudget(t *testing.T) {
 	build := mkRows(100, 10, "b")
 	probe := mkRows(50, 10, "p")
 	got := joinAll(t, sp, build, probe, 0)
-	if sp.Spilled() {
+	if sp.Evictions != 0 {
 		t.Error("small input should not spill")
 	}
-	want := joinAll(t, NewMemJoinTable(0), build, probe, 0)
+	want := joinAll(t, NewHashTable(0), build, probe, 0)
 	if len(got) != len(want) {
 		t.Fatalf("%d matches, want %d", len(got), len(want))
 	}
@@ -195,7 +195,7 @@ func TestSpillingUsageErrors(t *testing.T) {
 	}
 	defer sp.Close()
 	row := types.Row{types.Int32(1)}
-	if err := sp.ProbeBuckets(rowBatch(row), 0, nil); err == nil {
+	if err := sp.ProbeBuckets(rowBatch(row), 0, nil, nil); err == nil {
 		t.Error("probe before FinishBuild: want error")
 	}
 	if err := sp.Insert(types.Row{}); err == nil {
@@ -207,7 +207,7 @@ func TestSpillingUsageErrors(t *testing.T) {
 	if err := sp.Insert(row); err == nil {
 		t.Error("insert after FinishBuild: want error")
 	}
-	if err := sp.ProbeBuckets(rowBatch(row), 5, nil); err == nil {
+	if err := sp.ProbeBuckets(rowBatch(row), 5, nil, nil); err == nil {
 		t.Error("probe key out of range: want error")
 	}
 }
@@ -229,43 +229,11 @@ func TestSpillingEmitErrorPropagates(t *testing.T) {
 	boom := fmt.Errorf("boom")
 	fail := func(types.Row, []types.Row, []int64) error { return boom }
 	for _, r := range mkRows(100, 20, "p") {
-		if err := sp.ProbeBuckets(rowBatch(r), 0, fail); err != nil && err != boom {
+		if err := sp.ProbeBuckets(rowBatch(r), 0, nil, fail); err != nil && err != boom {
 			t.Fatal(err)
 		}
 	}
 	if err := sp.Drain(fail); err != boom {
 		t.Errorf("Drain err = %v", err)
-	}
-}
-
-func TestMemJoinTableInterface(t *testing.T) {
-	var jt JoinTable = NewMemJoinTable(0)
-	if err := jt.Insert(types.Row{types.Int32(1), types.String("x")}); err != nil {
-		t.Fatal(err)
-	}
-	if jt.Len() != 1 {
-		t.Errorf("Len = %d", jt.Len())
-	}
-	if err := jt.FinishBuild(); err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	if err := jt.ProbeBuckets(rowBatch(types.Row{types.Int32(1)}), 0, func(p types.Row, bucket []types.Row, _ []int64) error {
-		n += len(bucket)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Errorf("matches = %d", n)
-	}
-	if err := jt.ProbeBuckets(rowBatch(types.Row{types.Int32(1)}), 3, nil); err == nil {
-		t.Error("probe key out of range: want error")
-	}
-	if err := jt.Drain(nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := jt.Close(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -77,11 +77,9 @@ type Config struct {
 	// paper's 128M bits / 2 hashes scaled by Scale.
 	BloomBits   uint64
 	BloomHashes int
-	// SpillBudgetBytes bounds each JEN worker's in-memory join hash table;
-	// beyond it the build side grace-spills to disk (the paper's stated
-	// future work). Zero keeps the paper's all-in-memory behaviour.
-	SpillBudgetBytes int64
-	// SpillDir hosts spill files ("" = the OS temp dir).
+	// SpillDir hosts spill files ("" = the OS temp dir): under
+	// MemBudgetBytes the shuffle joins' build sides spill the partitions
+	// that do not fit (the paper's stated future work).
 	SpillDir string
 	// BroadcastRelay switches the broadcast join to the §4.3 relay transfer
 	// scheme (each DB worker ships to one JEN worker, which relays).
@@ -223,13 +221,12 @@ func Open(cfg Config) (*Warehouse, error) {
 		return nil, fmt.Errorf("hybridwh: unknown transport %q", cfg.Transport)
 	}
 	eng, err := core.New(db, jenc, bus, rec, core.Config{
-		BloomBits:        cfg.BloomBits,
-		BloomHashes:      cfg.BloomHashes,
-		BatchRows:        cfg.BatchRows,
-		SpillBudgetBytes: cfg.SpillBudgetBytes,
-		SpillDir:         cfg.SpillDir,
-		BroadcastRelay:   cfg.BroadcastRelay,
-		AdaptiveSwitch:   cfg.AdaptiveSwitch,
+		BloomBits:      cfg.BloomBits,
+		BloomHashes:    cfg.BloomHashes,
+		BatchRows:      cfg.BatchRows,
+		SpillDir:       cfg.SpillDir,
+		BroadcastRelay: cfg.BroadcastRelay,
+		AdaptiveSwitch: cfg.AdaptiveSwitch,
 	})
 	if err != nil {
 		if cerr := bus.Close(); cerr != nil {
