@@ -35,10 +35,6 @@ func main() {
 		csvDir    = flag.String("csv", "", "also write one <id>.csv per experiment into this directory")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf   = flag.String("memprofile", "", "write an end-of-run heap profile to this file")
-		clients   = flag.Int("clients", 0, "concurrent serving mode: submit this many queries through the admission scheduler instead of running experiments")
-		mixFlag   = flag.String("mix", "3:1", "scan:point submission ratio for -clients")
-		budgetMiB = flag.Int64("mem-budget-mb", 64, "global memory budget (MiB) for -clients")
-		inflight  = flag.Int("max-concurrent", 8, "admission concurrency cap for -clients")
 	)
 	flag.Parse()
 
@@ -55,19 +51,6 @@ func main() {
 		}
 		for _, e := range experiments.StarSuite() {
 			fmt.Printf("%-8s %s\n", e.ID, e.Title)
-		}
-		return
-	}
-
-	if *clients > 0 {
-		err := runConcurrent(concurrentConfig{
-			Clients: *clients, Mix: *mixFlag, Scale: *scale,
-			DBWorkers: *dbWorkers, JENWorkers: *jenWorkrs, Seed: *seed,
-			BudgetMiB: *budgetMiB, MaxInFlight: *inflight,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
 		}
 		return
 	}

@@ -521,27 +521,3 @@ func TestBandLaneUnderParallelBuild(t *testing.T) {
 		}
 	}
 }
-
-// TestBandProbeTermAllocatesNothing: the band path evaluates its probe term
-// once per (probe row, bucket), and for the paper's days(x) that evaluation
-// allocates nothing — Call.Eval borrows its argument slice from a pool
-// rather than making one per call (a per-node buffer would race, since
-// parallel probe threads share the expression tree).
-func TestBandProbeTermAllocatesNothing(t *testing.T) {
-	for _, probeLeft := range []bool{true, false} {
-		st := (&Engine{cfg: Config{BatchRows: 8}}).newJoinStage("", 0, joinSite{pred: bandPosts(t, probeLeft)["days"], leftWidth: 3, probeLeft: probeLeft})
-		c := st.cmb
-		if c.probeTerm == nil {
-			t.Fatal("the days band was not recognised")
-		}
-		row := types.Row{types.Int64(1), types.Int64(2), types.Date(19000)}
-		allocs := testing.AllocsPerRun(1000, func() {
-			if _, _, ok := c.probeRange(row); !ok {
-				t.Fatal("probeRange rejected a date")
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("probeLeft=%v: %v allocations per probe-term evaluation, want 0", probeLeft, allocs)
-		}
-	}
-}

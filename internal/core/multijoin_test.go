@@ -378,43 +378,3 @@ func TestRunMultiValidates(t *testing.T) {
 		t.Fatal("RunMulti accepted a plan with no edges")
 	}
 }
-
-// BenchmarkStarJoin measures the 3-dimension star join end to end, with
-// and without cascaded semi-join reduction. "shuffleMB" reports the bytes
-// the fact side shuffled per iteration: the cascade's win is that number
-// dropping while rows/s holds or improves.
-func BenchmarkStarJoin(b *testing.B) {
-	s := datagen.Star{
-		FactRows: 50_000,
-		Dims: []datagen.DimSpec{
-			{Name: "customer", Rows: 2000},
-			{Name: "product", Rows: 500},
-			{Name: "store", Rows: 100},
-		},
-		Seed:   13,
-		Groups: 10,
-	}
-	for _, cascade := range []bool{true, false} {
-		b.Run(fmt.Sprintf("cascade=%v", cascade), func(b *testing.B) {
-			f := buildStarFixture(b, netsim.NewChanBus(256), 3, 4, s, Config{})
-			defer f.eng.Close()
-			f.env.Advise = func(analyzer.EdgeStats) (plan.EdgeAlg, string) {
-				return plan.EdgeRepartition, "benchmark: all repartition"
-			}
-			f.env.Options.CascadeBloom = cascade
-			mq := f.multiPlan(b, starTestSQL)
-			b.ResetTimer()
-			var shuffled int64
-			for i := 0; i < b.N; i++ {
-				res, err := f.eng.RunMulti(mq)
-				if err != nil {
-					b.Fatal(err)
-				}
-				shuffled += res.Metrics[metrics.JENShuffleBytes]
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(shuffled)/float64(b.N)/(1<<20), "shuffleMB")
-			b.ReportMetric(float64(s.FactRows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
-		})
-	}
-}

@@ -11,10 +11,8 @@ import (
 	"hybridwh/internal/lint/ctxflow"
 	"hybridwh/internal/lint/errwrap"
 	"hybridwh/internal/lint/gohygiene"
-	"hybridwh/internal/lint/hotalloc"
 	"hybridwh/internal/lint/load"
 	"hybridwh/internal/lint/lockorder"
-	"hybridwh/internal/lint/msgswitch"
 	"hybridwh/internal/lint/mutexguard"
 	"hybridwh/internal/lint/nondet"
 	"hybridwh/internal/lint/poolsafe"
@@ -22,8 +20,8 @@ import (
 )
 
 // Analyzers returns every hwlint analyzer, in reporting order. The first
-// six are syntactic/lexical; the last four (PR 6) are flow-sensitive,
-// built on internal/lint/cfg and internal/lint/callgraph.
+// five are syntactic/lexical; the last three are flow-sensitive, built on
+// internal/lint/cfg and internal/lint/callgraph.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		nondet.Analyzer,
@@ -31,11 +29,9 @@ func Analyzers() []*analysis.Analyzer {
 		protocol.Analyzer,
 		errwrap.Analyzer,
 		mutexguard.Analyzer,
-		hotalloc.Analyzer,
 		ctxflow.Analyzer,
 		lockorder.Analyzer,
 		poolsafe.Analyzer,
-		msgswitch.Analyzer,
 	}
 }
 
@@ -49,15 +45,6 @@ var deterministicPkgs = map[string]bool{
 	"hybridwh/internal/datagen":     true,
 	"hybridwh/internal/experiments": true,
 	"hybridwh/internal/costmodel":   true,
-}
-
-// hotPathPkgs are the packages holding the batch join hot paths (the flat
-// hash table and the engines driving it); only they are subject to the
-// hotalloc analyzer.
-var hotPathPkgs = map[string]bool{
-	"hybridwh/internal/relop": true,
-	"hybridwh/internal/core":  true,
-	"hybridwh/internal/jen":   true,
 }
 
 // poolPlanePkgs are the packages that draw batches from internal/batch
@@ -85,8 +72,6 @@ func Applies(a *analysis.Analyzer, pkg *load.Package) bool {
 	switch a.Name {
 	case "nondet":
 		return deterministicPkgs[path]
-	case "hotalloc":
-		return hotPathPkgs[path]
 	case "poolsafe":
 		return poolPlanePkgs[path]
 	case "gohygiene":

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"hybridwh/internal/batch"
 	"hybridwh/internal/mem"
 	"hybridwh/internal/par"
 	"hybridwh/internal/types"
@@ -313,32 +312,5 @@ func TestBudgetedTableMakesNoSpillDirUntilEviction(t *testing.T) {
 				t.Error("the drained table left files in SpillDir")
 			}
 		})
-	}
-}
-
-// A budgeted InsertBatch stages one chunk per partition it touches, as the
-// in-memory table does: its allocations are bounded by the partitions, not
-// by the batch's rows.
-func TestBudgetedInsertBatchAllocatesPerPartition(t *testing.T) {
-	s, err := NewSpillingHashTable(0, 1<<40, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	b := batch.New(2, 512)
-	for i := 0; i < 512; i++ {
-		b.AppendRow(types.Row{types.Int32(int32(i)), types.Int64(int64(i))})
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if err := s.InsertBatch(b); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Logf("InsertBatch of 512 rows: %.1f allocations", allocs)
-	if limit := float64(spillFanout + 6); allocs > limit {
-		t.Errorf("InsertBatch of 512 rows: %.1f allocations, want at most %.0f (one chunk per partition and a few more)", allocs, limit)
-	}
-	if s.Evictions != 0 {
-		t.Errorf("an ample budget evicted %d partitions", s.Evictions)
 	}
 }

@@ -3,7 +3,6 @@ package relop
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"testing"
 	"unsafe"
 
@@ -125,46 +124,6 @@ func TestBuildGroupsBucketsContiguously(t *testing.T) {
 				t.Fatalf("key %d: row %d (%d) after row %d (%d): not insertion order", k, i, cur[1].Int(), i-1, prev[1].Int())
 			}
 		}
-	}
-}
-
-// The sealed table holds one copy of its rows: InsertBatch stages a batch
-// in one exact-size chunk per partition, Build copies the staged rows once
-// into each partition's group-ordered arena and drops the staging. The
-// bound is the measured 279 bytes per row for three-column rows of
-// distinct keys (96 staged, 96 in the arena, 24 per grouped row header,
-// ~60 of slot table) plus headroom. Staging row by row into growing
-// per-partition slices costs ~296 without an arena; keeping that staging
-// beside the arena costs ~390 and fails it.
-func TestBuildAllocatedBytesPerRow(t *testing.T) {
-	const rows, width = 1 << 15, 3
-	batches := make([]*batch.Batch, rows/512)
-	for i := range batches {
-		b := batch.New(width, 512)
-		for j := 0; j < 512; j++ {
-			k := int64(i*512 + j)
-			b.AppendRow(types.Row{types.Int64(k), types.Int32(int32(k)), types.Date(int32(k))})
-		}
-		batches[i] = b
-	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	h := NewHashTableParts(0, 4)
-	for _, b := range batches {
-		if err := h.InsertBatch(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	h.Build()
-	runtime.ReadMemStats(&after)
-	perRow := float64(after.TotalAlloc-before.TotalAlloc) / rows
-	t.Logf("InsertBatch + Build: %.0f B/row", perRow)
-	if perRow > 300 {
-		t.Errorf("InsertBatch + Build allocated %.0f B/row, want <= 300", perRow)
-	}
-	if h.Len() != rows || len(h.Probe(rows-1)) != 1 {
-		t.Fatalf("table lost rows: Len %d", h.Len())
 	}
 }
 
