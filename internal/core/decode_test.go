@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"hybridwh/internal/hdfs"
+	"hybridwh/internal/jen"
 	"hybridwh/internal/netsim"
 	"hybridwh/internal/skew"
 )
@@ -29,7 +30,7 @@ func TestDecodersRejectOversizedCounts(t *testing.T) {
 		name   string
 		decode func() error
 	}{
-		{"keyset", func() error { _, err := unmarshalKeySet(append(huge, 2)); return err }},
+		{"keyset", func() error { _, err := jen.UnmarshalKeySet(append(huge, 2)); return err }},
 		{"hotset", func() error { _, err := skew.UnmarshalHotSet(append(huge, 2)); return err }},
 		{"sketch-entries", func() error { _, err := skew.UnmarshalSketch(append(sketchHead(4, 1<<34), 2, 2)); return err }},
 		{"sketch-capacity", func() error { _, err := skew.UnmarshalSketch(sketchHead(1<<34, 0)); return err }},
@@ -56,15 +57,15 @@ func testSketch() *skew.Sketch {
 // successful decode survives marshal → decode unchanged.
 
 func FuzzUnmarshalKeySet(f *testing.F) {
-	f.Add(marshalKeySet(keySet{}))
-	f.Add(marshalKeySet(keySet{-5: {}, 0: {}, 3: {}, 1 << 40: {}}))
+	f.Add(jen.KeySet{}.Marshal())
+	f.Add(jen.KeySet{-5: {}, 0: {}, 3: {}, 1 << 40: {}}.Marshal())
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, 0x01})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		s, err := unmarshalKeySet(b)
+		s, err := jen.UnmarshalKeySet(b)
 		if err != nil {
 			return
 		}
-		back, err := unmarshalKeySet(marshalKeySet(s))
+		back, err := jen.UnmarshalKeySet(s.Marshal())
 		if err != nil || !reflect.DeepEqual(back, s) {
 			t.Fatalf("key set round trip: %v", err)
 		}

@@ -7,6 +7,7 @@ import (
 
 	"hybridwh/internal/cluster"
 	"hybridwh/internal/format"
+	"hybridwh/internal/jen"
 	"hybridwh/internal/mem"
 	"hybridwh/internal/metrics"
 	"hybridwh/internal/netsim"
@@ -69,11 +70,11 @@ func TestSemiJoinExactness(t *testing.T) {
 
 // TestKeySetRoundTrip covers the semijoin wire encoding.
 func TestKeySetRoundTrip(t *testing.T) {
-	s := keySet{}
+	s := jen.KeySet{}
 	for _, k := range []int64{-500, 0, 1, 2, 1000, 1 << 40} {
-		s[k] = struct{}{}
+		s.AddKey(k)
 	}
-	back, err := unmarshalKeySet(marshalKeySet(s))
+	back, err := jen.UnmarshalKeySet(s.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,14 +90,14 @@ func TestKeySetRoundTrip(t *testing.T) {
 		t.Error("phantom key")
 	}
 	// Corrupt payloads error out.
-	if _, err := unmarshalKeySet(nil); err == nil {
+	if _, err := jen.UnmarshalKeySet(nil); err == nil {
 		t.Error("nil payload: want error")
 	}
-	if _, err := unmarshalKeySet([]byte{5}); err == nil {
+	if _, err := jen.UnmarshalKeySet([]byte{5}); err == nil {
 		t.Error("truncated payload: want error")
 	}
 	// Empty set round-trips.
-	empty, err := unmarshalKeySet(marshalKeySet(keySet{}))
+	empty, err := jen.UnmarshalKeySet(jen.KeySet{}.Marshal())
 	if err != nil || len(empty) != 0 {
 		t.Errorf("empty set: %v, %v", empty, err)
 	}

@@ -10,7 +10,6 @@ import (
 	"hybridwh/internal/mem"
 	"hybridwh/internal/metrics"
 	"hybridwh/internal/par"
-	"hybridwh/internal/plan"
 	"hybridwh/internal/relop"
 	"hybridwh/internal/types"
 )
@@ -24,27 +23,17 @@ type joinSite struct {
 	leftWidth int
 	probeLeft bool // the probe rows are the left part, the build rows the right
 	key       int
-	spill     bool // under a query budget the build may spill: the shuffle join's L' table
+	spill     bool // under a query budget the build may spill: a fact-build edge's table
 
 	// The output folds into agg, the worker's partial aggregate, and counts
-	// as JoinOutputTuples; without agg it feeds next, the next N-way stage.
+	// as JoinOutputTuples; without agg it goes to next, the next edge's input.
 	agg  *relop.HashAgg
 	next func(*batch.Batch) error
 }
 
-// twoTable is a two-table join site over the combined layout HDFS wire ++
-// DB wire: probing from the left, the build rows are T', from the right L'.
-func twoTable(q *plan.JoinQuery, probeLeft bool, agg *relop.HashAgg) joinSite {
-	site := joinSite{pred: q.PostJoin, leftWidth: len(q.HDFSWire), probeLeft: probeLeft, key: q.HDFSWireKey, agg: agg}
-	if probeLeft {
-		site.key = q.DBWireKey
-	}
-	return site
-}
-
-// joinStage is one join of a worker program — the shuffle join, the
-// broadcast join, the DB-side join, the local join after an adaptive
-// broadcast switch and every N-way stage. It splits the site's predicate
+// joinStage is one join of a worker program — every edge of the HDFS-side
+// executor, the local join after a scan gate's broadcast switch, and the
+// DB-side join. It splits the site's predicate
 // into its band once, when the predicate is one (expr.SplitBand; the paper's
 // 0 <= days(T.date) - days(L.date) <= 1 is one), and builds the one table it
 // probes with the lane of the band's build-side term attached, so its

@@ -322,22 +322,24 @@ func TestMultiAdaptiveSwitch(t *testing.T) {
 // TestMultiBudgetReleasesIntermediates: an all-repartition plan streams
 // every stage — the scan scatters into edge 0's shuffle, and each stage
 // probes its shuffle as it arrives and scatters its output into the next —
-// so it holds no intermediate at all. What the budget still carries is what
-// is held: the dimensions (materialised DB-side, built JEN-side), the
-// aggregation state and the scan's in-flight batches, none of which grows
-// with the fact table. Any accounting charges a held row at least 48 bytes
-// (a row header, or 16 bytes per value of a row at least three wide), so
-// with every fact row surviving every edge, the peak stays below one
-// intermediate's 48 × n bytes, quadrupling n adds less than that to it, and
-// every charge comes back.
+// and an all-broadcast plan builds each dimension before its input arrives
+// and probes the input as it streams, so neither holds an intermediate at
+// all. What the budget still carries is what is held: the dimensions
+// (materialised DB-side, built JEN-side), the aggregation state and the
+// scan's in-flight batches, none of which grows with the fact table. Any
+// accounting charges a held row at least 48 bytes (a row header, or 16
+// bytes per value of a row at least three wide), so with every fact row
+// surviving every edge, the peak stays below one intermediate's 48 × n
+// bytes, quadrupling n adds less than that to it, and every charge comes
+// back.
 func TestMultiBudgetReleasesIntermediates(t *testing.T) {
-	peak := func(factRows int) int64 {
+	peak := func(factRows int, alg plan.EdgeAlg) int64 {
 		s := smallStar()
 		s.FactRows = int64(factRows)
 		f := buildStarFixture(t, netsim.NewChanBus(256), 3, 4, s, Config{})
 		defer f.eng.Close()
 		f.env.Advise = func(analyzer.EdgeStats) (plan.EdgeAlg, string) {
-			return plan.EdgeRepartition, "forced repartition"
+			return alg, "forced " + alg.String()
 		}
 		mq := f.multiPlan(t, starFullSQL)
 		if len(mq.Edges) != 3 || len(mq.FactWire) < 3 {
@@ -359,15 +361,17 @@ func TestMultiBudgetReleasesIntermediates(t *testing.T) {
 	}
 	const n = 5000
 	intermediate := int64(48 * n)
-	small, large := peak(n), peak(4*n)
-	if small >= intermediate {
-		t.Errorf("budget peak %d B at %d fact rows, want below the %d B of one held intermediate", small, n, intermediate)
+	for _, alg := range []plan.EdgeAlg{plan.EdgeRepartition, plan.EdgeBroadcast} {
+		small, large := peak(n, alg), peak(4*n, alg)
+		if small >= intermediate {
+			t.Errorf("%s: budget peak %d B at %d fact rows, want below the %d B of one held intermediate", alg, small, n, intermediate)
+		}
+		if large-small >= intermediate {
+			t.Errorf("%s: budget peak grew %d → %d B when the fact table went %d → %d rows; want less than one intermediate (%d B) of growth",
+				alg, small, large, n, 4*n, intermediate)
+		}
+		t.Logf("%s: budget peak %d B at %d fact rows, %d B at %d", alg, small, n, large, 4*n)
 	}
-	if large-small >= intermediate {
-		t.Errorf("budget peak grew %d → %d B when the fact table went %d → %d rows; want less than one intermediate (%d B) of growth",
-			small, large, n, 4*n, intermediate)
-	}
-	t.Logf("budget peak: %d B at %d fact rows, %d B at %d", small, n, large, 4*n)
 }
 
 // TestRunMultiValidates rejects malformed plans up front.

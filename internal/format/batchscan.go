@@ -10,9 +10,9 @@ import (
 )
 
 // Batch-at-a-time scanners. They charge ScanStats the same way as the row
-// view ScanText/ScanHWC — RowsRead counts every physical row of an unpruned
-// group, BytesRead every fetched byte — but deliver the rows as columnar
-// batches drawn from a pool.
+// view ScanHWC — RowsRead counts every physical row of an unpruned group,
+// BytesRead every fetched byte — but deliver the rows as columnar batches
+// drawn from a pool.
 //
 // Ownership convention: the scanner Gets an empty batch from pool, fills it
 // and yields it; from that point the batch belongs to the callee, which
@@ -321,9 +321,16 @@ func applyRanges(b *batch.Batch, ranges []batchRange) {
 	}
 }
 
-// ScanTextBatches is the batch counterpart of ScanText: same split
-// semantics, same byte and row accounting, output delivered as pooled
-// batches. Text carries no statistics, so selections start full.
+// ScanTextBatches scans the input split [start, end) of a text file into
+// pooled batches, following the Hadoop convention that makes concurrent
+// split readers consume every line exactly once: a line belongs to this
+// split if its first byte offset s satisfies start < s <= end (plus s == 0
+// when start == 0). A reader whose range begins mid-file therefore discards
+// everything up to the first newline, and reads past end to finish its last
+// line. Only the projected columns are materialized; proj == nil keeps all
+// columns (output laid out in proj order otherwise). BytesRead counts every
+// byte fetched — a text scan cannot skip anything. Text carries no
+// statistics, so selections start full.
 func ScanTextBatches(src Source, schema types.Schema, start, end int64, proj []int, pool *batch.Pool, yield func(*batch.Batch) error) (stats ScanStats, err error) {
 	size := src.Size()
 	if start < 0 || start > size {
@@ -336,6 +343,7 @@ func ScanTextBatches(src Source, schema types.Schema, start, end int64, proj []i
 	defer func() { stats.BytesRead = lr.bytesRead }()
 
 	if start > 0 {
+		// The line we land in belongs to the previous split.
 		if _, _, ok, err := lr.next(); err != nil || !ok {
 			return stats, err
 		}

@@ -128,71 +128,6 @@ func (lr *lineReader) next() (line []byte, startAbs int64, ok bool, err error) {
 	}
 }
 
-// ScanText scans the input split [start, end) of a text file, following the
-// Hadoop convention that makes concurrent split readers consume every line
-// exactly once: a line belongs to this split if its first byte offset s
-// satisfies start < s <= end (plus s == 0 when start == 0). A reader whose
-// range begins mid-file therefore discards everything up to the first
-// newline, and reads past end to finish its last line.
-//
-// Only the projected columns are materialized; proj == nil keeps all
-// columns (output laid out in proj order otherwise). BytesRead counts every
-// byte fetched — a text scan cannot skip anything.
-func ScanText(src Source, schema types.Schema, start, end int64, proj []int, yield func(types.Row) error) (stats ScanStats, err error) {
-	size := src.Size()
-	if start < 0 || start > size {
-		return stats, fmt.Errorf("text: scan start %d outside file of %d", start, size)
-	}
-	if end > size {
-		end = size
-	}
-	lr := &lineReader{src: src, pos: start, size: size, limit: end, lineStart: start}
-	defer func() { stats.BytesRead = lr.bytesRead }()
-
-	if start > 0 {
-		// The line we land in belongs to the previous split.
-		if _, _, ok, err := lr.next(); err != nil || !ok {
-			return stats, err
-		}
-	}
-	for {
-		line, s, ok, err := lr.next()
-		if err != nil {
-			return stats, err
-		}
-		if !ok || s > end {
-			return stats, nil
-		}
-		if len(line) == 0 {
-			continue
-		}
-		row, err := parseTextLine(line, schema, proj)
-		if err != nil {
-			return stats, err
-		}
-		stats.RowsRead++
-		if err := yield(row); err != nil {
-			return stats, err
-		}
-	}
-}
-
-// parseTextLine splits and parses one record. When proj is non-nil, only the
-// projected fields are parsed; the output row is laid out in proj order.
-func parseTextLine(line []byte, schema types.Schema, proj []int) (types.Row, error) {
-	ncols := schema.Len()
-	var row types.Row
-	if proj == nil {
-		row = make(types.Row, ncols)
-	} else {
-		row = make(types.Row, len(proj))
-	}
-	if err := parseTextLineInto(line, schema, proj, row); err != nil {
-		return nil, err
-	}
-	return row, nil
-}
-
 // parseTextLineInto parses into a caller-owned row of the projected width,
 // letting batch scanners reuse one scratch row for the whole split.
 func parseTextLineInto(line []byte, schema types.Schema, proj []int, row types.Row) error {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"hybridwh/internal/batch"
 	"hybridwh/internal/types"
 )
 
@@ -37,6 +38,20 @@ func writeTextRows(t *testing.T, rows []types.Row) []byte {
 	return buf.Bytes()
 }
 
+// scanTextRows runs ScanTextBatches and hands its rows to yield one at a
+// time, in order: the text tests check rows, not batch boundaries.
+func scanTextRows(src Source, schema types.Schema, start, end int64, proj []int, yield func(types.Row) error) (ScanStats, error) {
+	width := len(proj)
+	if proj == nil {
+		width = schema.Len()
+	}
+	pool := batch.NewPool(width, 64)
+	return ScanTextBatches(src, schema, start, end, proj, pool, func(b *batch.Batch) error {
+		defer pool.Put(b)
+		return b.Each(func(i int) error { return yield(b.RowAt(i, nil)) })
+	})
+}
+
 func TestTextWriteScanRoundTrip(t *testing.T) {
 	rows := []types.Row{
 		logRow(1, 10, 16517, "grp-00001/a"),
@@ -45,12 +60,12 @@ func TestTextWriteScanRoundTrip(t *testing.T) {
 	}
 	data := writeTextRows(t, rows)
 	var got []types.Row
-	stats, err := ScanText(BytesSource(data), logSchema(), 0, int64(len(data)), nil, func(r types.Row) error {
+	stats, err := scanTextRows(BytesSource(data), logSchema(), 0, int64(len(data)), nil, func(r types.Row) error {
 		got = append(got, r)
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("ScanText: %v", err)
+		t.Fatalf("scanTextRows: %v", err)
 	}
 	if stats.RowsRead != 3 || len(got) != 3 {
 		t.Fatalf("rows = %d/%d", stats.RowsRead, len(got))
@@ -71,7 +86,7 @@ func TestTextProjection(t *testing.T) {
 	rows := []types.Row{logRow(7, 70, 16517, "grp-00007/x")}
 	data := writeTextRows(t, rows)
 	var got types.Row
-	_, err := ScanText(BytesSource(data), logSchema(), 0, int64(len(data)), []int{3, 0}, func(r types.Row) error {
+	_, err := scanTextRows(BytesSource(data), logSchema(), 0, int64(len(data)), []int{3, 0}, func(r types.Row) error {
 		got = r
 		return nil
 	})
@@ -100,7 +115,7 @@ func TestTextSplitsConsumeEachLineExactlyOnce(t *testing.T) {
 		for s := 0; s < nsplits; s++ {
 			start := size * int64(s) / int64(nsplits)
 			end := size * int64(s+1) / int64(nsplits)
-			stats, err := ScanText(BytesSource(data), logSchema(), start, end, []int{0}, func(r types.Row) error {
+			stats, err := scanTextRows(BytesSource(data), logSchema(), start, end, []int{0}, func(r types.Row) error {
 				counts[int32(r[0].Int())]++
 				return nil
 			})
@@ -129,13 +144,13 @@ func TestTextSplitBoundaryExactlyAtNewline(t *testing.T) {
 	data := []byte("1|1|2015-01-01|grp-1/a\n2|2|2015-01-01|grp-2/b\n3|3|2015-01-01|grp-3/c\n")
 	firstLineEnd := int64(bytes.IndexByte(data, '\n') + 1)
 	var first, second []int64
-	if _, err := ScanText(BytesSource(data), logSchema(), 0, firstLineEnd, []int{0}, func(r types.Row) error {
+	if _, err := scanTextRows(BytesSource(data), logSchema(), 0, firstLineEnd, []int{0}, func(r types.Row) error {
 		first = append(first, r[0].Int())
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ScanText(BytesSource(data), logSchema(), firstLineEnd, int64(len(data)), []int{0}, func(r types.Row) error {
+	if _, err := scanTextRows(BytesSource(data), logSchema(), firstLineEnd, int64(len(data)), []int{0}, func(r types.Row) error {
 		second = append(second, r[0].Int())
 		return nil
 	}); err != nil {
@@ -153,7 +168,7 @@ func TestTextSplitBoundaryExactlyAtNewline(t *testing.T) {
 func TestTextUnterminatedFinalLine(t *testing.T) {
 	data := []byte("1|1|2015-01-01|grp-1/a\n2|2|2015-01-01|grp-2/b") // no trailing \n
 	var keys []int64
-	if _, err := ScanText(BytesSource(data), logSchema(), 0, int64(len(data)), []int{0}, func(r types.Row) error {
+	if _, err := scanTextRows(BytesSource(data), logSchema(), 0, int64(len(data)), []int{0}, func(r types.Row) error {
 		keys = append(keys, r[0].Int())
 		return nil
 	}); err != nil {
@@ -167,16 +182,16 @@ func TestTextUnterminatedFinalLine(t *testing.T) {
 func TestTextMalformedInput(t *testing.T) {
 	s := logSchema()
 	noop := func(types.Row) error { return nil }
-	if _, err := ScanText(BytesSource([]byte("1|2\n")), s, 0, 4, nil, noop); err == nil {
+	if _, err := scanTextRows(BytesSource([]byte("1|2\n")), s, 0, 4, nil, noop); err == nil {
 		t.Error("too few fields: want error")
 	}
-	if _, err := ScanText(BytesSource([]byte("1|2|3|4|5\n")), s, 0, 10, nil, noop); err == nil {
+	if _, err := scanTextRows(BytesSource([]byte("1|2|3|4|5\n")), s, 0, 10, nil, noop); err == nil {
 		t.Error("too many fields: want error")
 	}
-	if _, err := ScanText(BytesSource([]byte("x|1|2015-01-01|g\n")), s, 0, 17, nil, noop); err == nil {
+	if _, err := scanTextRows(BytesSource([]byte("x|1|2015-01-01|g\n")), s, 0, 17, nil, noop); err == nil {
 		t.Error("unparsable int: want error")
 	}
-	if _, err := ScanText(BytesSource(nil), s, 5, 10, nil, noop); err == nil {
+	if _, err := scanTextRows(BytesSource(nil), s, 5, 10, nil, noop); err == nil {
 		t.Error("start beyond EOF: want error")
 	}
 }
@@ -199,7 +214,7 @@ func TestTextYieldErrorPropagates(t *testing.T) {
 	data := writeTextRows(t, []types.Row{logRow(1, 1, 1, "grp-1/a"), logRow(2, 2, 2, "grp-2/b")})
 	sentinel := fmt.Errorf("stop")
 	n := 0
-	_, err := ScanText(BytesSource(data), logSchema(), 0, int64(len(data)), nil, func(types.Row) error {
+	_, err := scanTextRows(BytesSource(data), logSchema(), 0, int64(len(data)), nil, func(types.Row) error {
 		n++
 		return sentinel
 	})
@@ -211,7 +226,7 @@ func TestTextYieldErrorPropagates(t *testing.T) {
 func TestTextEmptyLinesSkipped(t *testing.T) {
 	data := []byte("\n1|1|2015-01-01|grp-1/a\n\n\n2|2|2015-01-01|grp-2/b\n\n")
 	var n int
-	if _, err := ScanText(BytesSource(data), logSchema(), 0, int64(len(data)), nil, func(types.Row) error {
+	if _, err := scanTextRows(BytesSource(data), logSchema(), 0, int64(len(data)), nil, func(types.Row) error {
 		n++
 		return nil
 	}); err != nil {
@@ -234,7 +249,7 @@ func TestTextLargeFileAcrossChunks(t *testing.T) {
 		t.Fatalf("test data too small to cross chunks: %d", len(data))
 	}
 	var n int64
-	stats, err := ScanText(BytesSource(data), logSchema(), 0, int64(len(data)), []int{0}, func(r types.Row) error {
+	stats, err := scanTextRows(BytesSource(data), logSchema(), 0, int64(len(data)), []int{0}, func(r types.Row) error {
 		if r[0].Int() != n {
 			return fmt.Errorf("out of order: got %d want %d", r[0].Int(), n)
 		}

@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"hybridwh/internal/catalog"
-	"hybridwh/internal/cluster"
 	"hybridwh/internal/format"
 	"hybridwh/internal/hdfs"
 	"hybridwh/internal/metrics"
@@ -78,9 +77,6 @@ func (c *Cluster) Catalog() *catalog.Catalog { return c.cat }
 // DesignatedWorker is the worker that merges global Bloom filters and final
 // aggregates (chosen by the coordinator; fixed for determinism).
 func (c *Cluster) DesignatedWorker() int { return 0 }
-
-// DesignatedName is the endpoint name of the designated worker.
-func (c *Cluster) DesignatedName() string { return cluster.JENName(c.DesignatedWorker()) }
 
 // WorkUnit is one piece of scan work for one worker: a byte range of a text
 // file, or a set of row groups of an HWC file.

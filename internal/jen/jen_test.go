@@ -264,19 +264,6 @@ func TestScanFilterBuildsBFH(t *testing.T) {
 	}
 }
 
-// keySet is an exact KeyFilter and KeySink, like the semijoin's.
-type keySet map[int64]bool
-
-func (s keySet) TestKey(k int64) bool { return s[k] }
-func (s keySet) AddKey(k int64)       { s[k] = true }
-func (s keySet) Empty() KeySink       { return keySet{} }
-func (s keySet) Union(o KeySink) error {
-	for k := range o.(keySet) {
-		s[k] = true
-	}
-	return nil
-}
-
 // TestReaderFilterMatchesAcrossFormats: with the predicate, a Bloom DB
 // filter and an exact cascade filter running in the readers — HWC before its
 // late columns are decoded, text after parsing — both formats at 1 and 3
@@ -287,9 +274,9 @@ func TestReaderFilterMatchesAcrossFormats(t *testing.T) {
 	for k := int64(0); k < 300; k += 2 {
 		bf.AddHash(types.BloomHashKey(k))
 	}
-	cascade := keySet{}
+	cascade := KeySet{}
 	for v := int64(0); v < 1000; v += 3 {
-		cascade[v] = true
+		cascade.AddKey(v)
 	}
 	// Layout (groupByExtractCol, indPred, joinKey, corPred): the late string
 	// column comes first, the key columns sit anywhere.
@@ -299,7 +286,7 @@ func TestReaderFilterMatchesAcrossFormats(t *testing.T) {
 		rows                         []string
 		scanRows, processed, morsels int64
 		bloomSink                    []byte
-		exactSink                    keySet
+		exactSink                    KeySet
 	}
 	var results []result
 	var names []string
@@ -310,7 +297,7 @@ func TestReaderFilterMatchesAcrossFormats(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res := result{exactSink: keySet{}}
+			res := result{exactSink: KeySet{}}
 			bloomSink := BloomKeyFilter{F: bloom.New(1<<12, 2)}
 			var mu sync.Mutex
 			for w := 0; w < c.Workers(); w++ {
@@ -325,7 +312,7 @@ func TestReaderFilterMatchesAcrossFormats(t *testing.T) {
 						mu.Lock()
 						defer mu.Unlock()
 						return b.Each(func(i int) error {
-							if _, exact := sink.(keySet); !exact {
+							if _, exact := sink.(KeySet); !exact {
 								res.rows = append(res.rows, fmt.Sprint(b.CloneRow(i)))
 							}
 							return nil

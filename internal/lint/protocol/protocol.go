@@ -4,14 +4,14 @@
 // hang, and it requires Send/Close errors to be observed, because a lost
 // send silently breaks that accounting. Three shapes are flagged:
 //
-//  1. A netsim Send call in statement position — its error is discarded.
-//  2. A netsim Bus Close call in statement position — its error is
-//     discarded (deferred Close is tolerated as last-resort cleanup).
-//  3. A function that sends MsgRows but can reach no MsgEOS/MsgError send:
+//  1. A netsim Send or Bus Close call whose error is discarded: a call in
+//     statement position, or one assigned to the blank identifier alone
+//     (deferred Close is tolerated as last-resort cleanup).
+//  2. A function that sends MsgRows but can reach no MsgEOS/MsgError send:
 //     neither the function itself, nor another method on the same receiver
 //     type (the batcher pattern: flush sends rows, Close sends EOS), nor a
 //     deferred Close in the function terminates the stream.
-//  4. A receive loop that Routes MsgRows without Routing MsgError in the
+//  3. A receive loop that Routes MsgRows without Routing MsgError in the
 //     same function: such a loop counts EOS markers a failed sender will
 //     never produce, so a mid-query abort deadlocks it instead of
 //     surfacing as an error.
@@ -104,14 +104,13 @@ func gather(pass *analysis.Pass, fd *ast.FuncDecl) *funcFacts {
 	facts := &funcFacts{decl: fd}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
-		case *ast.ExprStmt:
-			if call, ok := n.X.(*ast.CallExpr); ok {
-				switch {
-				case isNetsimMethod(pass, call, "Send"):
-					pass.Reportf(n.Pos(), "netsim Send error ignored; a lost send breaks EOS accounting")
-				case isNetsimMethod(pass, call, "Close"):
-					pass.Reportf(n.Pos(), "netsim Close error ignored; handle it or defer the Close")
-				}
+		case *ast.ExprStmt, *ast.AssignStmt:
+			switch call := discardedCall(n); {
+			case call == nil:
+			case isNetsimMethod(pass, call, "Send"):
+				pass.Reportf(n.Pos(), "netsim Send error ignored; a lost send breaks EOS accounting")
+			case isNetsimMethod(pass, call, "Close"):
+				pass.Reportf(n.Pos(), "netsim Close error ignored; handle it or defer the Close")
 			}
 		case *ast.DeferStmt:
 			if sel, ok := ast.Unparen(n.Call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Close" {
@@ -136,6 +135,22 @@ func gather(pass *analysis.Pass, fd *ast.FuncDecl) *funcFacts {
 		return true
 	})
 	return facts
+}
+
+// discardedCall returns the call whose results stmt discards — a call in
+// statement position, or one assigned to the blank identifier alone — or nil.
+func discardedCall(stmt ast.Node) *ast.CallExpr {
+	x := ast.Expr(nil)
+	switch s := stmt.(type) {
+	case *ast.ExprStmt:
+		x = s.X
+	case *ast.AssignStmt:
+		if id, ok := s.Lhs[0].(*ast.Ident); ok && id.Name == "_" && len(s.Lhs) == 1 && len(s.Rhs) == 1 {
+			x = s.Rhs[0]
+		}
+	}
+	call, _ := ast.Unparen(x).(*ast.CallExpr)
+	return call
 }
 
 // recordSend notes which protocol message constants a netsim Send call

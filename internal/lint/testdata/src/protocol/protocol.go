@@ -11,6 +11,25 @@ func ignoredClose(b netsim.Bus) {
 	b.Close() // want `netsim Close error ignored`
 }
 
+func blankSend(b netsim.Bus) {
+	_ = b.Send("a", "b", netsim.Msg{Type: netsim.MsgControl}) // want `netsim Send error ignored`
+}
+
+func blankClose(b netsim.Bus) {
+	_ = b.Close() // want `netsim Close error ignored`
+}
+
+// usedSendError is the near miss: the error is assigned to a name and used.
+func usedSendError(b netsim.Bus) error {
+	err := b.Send("a", "b", netsim.Msg{Type: netsim.MsgControl})
+	if err != nil {
+		return err
+	}
+	var closeErr error
+	closeErr = b.Close()
+	return closeErr
+}
+
 func deferredBusClose(b netsim.Bus) error {
 	defer b.Close() // deferred last-resort cleanup: allowed
 	return b.Send("a", "b", netsim.Msg{Type: netsim.MsgControl})
