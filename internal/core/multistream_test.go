@@ -141,7 +141,7 @@ func TestStreamBatchesCallbackMaySend(t *testing.T) {
 				return err
 			}
 		}
-		return b.Close()
+		return b.CloseWith(nil)
 	})
 	got := 0
 	err := finishWithin(t, 20*time.Second, func() error {

@@ -79,21 +79,22 @@ type ScanSpec struct {
 	// Pruner holds row-group range constraints over the *file* schema
 	// (HWC predicate pushdown).
 	Pruner *format.Pruner
-	// DBFilter, when set, drops rows whose join key it rejects (BF_DB or
-	// the semijoin key set).
-	DBFilter KeyFilter
-	// Cascade applies additional key filters, each against its own key
-	// column of the projected layout — the cascaded semi-join reduction of
-	// an N-way plan, where every dimension's Bloom filter drops fact rows
-	// before they ship. Filters apply in order after DBFilter.
+	// Cascade applies key filters in order, each against its own key
+	// column of the projected layout: BF_DB or the semijoin's key set, or
+	// the cascaded semi-join reduction of an N-way plan, where every
+	// dimension's Bloom filter drops fact rows before they ship.
 	Cascade []CascadeFilter
+	// DBFilter, when set, is a first Cascade entry on BloomKeyIdx. The
+	// engine passes Cascade; bench/hwperf's scan replay sets this.
+	DBFilter KeyFilter
 	// BuildKeys, when set, collects the join key of every surviving row
 	// (BF_H construction during the scan — zigzag step 3b — or the
 	// semijoin's L' key set). With Threads > 1 each process goroutine fills
 	// a private Empty() twin; the twins are Union-ed into BuildKeys at the
 	// end, so the final sink is independent of batch interleaving.
 	BuildKeys KeySink
-	// BloomKeyIdx is the join-key column in the projected layout.
+	// BloomKeyIdx is the join-key column, in the projected layout, whose
+	// keys BuildKeys collects (and DBFilter tests).
 	BloomKeyIdx int
 	// Progress, when set, receives live (processed, survived) row counts as
 	// each batch clears the filter stage — the mid-scan observation tap for
@@ -123,7 +124,7 @@ func (spec *ScanSpec) projWidth() int {
 
 // ScanFilterBatches runs the pipelined scan batch-at-a-time: one read
 // goroutine per disk decodes pooled columnar batches, narrows each batch's
-// selection with the predicate, the database key filter and the cascade,
+// selection with the predicate and the key-filter cascade,
 // and feeds it to the process stage, which populates BF_H from the
 // survivors and yields the batch. On HWC the reader decodes only the
 // columns those filters read before filtering, and the rest for the
@@ -275,16 +276,17 @@ func (c *Cluster) ScanFilterBatches(spec ScanSpec, yield func(*batch.Batch) erro
 	return rerr
 }
 
-// readerFilter is one read goroutine's filter: the predicate, the database
-// key filter and the cascade, in that order, with the goroutine's own hash
-// and hit scratch. Its early columns are the ones those filters read. Bloom
-// filters run as hash-batch kernels; other key filters go row-at-a-time.
+// readerFilter is one read goroutine's filter: the predicate, then the
+// cascade (DBFilter first), with the goroutine's own hash and hit scratch.
+// Its early columns are the ones those filters read. Bloom filters run as
+// hash-batch kernels; other key filters go row-at-a-time.
 func (spec *ScanSpec) readerFilter() *format.Filter {
-	early := expr.ColumnSet(spec.Pred)
+	cascade := spec.Cascade
 	if spec.DBFilter != nil {
-		early = append(early, spec.BloomKeyIdx)
+		cascade = append([]CascadeFilter{{Filter: spec.DBFilter, KeyIdx: spec.BloomKeyIdx}}, cascade...)
 	}
-	for _, cf := range spec.Cascade {
+	early := expr.ColumnSet(spec.Pred)
+	for _, cf := range cascade {
 		early = append(early, cf.KeyIdx)
 	}
 	var hashes []uint64
@@ -293,10 +295,7 @@ func (spec *ScanSpec) readerFilter() *format.Filter {
 		if err := expr.FilterBatch(spec.Pred, b); err != nil {
 			return err
 		}
-		if spec.DBFilter != nil {
-			applyKeyFilter(b, spec.DBFilter, spec.BloomKeyIdx, &hashes, &hits)
-		}
-		for _, cf := range spec.Cascade {
+		for _, cf := range cascade {
 			applyKeyFilter(b, cf.Filter, cf.KeyIdx, &hashes, &hits)
 		}
 		return nil
