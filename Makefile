@@ -50,21 +50,24 @@ BOUNDED = timeout -k 10s
 
 # The concurrency-heavy packages under the race detector; the short timeout
 # makes a reintroduced protocol hang (abort/fault-injection tests in core and
-# netsim) fail in minutes instead of the 10-minute default. The core package
-# run includes the adaptive-switch fault matrix
-# (TestInjectedFailuresAbortAdaptiveSwitch): workers killed before, during,
-# and after the mid-query switch handshake, on both transports. relop rides
+# netsim) fail in minutes instead of the 10-minute default. relop rides
 # along for the budgeted join table: other goroutines' Reserve calls run its
-# pressure callback, and probe threads share it. The cfg and
-# callgraph packages ride along without -race (they are single-threaded but
-# underpin the analyzers that guard the racy packages, so they belong to the
-# same gate). Every algorithm end to end through the warehouse
+# pressure callback, and probe threads share it; format for the writer's
+# parallel chunk compression, and jen for the pipelined table load. The cfg
+# and callgraph packages ride along without -race (they are single-threaded
+# but underpin the analyzers that guard the racy packages, so they belong to
+# the same gate). internal/core, the longest package run, has a bounded line
+# of its own: it includes the adaptive-switch fault matrix
+# (TestInjectedFailuresAbortAdaptiveSwitch), workers killed before, during,
+# and after the mid-query switch handshake, on both transports. Every
+# algorithm end to end through the warehouse
 # (TestEndToEndSQLAllAlgorithmsAgree) runs last, under its own bound.
 race:
-	$(BOUNDED) 240s sh -c '\
-	$(GO) test -race -timeout=120s ./internal/netsim/ ./internal/par/ ./internal/jen/ ./internal/core/ ./internal/skew/ ./internal/mem/ ./internal/sched/ ./internal/analyzer/ ./internal/relop/ && \
-	$(GO) test -race -timeout=300s -run "TestConcurrent|TestAdaptive|TestStar|TestSnowflake" . && \
+	$(BOUNDED) 220s sh -c '\
+	$(GO) test -race -timeout=120s ./internal/netsim/ ./internal/par/ ./internal/jen/ ./internal/format/ ./internal/skew/ ./internal/mem/ ./internal/sched/ ./internal/analyzer/ ./internal/relop/ && \
+	$(GO) test -race -timeout=150s -run "TestConcurrent|TestAdaptive|TestStar|TestSnowflake" . && \
 	$(GO) test ./internal/lint/cfg/ ./internal/lint/callgraph/'
+	$(BOUNDED) 180s $(GO) test -race -timeout=150s ./internal/core/
 	$(BOUNDED) 30s $(GO) test -race -timeout=25s -run "^TestEndToEndSQLAllAlgorithmsAgree$$" .
 
 # Every Fuzz* target of every package, each fuzzed for 5 s past its seeds

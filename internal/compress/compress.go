@@ -39,7 +39,13 @@ func hash4(b []byte) uint32 {
 // Encode compresses src and returns a newly allocated buffer. Encoding never
 // fails; incompressible input grows by at most a few bytes per 64 KiB.
 func Encode(src []byte) []byte {
-	dst := binary.AppendUvarint(nil, uint64(len(src)))
+	return AppendEncode(nil, src)
+}
+
+// AppendEncode compresses src like Encode and appends the stream to dst, so
+// a writer compressing many chunks can reuse one buffer.
+func AppendEncode(dst, src []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(src)))
 	if len(src) == 0 {
 		return dst
 	}
@@ -117,14 +123,20 @@ func AppendDecode(dst, src []byte) ([]byte, error) {
 }
 
 // decodeTokens walks the token sequence of a stream declaring n bytes,
-// appending the output to dst — or, when dry, only checking that the tokens
-// are well-formed and add up to exactly n.
+// writing the output into dst's spare capacity, which the caller has grown
+// by n — or, when dry, only checking that the tokens are well-formed and add
+// up to exactly n.
 func decodeTokens(src []byte, n uint64, dst []byte, dry bool) ([]byte, error) {
 	// Lengths are compared in uint64, before any conversion to int can
 	// overflow, against the room the header leaves.
+	base := len(dst)
+	var out []byte
+	if !dry {
+		out = dst[:base+int(n)]
+	}
 	have := uint64(0)
 	for len(src) > 0 {
-		t, sz := binary.Uvarint(src)
+		t, sz := uvarint(src)
 		if sz <= 0 {
 			return nil, fmt.Errorf("compress: truncated token")
 		}
@@ -140,7 +152,7 @@ func decodeTokens(src []byte, n uint64, dst []byte, dry bool) ([]byte, error) {
 				return nil, fmt.Errorf("compress: literal run of %d exceeds input", l)
 			}
 			if !dry {
-				dst = append(dst, src[:l]...)
+				copy(out[base+int(have):], src[:l])
 			}
 			src = src[l:]
 			have += l
@@ -150,7 +162,7 @@ func decodeTokens(src []byte, n uint64, dst []byte, dry bool) ([]byte, error) {
 			return nil, fmt.Errorf("compress: match of %d+%d exceeds declared length %d", t>>1, minMatch, n)
 		}
 		length := t>>1 + minMatch
-		off, sz := binary.Uvarint(src)
+		off, sz := uvarint(src)
 		if sz <= 0 {
 			return nil, fmt.Errorf("compress: truncated offset")
 		}
@@ -159,11 +171,14 @@ func decodeTokens(src []byte, n uint64, dst []byte, dry bool) ([]byte, error) {
 			return nil, fmt.Errorf("compress: offset %d out of range (have %d)", off, have)
 		}
 		if !dry {
-			// Byte-at-a-time copy: matches may overlap their own output
-			// (run-length style), so bulk copy is not safe.
-			pos := len(dst) - int(off)
-			for j := 0; j < int(length); j++ {
-				dst = append(dst, dst[pos+j])
+			// A match at least its offset back is one copy. A closer one
+			// overlaps its own output (run-length style) and repeats with
+			// period off: copy the period, then the doubled run, until
+			// the match is filled.
+			pos, end := base+int(have), base+int(have+length)
+			from := pos - int(off)
+			for pos < end {
+				pos += copy(out[pos:end], out[from:pos])
 			}
 		}
 		have += length
@@ -171,7 +186,16 @@ func decodeTokens(src []byte, n uint64, dst []byte, dry bool) ([]byte, error) {
 	if have != n {
 		return nil, fmt.Errorf("compress: decoded %d bytes, header says %d", have, n)
 	}
-	return dst, nil
+	return out, nil
+}
+
+// uvarint is binary.Uvarint with a fast path for the one-byte values most
+// tokens and offsets are.
+func uvarint(b []byte) (uint64, int) {
+	if len(b) > 0 && b[0] < 0x80 {
+		return uint64(b[0]), 1
+	}
+	return binary.Uvarint(b)
 }
 
 // DecodedLen reports the decompressed size recorded in the stream header

@@ -160,13 +160,13 @@ func TestQueryAllocations(t *testing.T) {
 		return func() error { _, err := f.eng.Run(q, a); return err }
 	}
 	for _, c := range []allocCase{
-		{name: "db", runs: 3, run: alg(DBSide), allocs: 13377, bytes: 3703650},
-		{name: "db(BF)", runs: 3, run: alg(DBSideBloom), allocs: 8292, bytes: 3698854},
-		{name: "broadcast", runs: 3, run: alg(Broadcast), allocs: 8860, bytes: 3350170},
-		{name: "repartition", runs: 3, run: alg(Repartition), allocs: 13770, bytes: 4631614},
-		{name: "repartition(BF)", runs: 3, run: alg(RepartitionBloom), allocs: 8827, bytes: 3930110},
-		{name: "zigzag", runs: 3, run: alg(Zigzag), allocs: 8979, bytes: 3981041},
-		{name: "star, every edge streamed", runs: 3, allocs: 7524, bytes: 5140282,
+		{name: "db", runs: 3, run: alg(DBSide), allocs: 13324, bytes: 3642220},
+		{name: "db(BF)", runs: 3, run: alg(DBSideBloom), allocs: 8245, bytes: 3637556},
+		{name: "broadcast", runs: 3, run: alg(Broadcast), allocs: 8860, bytes: 3294237},
+		{name: "repartition", runs: 3, run: alg(Repartition), allocs: 13722, bytes: 4570876},
+		{name: "repartition(BF)", runs: 3, run: alg(RepartitionBloom), allocs: 8785, bytes: 3869537},
+		{name: "zigzag", runs: 3, run: alg(Zigzag), allocs: 8941, bytes: 3920617},
+		{name: "star, every edge streamed", runs: 3, allocs: 7478, bytes: 5123922,
 			run: func() error { _, err := star.eng.RunMulti(mq); return err }},
 	} {
 		allocs, bytes := measureAllocs(t, c.name, c.runs, c.run)

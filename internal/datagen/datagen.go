@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 
 	"hybridwh/internal/types"
 )
@@ -253,15 +254,20 @@ func (d Data) GenT(emit func(types.Row) error) error {
 	d = d.WithDefaults()
 	rng := rand.New(rand.NewSource(d.Seed*2 + 1))
 	p := newPerm(d.Keys, d.Seed)
+	var buf []byte
 	for i := int64(0); i < d.TRows; i++ {
 		jk := rng.Int63n(d.Keys)
+		cor := p.pos(jk)
+		ind := rng.Int63n(indDomain)
+		date := 16000 + rng.Intn(d.DateDays)
+		buf = appendDummy(buf[:0], rng, 50)
 		row := types.Row{
 			types.Int64(i),
 			types.Int32(int32(jk)),
-			types.Int32(int32(p.pos(jk))),
-			types.Int32(int32(rng.Int63n(indDomain))),
-			types.Date(int32(16000 + rng.Intn(d.DateDays))),
-			types.String(dummyString(rng, 50)),
+			types.Int32(int32(cor)),
+			types.Int32(int32(ind)),
+			types.Date(int32(date)),
+			types.String(string(buf)),
 			types.Int32(int32(rng.Intn(1 << 20))),
 			types.TimeOfDay(int32(rng.Intn(86400))),
 		}
@@ -285,15 +291,24 @@ func (d Data) GenL(emit func(types.Row) error) error {
 		z := rand.NewZipf(rng, d.ZipfS, 1, uint64(d.Keys-1))
 		nextKey = func() int64 { return int64(z.Uint64()) }
 	}
+	var buf []byte
 	for i := int64(0); i < d.LRows; i++ {
 		jk := nextKey()
+		cor := p.pos(jk)
+		ind := rng.Int63n(indDomain)
+		date := 16000 + rng.Intn(d.DateDays)
+		// Both strings of the row share one allocation.
+		buf = appendGroupCol(buf[:0], rng, d.Groups)
+		split := len(buf)
+		buf = appendDummy(buf, rng, 8)
+		strs := string(buf)
 		row := types.Row{
 			types.Int32(int32(jk)),
-			types.Int32(int32(p.pos(jk))),
-			types.Int32(int32(rng.Int63n(indDomain))),
-			types.Date(int32(16000 + rng.Intn(d.DateDays))),
-			types.String(groupCol(rng, d.Groups)),
-			types.String(dummyString(rng, 8)),
+			types.Int32(int32(cor)),
+			types.Int32(int32(ind)),
+			types.Date(int32(date)),
+			types.String(strs[:split]),
+			types.String(strs[split:]),
 		}
 		if err := emit(row); err != nil {
 			return err
@@ -304,18 +319,36 @@ func (d Data) GenL(emit func(types.Row) error) error {
 
 const dummyAlphabet = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-"
 
-func dummyString(rng *rand.Rand, n int) string {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = dummyAlphabet[rng.Intn(len(dummyAlphabet))]
+// appendDummy appends n characters of dummyAlphabet to b, one Int63 draw
+// each. The alphabet has 64 letters, and under math/rand's frozen algorithm
+// rng.Intn(64) is int32(rng.Int63()>>32) & 63, so this draws exactly what
+// the Intn-per-character loop it replaced drew, without its call overhead.
+func appendDummy(b []byte, rng *rand.Rand, n int) []byte {
+	for i := 0; i < n; i++ {
+		b = append(b, dummyAlphabet[(rng.Int63()>>32)&63])
 	}
-	return string(b)
+	return b
 }
 
-// groupCol renders the paper's groupByExtractCol: a varchar(46) whose
-// embedded integer the extract_group UDF pulls out.
-func groupCol(rng *rand.Rand, groups int) string {
-	g := rng.Intn(groups)
-	tail := dummyString(rng, 34)
-	return fmt.Sprintf("grp-%05d/%s", g, tail)
+// appendGroupCol appends the paper's groupByExtractCol to b: a varchar(46)
+// "grp-%05d/" plus 34 dummy characters, whose embedded integer the
+// extract_group UDF pulls out.
+func appendGroupCol(b []byte, rng *rand.Rand, groups int) []byte {
+	b = append(b, "grp-"...)
+	b = appendPadded(b, int64(rng.Intn(groups)), 5)
+	b = append(b, '/')
+	return appendDummy(b, rng, 34)
+}
+
+// appendPadded appends the decimal v (v >= 0) zero-padded to width digits,
+// as fmt's %0<width>d does: wider values are written in full.
+func appendPadded(b []byte, v int64, width int) []byte {
+	digits := 1
+	for x := v; x >= 10; x /= 10 {
+		digits++
+	}
+	for ; digits < width; digits++ {
+		b = append(b, '0')
+	}
+	return strconv.AppendInt(b, v, 10)
 }

@@ -150,6 +150,8 @@ func (s Star) GenDim(name string, emit func(types.Row) error) error {
 			continue
 		}
 		rng := rand.New(rand.NewSource(s.Seed*100 + int64(i) + 7))
+		buf := append([]byte(d.Name), '-')
+		prefix := len(buf)
 		for k := int64(0); k < d.Rows; k++ {
 			row := types.Row{
 				types.Int64(k),
@@ -158,7 +160,8 @@ func (s Star) GenDim(name string, emit func(types.Row) error) error {
 			if d.Sub != nil {
 				row = append(row, types.Int64(rng.Int63n(d.Sub.Rows)))
 			}
-			row = append(row, types.String(fmt.Sprintf("%s-%06d", d.Name, k)))
+			buf = appendPadded(buf[:prefix], k, 6) // "<name>-%06d"
+			row = append(row, types.String(string(buf)))
 			if err := emit(row); err != nil {
 				return err
 			}

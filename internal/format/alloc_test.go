@@ -1,6 +1,7 @@
 package format
 
 import (
+	"io"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -96,7 +97,25 @@ func TestFormatAllocations(t *testing.T) {
 	pruner := &Pruner{Ranges: []IntRange{{Col: 0, Lo: 0, Hi: 1500}}}
 	oneIn8 := keepIf([]int{1}, func(b *batch.Batch, i int) bool { return b.Col(1)[i].I%8 == 0 })
 
+	// The load's shape: a long-lived writer appending one 2048-row group of
+	// every kind, which the last row flushes.
+	rows := kindRows(2048)
+	hw, err := NewHWCWriter(io.Discard, kindSchema(), HWCOptions{RowsPerGroup: len(rows)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeGroup := func() error {
+		for _, r := range rows {
+			if err := hw.Write(r); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+
 	checkAllocs(t, []allocCase{
+		{name: "HWCWriter: one 2048-row group x 7 columns", runs: 20, allocs: 17, bytes: 837,
+			run: writeGroup},
 		{name: "ScanHWCBatches: 4 groups x 7 columns, every cell", runs: 20, allocs: 3084, bytes: 34488,
 			run: scan(nil, nil, nil)},
 		{name: "ScanHWCFiltered: 4 columns, pruned to 2 groups, 1 row in 8 late", runs: 20, allocs: 109, bytes: 17036,

@@ -18,6 +18,10 @@ const (
 // Source provides positioned reads within one stored file. It is implemented
 // by the HDFS client (with locality and read accounting) and by in-memory
 // buffers in tests.
+//
+// The bytes ReadAt returns are read-only: they may be the stored file itself
+// (a read inside one HDFS block is not copied). Their capacity ends at their
+// length, so an append copies them instead of writing past the read.
 type Source interface {
 	Size() int64
 	ReadAt(off int64, n int) ([]byte, error)

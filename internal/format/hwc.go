@@ -8,6 +8,7 @@ import (
 
 	"hybridwh/internal/batch"
 	"hybridwh/internal/compress"
+	"hybridwh/internal/par"
 	"hybridwh/internal/types"
 )
 
@@ -70,25 +71,25 @@ type HWCMeta struct {
 	FooterBytes int64
 }
 
-// TotalRows sums the row counts of all groups.
-func (m *HWCMeta) TotalRows() int64 {
-	var n int64
-	for _, g := range m.Groups {
-		n += int64(g.Rows)
-	}
-	return n
-}
-
-// HWCWriter streams rows into the columnar format.
+// HWCWriter streams rows into the columnar format: values go straight into
+// per-column buffers, which every group reuses.
 type HWCWriter struct {
 	w      io.Writer
 	schema types.Schema
 	opts   HWCOptions
 
-	off     int64
-	pending []types.Row
-	groups  []GroupMeta
-	closed  bool
+	off    int64
+	rows   int // rows buffered in cols
+	cols   []colBuf
+	groups []GroupMeta
+	closed bool
+}
+
+// colBuf is one column of the group being written: its plain encoding, its
+// compressed chunk, and the min/max of an integer kind.
+type colBuf struct {
+	plain, enc []byte
+	min, max   int64
 }
 
 // NewHWCWriter creates a writer. Close must be called to emit the footer.
@@ -96,7 +97,7 @@ func NewHWCWriter(w io.Writer, schema types.Schema, opts HWCOptions) (*HWCWriter
 	if schema.Len() == 0 {
 		return nil, fmt.Errorf("hwc: empty schema")
 	}
-	hw := &HWCWriter{w: w, schema: schema, opts: opts.withDefaults()}
+	hw := &HWCWriter{w: w, schema: schema, opts: opts.withDefaults(), cols: make([]colBuf, schema.Len())}
 	if err := hw.emit([]byte(hwcMagic)); err != nil {
 		return nil, err
 	}
@@ -109,7 +110,7 @@ func (hw *HWCWriter) emit(b []byte) error {
 	return err
 }
 
-// Write buffers one row, flushing a row group when full.
+// Write appends one row to the group, flushing the group when full.
 func (hw *HWCWriter) Write(row types.Row) error {
 	if hw.closed {
 		return fmt.Errorf("hwc: write after close")
@@ -117,8 +118,24 @@ func (hw *HWCWriter) Write(row types.Row) error {
 	if len(row) != hw.schema.Len() {
 		return fmt.Errorf("hwc: row has %d cols, schema %d", len(row), hw.schema.Len())
 	}
-	hw.pending = append(hw.pending, row.Clone())
-	if len(hw.pending) >= hw.opts.RowsPerGroup {
+	for c, v := range row {
+		col := &hw.cols[c]
+		switch hw.schema.Cols[c].Kind {
+		case types.KindString:
+			col.plain = binary.AppendUvarint(col.plain, uint64(len(v.S)))
+			col.plain = append(col.plain, v.S...)
+		case types.KindFloat64:
+			col.plain = binary.LittleEndian.AppendUint64(col.plain, uint64(v.I))
+		default:
+			col.plain = binary.AppendVarint(col.plain, v.I)
+			if hw.rows == 0 {
+				col.min, col.max = v.I, v.I
+			}
+			col.min, col.max = min(col.min, v.I), max(col.max, v.I)
+		}
+	}
+	hw.rows++
+	if hw.rows >= hw.opts.RowsPerGroup {
 		return hw.flushGroup()
 	}
 	return nil
@@ -132,47 +149,31 @@ func intKind(k types.Kind) bool {
 	return false
 }
 
+// flushGroup compresses the group's chunks in parallel and emits them in
+// schema order.
 func (hw *HWCWriter) flushGroup() error {
-	if len(hw.pending) == 0 {
+	if hw.rows == 0 {
 		return nil
 	}
-	g := GroupMeta{Offset: hw.off, Rows: len(hw.pending), Cols: make([]ChunkMeta, hw.schema.Len())}
-	for c := 0; c < hw.schema.Len(); c++ {
-		kind := hw.schema.Cols[c].Kind
-		var plain []byte
-		cm := ChunkMeta{}
-		if intKind(kind) {
-			cm.HasStats = true
-			cm.Min, cm.Max = math.MaxInt64, math.MinInt64
+	_ = par.ForEach(len(hw.cols), func(c int) error { // the encodes cannot fail
+		hw.cols[c].enc = compress.AppendEncode(hw.cols[c].enc[:0], hw.cols[c].plain)
+		return nil
+	})
+	gm := GroupMeta{Offset: hw.off, Rows: hw.rows, Cols: make([]ChunkMeta, len(hw.cols))}
+	for c := range hw.cols {
+		col := &hw.cols[c]
+		cm := ChunkMeta{Off: hw.off, Len: len(col.enc)}
+		if intKind(hw.schema.Cols[c].Kind) {
+			cm.HasStats, cm.Min, cm.Max = true, col.min, col.max
 		}
-		for _, row := range hw.pending {
-			v := row[c]
-			switch {
-			case kind == types.KindString:
-				plain = binary.AppendUvarint(plain, uint64(len(v.S)))
-				plain = append(plain, v.S...)
-			case kind == types.KindFloat64:
-				plain = binary.LittleEndian.AppendUint64(plain, uint64(v.I))
-			default:
-				plain = binary.AppendVarint(plain, v.I)
-				if v.I < cm.Min {
-					cm.Min = v.I
-				}
-				if v.I > cm.Max {
-					cm.Max = v.I
-				}
-			}
-		}
-		enc := compress.Encode(plain)
-		cm.Off = hw.off
-		cm.Len = len(enc)
-		g.Cols[c] = cm
-		if err := hw.emit(enc); err != nil {
+		gm.Cols[c] = cm
+		if err := hw.emit(col.enc); err != nil {
 			return err
 		}
+		col.plain = col.plain[:0]
 	}
-	hw.groups = append(hw.groups, g)
-	hw.pending = hw.pending[:0]
+	hw.groups = append(hw.groups, gm)
+	hw.rows = 0
 	return nil
 }
 
@@ -348,17 +349,10 @@ func (r *uvReader) uvarint() uint64 {
 	return v
 }
 
+// varint zig-zag decodes a uvarint, as binary.Varint does.
 func (r *uvReader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.b)
-	if n <= 0 {
-		r.err = fmt.Errorf("hwc: truncated footer")
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
+	u := r.uvarint()
+	return int64(u>>1) ^ -int64(u&1)
 }
 
 func (r *uvReader) byte() byte {

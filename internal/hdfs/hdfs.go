@@ -397,19 +397,28 @@ func (c *Cluster) Delete(path string) error {
 // DB worker). Replica choice prefers a local copy; counters record local vs
 // remote bytes.
 func (c *Cluster) ReadAt(path string, off int64, length int, atNode int) ([]byte, error) {
-	info, err := c.Stat(path)
-	if err != nil {
-		return nil, err
+	// A file's blocks are appended, never changed, so the slice header taken
+	// under the lock stays valid after it without a copy.
+	c.mu.RLock()
+	info, ok := c.files[path]
+	var size int64
+	var blocks []BlockInfo
+	if ok {
+		size, blocks = info.Size, info.Blocks
 	}
-	if off < 0 || off > info.Size {
-		return nil, fmt.Errorf("hdfs: read offset %d outside file %s (size %d)", off, path, info.Size)
+	c.mu.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("hdfs: no such file: %s", path)
 	}
-	if off+int64(length) > info.Size {
-		length = int(info.Size - off)
+	if off < 0 || off > size {
+		return nil, fmt.Errorf("hdfs: read offset %d outside file %s (size %d)", off, path, size)
 	}
-	out := make([]byte, 0, length)
-	for length > 0 {
-		b := blockAt(info.Blocks, off)
+	if off+int64(length) > size {
+		length = int(size - off)
+	}
+	var out []byte
+	for first := true; length > 0; first = false {
+		b := blockAt(blocks, off)
 		if b == nil {
 			return nil, fmt.Errorf("hdfs: no block at offset %d in %s", off, path)
 		}
@@ -422,12 +431,21 @@ func (c *Cluster) ReadAt(path string, off int64, length int, atNode int) ([]byte
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, data[inner:inner+n]...)
 		if local {
 			c.localBytes.Add(int64(n))
 		} else {
 			c.remoteBytes.Add(int64(n))
 		}
+		if first && n == length {
+			// The range lies inside one block: hand out the stored bytes,
+			// capped so an append by the caller copies instead of writing
+			// into the block.
+			return data[inner : inner+n : inner+n], nil
+		}
+		if first {
+			out = make([]byte, 0, length)
+		}
+		out = append(out, data[inner:inner+n]...)
 		off += int64(n)
 		length -= n
 	}

@@ -65,6 +65,39 @@ func TestWriteStatRead(t *testing.T) {
 	}
 }
 
+// TestReadAtSingleBlockView checks the two read paths: a range inside one
+// block comes back as a view of the block capped at its length, so an
+// append copies instead of overwriting the block, and a range across blocks
+// is assembled into a fresh buffer.
+func TestReadAtSingleBlockView(t *testing.T) {
+	c := smallCluster(t, 3, 100)
+	data := make([]byte, 350)
+	rand.New(rand.NewSource(2)).Read(data)
+	if err := c.WriteFile("/f", data); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []struct{ off, n int }{{110, 80}, {100, 100}, {300, 50}, {90, 20}, {50, 300}, {0, 350}} {
+		got, err := c.ReadAt("/f", int64(r.off), r.n, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, data[r.off:r.off+r.n]) {
+			t.Fatalf("ReadAt(%d, %d): wrong bytes", r.off, r.n)
+		}
+		if cap(got) != len(got) {
+			t.Errorf("ReadAt(%d, %d): capacity %d beyond length %d", r.off, r.n, cap(got), len(got))
+		}
+		_ = append(got, 0xff, 0xff, 0xff)
+		again, err := c.ReadAt("/f", 0, 350, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("an append to ReadAt(%d, %d) changed the stored file", r.off, r.n)
+		}
+	}
+}
+
 func TestReadErrors(t *testing.T) {
 	c := smallCluster(t, 3, 100)
 	if _, err := c.ReadAt("/missing", 0, 10, -1); err == nil {
