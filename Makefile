@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check fmt build vet lint lint-strict test race fuzz claims perf perf-trace star-check perf-compare idle loc
+.PHONY: check fmt build vet lint lint-strict test race fuzz claims perf perf-trace star-check dbside-check perf-compare idle loc
 
 check: fmt build vet lint test
 
@@ -111,6 +111,14 @@ perf-trace:
 star-check:
 	@out=$$(mktemp -d); trap 'rm -rf "$$out"' EXIT; \
 	$(BOUNDED) 120s $(GO) run ./bench/hwperf -workload star_cascade -seconds 2 -results "$$out"
+
+# One dbside_bloom run at the benchmark's full data size, every result
+# verified: the DB-located edge (db(BF): the scan ingested into the database,
+# which joins) with real ingest and reshuffle volumes. hwperf exits non-zero
+# on a wrong result.
+dbside-check:
+	@out=$$(mktemp -d); trap 'rm -rf "$$out"' EXIT; \
+	$(BOUNDED) 40s $(GO) run ./bench/hwperf -workload dbside_bloom -seconds 2 -results "$$out"
 
 # Three repeats per workload into a scratch run set, compared metric by
 # metric against the recorded baseline; exits 1 on a regression past a

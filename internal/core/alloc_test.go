@@ -24,9 +24,13 @@ type allocCase struct {
 
 // checkAllocs fails a case that allocates more per call than its bound. A
 // case under its bound passes with a note to lower the bound: a change that
-// saves an allocation commits the saving.
+// saves an allocation commits the saving. The cases are single calls into
+// one layer, measured on one P, as every package's layer ratchet is: a call
+// that migrates to another P misses its sync.Pool's per-P cache, one
+// allocation in a few-allocation bound.
 func checkAllocs(t *testing.T, cases []allocCase) {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, c := range cases {
 		allocs, bytes := measureAllocs(t, c.name, c.runs, c.run)
 		switch {
@@ -39,9 +43,9 @@ func checkAllocs(t *testing.T, cases []allocCase) {
 }
 
 // measureAllocs is testing.AllocsPerRun with bytes as well: the mean
-// allocations and bytes of runs calls of run after one warm-up call, on one
-// P with the collector off, so that a count is the same on every run. A
-// -race build skips the test: its sync.Pool drops items at random.
+// allocations and bytes of runs calls of run after one warm-up call, with
+// the collector off, at the GOMAXPROCS it is called with. A -race build
+// skips the test: its sync.Pool drops items at random.
 func measureAllocs(t *testing.T, name string, runs int, run func() error) (allocs, bytes uint64) {
 	t.Helper()
 	if bi, ok := debug.ReadBuildInfo(); ok {
@@ -51,7 +55,6 @@ func measureAllocs(t *testing.T, name string, runs int, run func() error) (alloc
 			}
 		}
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer runtime.GC() // the calls' garbage piles up uncollected
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	if err := run(); err != nil {
@@ -146,7 +149,9 @@ func TestCoreAllocations(t *testing.T) {
 // every stage streams, in 8-row frames; all on the chan bus at
 // WorkerThreads 1. The counts span every worker program, router and relay,
 // so they move a little with the schedule: each bound is the count measured
-// when it was committed plus 3 %.
+// when it was committed plus 3 %. It runs at the test's GOMAXPROCS: every
+// operator is sized by the engine's Config, not by the host, so the bounds
+// hold at -cpu 1, 2 and 8 alike.
 func TestQueryAllocations(t *testing.T) {
 	f := buildFixture(t, netsim.NewChanBus(256), 4, 6, 3000, 10000, format.HWCName)
 	defer f.eng.Close()

@@ -343,7 +343,7 @@ func bandPosts(t *testing.T, probeLeft bool) map[string]expr.Expr {
 // partitions, Drain's hash rejoins and the block nested-loop fallback.
 var bandTables = map[string]func(t *testing.T, lane relop.LaneFunc) *relop.HashTable{
 	"mem": func(_ *testing.T, lane relop.LaneFunc) *relop.HashTable {
-		return relop.NewHashTableParts(0, 4).WithLane(lane)
+		return relop.NewHashTable(0, 4).WithLane(lane)
 	},
 	"spill": func(t *testing.T, lane relop.LaneFunc) *relop.HashTable {
 		s, err := relop.NewSpillingHashTable(0, 6<<10, t.TempDir())
@@ -493,7 +493,7 @@ func runBandCase(t *testing.T, data bandData, tname string, post expr.Expr, prob
 func TestBandLaneUnderParallelBuild(t *testing.T) {
 	post := bandPosts(t, false)["days"] // build rows are the left part
 	st := (&Engine{}).newJoinStage("", 0, joinSite{pred: post, leftWidth: 3})
-	h := relop.NewHashTableParts(0, 4).WithLane(st.lane())
+	h := relop.NewHashTable(0, 4).WithLane(st.lane())
 	const rows, keys = 1 << 15, 64
 	for i := 0; i < rows; i++ {
 		r := types.Row{types.Int64(int64(i % keys)), types.Date(int32(i % 1000)), types.Int64(0)}

@@ -166,7 +166,7 @@ func combinerPosts(t *testing.T, probeLeft bool) map[string]expr.Expr {
 func TestCombinerMatchesFullConcat(t *testing.T) {
 	build, probes := combinerBuild(), combinerProbes()
 	tables := map[string]func(t *testing.T) *relop.HashTable{
-		"mem": func(*testing.T) *relop.HashTable { return relop.NewHashTable(0) },
+		"mem": func(*testing.T) *relop.HashTable { return relop.NewHashTable(0, 4) },
 		// A budget far below the build side spills every partition; a
 		// 2-way fan-out with no recursion sends the rejoin to the block
 		// nested-loop fallback, so every pair comes through Drain.

@@ -107,9 +107,10 @@ type Config struct {
 	// a budget (RunOpts.Budget) spills the shuffle joins' build partitions
 	// that do not fit.
 	SpillDir string
-	// BroadcastRelay switches the broadcast join to the paper's alternative
-	// §4.3 transfer scheme: each DB worker ships its partition to a single
-	// JEN worker, which relays it to all others. Less strain on the
+	// BroadcastRelay switches every broadcast edge — the two-table broadcast
+	// join and an N-way plan's broadcast edges alike — to the paper's
+	// alternative §4.3 transfer scheme: each DB worker ships its partition to
+	// a single JEN worker, which relays it to all others. Less strain on the
 	// inter-cluster link, one extra intra-HDFS transfer round (the paper
 	// measured the direct scheme faster and kept it; this option is the
 	// ablation).
@@ -287,20 +288,15 @@ func (e *Engine) RunCtxOpts(ctx context.Context, q *plan.JoinQuery, alg Algorith
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
+	if _, ok := algNames[alg]; !ok {
+		return nil, fmt.Errorf("core: unknown algorithm %d", alg)
+	}
 	qs, done, err := e.begin(ctx, opts)
 	if err != nil {
 		return nil, err
 	}
 	defer done()
-	var res *Result
-	switch alg {
-	case DBSide, DBSideBloom, ZigzagDBVariant:
-		res, err = e.runDBSide(ctx, qs, q, alg)
-	case Broadcast, Repartition, RepartitionBloom, Zigzag, SemiJoin:
-		res, err = e.runOneEdge(ctx, qs, q, alg)
-	default:
-		return nil, fmt.Errorf("core: unknown algorithm %d", alg)
-	}
+	res, err := e.runOneEdge(ctx, qs, q, alg)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s query aborted: %w", alg, err)
 	}
@@ -310,8 +306,9 @@ func (e *Engine) RunCtxOpts(ctx context.Context, q *plan.JoinQuery, alg Algorith
 	return res, nil
 }
 
-// runOneEdge runs a two-table HDFS-side query as its one-edge plan (see
-// lowerTwoTable) and reports the scan gate's decision, if any.
+// runOneEdge runs a two-table query as its one-edge plan (see
+// lowerTwoTable) and reports the database's join strategy and the scan
+// gate's decision, if any.
 func (e *Engine) runOneEdge(ctx context.Context, qs string, q *plan.JoinQuery, alg Algorithm) (*Result, error) {
 	mq, edges, err := e.lowerTwoTable(q, alg)
 	if err != nil {
@@ -321,7 +318,7 @@ func (e *Engine) runOneEdge(ctx context.Context, qs string, q *plan.JoinQuery, a
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Rows: rows}
+	res := &Result{Rows: rows, DBJoinStrategy: edges[0].strategy}
 	if d := edges[0].decided; d != nil {
 		res.SwitchReason = d.reason
 		if d.kind != keepPlan {

@@ -303,46 +303,57 @@ func TestBloomFiltersReduceMovement(t *testing.T) {
 // TestDBSideStrategies forces each DB-side join strategy and checks results
 // agree.
 func TestDBSideStrategies(t *testing.T) {
-	f := buildFixture(t, netsim.NewChanBus(256), 4, 6, 3000, 9000, format.HWCName)
-	defer f.eng.Close()
-	want := reference(t, f, 300, 400)
-	base := exampleQuery(t, f, 300, 400)
-
-	// Strategy is chosen from estimates; steer it with the cardinality hint.
-	hints := map[string]int64{
-		"repartition-both":   0, // catalog rows (large both sides)
-		"broadcast-ingested": 1, // tiny L' estimate
+	// The strategy is chosen from estimates (|T'| is ~900 rows in the first
+	// fixture, ~1500 in the second); steer it with the cardinality hint.
+	hints := []struct {
+		want edw.JoinStrategy
+		hint int64
+	}{
+		{edw.BroadcastDB, 0},       // the catalog's L rows, well above |T'|
+		{edw.BroadcastIngested, 1}, // a tiny L' estimate
+		{edw.RepartitionBoth, 1000},
 	}
-	for name, hint := range hints {
-		q := *base
-		q.HDFSCardHint = hint
-		res, err := f.eng.Run(&q, DBSide)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		checkResult(t, res, want, DBSide)
-	}
-
-	// One row per message through 4-slot inboxes: under broadcast-ingested
-	// every DB worker forwards the ingested L' from inside its receive while
-	// its peers do the same, the shape that hangs unless that receive relays
-	// (as TestBroadcastRelayAgrees' relay case).
-	g := buildFixture(t, netsim.NewChanBus(4), 3, 2, 1500, 4000, format.HWCName)
-	defer g.eng.Close()
-	g.eng.cfg.BatchRows = 1
-	gWant := reference(t, g, 1000, 1000)
-	for name, hint := range hints {
-		q := *exampleQuery(t, g, 1000, 1000)
-		q.HDFSCardHint = hint
+	run := func(t *testing.T, f *fixture, q *plan.JoinQuery, want map[int64][2]int64, alg Algorithm, strategy edw.JoinStrategy) {
+		t.Helper()
 		var res *Result
 		err := finishWithin(t, 30*time.Second, func() (err error) {
-			res, err = g.eng.Run(&q, DBSide)
+			res, err = f.eng.Run(q, alg)
 			return err
 		})
 		if err != nil {
-			t.Fatalf("one-row frames, %s: %v", name, err)
+			t.Fatalf("%v, %v: %v", alg, strategy, err)
 		}
-		checkResult(t, res, gWant, DBSide)
+		if res.DBJoinStrategy != strategy {
+			t.Fatalf("%v: the hint steered to %v, ran %v", alg, strategy, res.DBJoinStrategy)
+		}
+		checkResult(t, res, want, alg)
+	}
+
+	f := buildFixture(t, netsim.NewChanBus(256), 4, 6, 3000, 9000, format.HWCName)
+	defer f.eng.Close()
+	want := reference(t, f, 300, 400)
+	for _, h := range hints {
+		q := *exampleQuery(t, f, 300, 400)
+		q.HDFSCardHint = h.hint
+		run(t, f, &q, want, DBSide, h.want)
+	}
+
+	// One row per message through 4-slot inboxes, more DB workers than JEN
+	// workers, every DB-side algorithm under every strategy: under
+	// broadcast-ingested and repartition-both every DB worker forwards the
+	// ingested L' from inside its receive while its peers do the same, the
+	// shape that hangs unless that receive relays (as
+	// TestBroadcastRelayAgrees' relay case).
+	g := buildFixture(t, netsim.NewChanBus(4), 4, 2, 1500, 4000, format.HWCName)
+	defer g.eng.Close()
+	g.eng.cfg.BatchRows = 1
+	gWant := reference(t, g, 1000, 1000)
+	for _, h := range hints {
+		for _, alg := range []Algorithm{DBSide, DBSideBloom, ZigzagDBVariant} {
+			q := *exampleQuery(t, g, 1000, 1000)
+			q.HDFSCardHint = h.hint
+			run(t, g, &q, gWant, alg, h.want)
+		}
 	}
 }
 

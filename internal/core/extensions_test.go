@@ -234,4 +234,35 @@ func TestBroadcastRelayAgrees(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkResult(t, res, reference(t, g, 1000, 1000), Broadcast)
+
+	// An N-way plan's broadcast edges relay too: every edge broadcast, and
+	// a broadcast edge between two streamed repartition stages.
+	for _, pattern := range []string{"BBB", "RBR"} {
+		s := buildStarFixture(t, netsim.NewChanBus(256), 3, 4, smallStar(), Config{})
+		mq := s.multiPlan(t, starFullSQL)
+		setEdgeAlgs(t, mq, pattern)
+		direct, err := s.eng.RunMulti(mq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		directCross, directIntra := s.eng.Bus().Counters().Bytes(cluster.Cross), s.eng.Bus().Counters().Bytes(cluster.IntraHDFS)
+		s.eng.cfg.BroadcastRelay = true
+		s.eng.Bus().Counters().Reset()
+		var relayed *MultiResult
+		err = finishWithin(t, 30*time.Second, func() (err error) {
+			relayed, err = s.eng.RunMulti(mq)
+			return err
+		})
+		if err != nil {
+			t.Fatalf("%s relayed: %v", pattern, err)
+		}
+		assertRowsEqual(t, relayed.Rows, direct.Rows)
+		if cross := s.eng.Bus().Counters().Bytes(cluster.Cross); !(cross < directCross) {
+			t.Errorf("%s: relay should cut cross-link bytes: %d vs %d", pattern, cross, directCross)
+		}
+		if intra := s.eng.Bus().Counters().Bytes(cluster.IntraHDFS); !(intra > directIntra) {
+			t.Errorf("%s: relay mode should move more data intra-HDFS: %d vs %d", pattern, intra, directIntra)
+		}
+		s.eng.Close()
+	}
 }

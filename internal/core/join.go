@@ -73,7 +73,7 @@ func (e *Engine) newJoinStage(qs string, slot int, site joinSite) *joinStage {
 	if site.spill && s.bud != nil {
 		s.jt = relop.NewSharedSpillingHashTable(site.key, s.bud, e.cfg.SpillDir)
 	} else {
-		s.jt = relop.NewHashTable(site.key)
+		s.jt = relop.NewHashTable(site.key, e.cfg.WorkerThreads)
 	}
 	s.jt.WithLane(s.lane())
 	return s

@@ -14,7 +14,7 @@ import (
 )
 
 // This file is the N-way star/snowflake entry point: the analyzer's
-// plan.MultiQuery runs on the HDFS-side executor (hdfsside.go) as its list
+// plan.MultiQuery runs on the executor (executor.go) as its list
 // of join edges. Each dimension component is materialized database-side
 // first (snowflake sub-dimensions pre-joined there, where the tables are
 // co-located), its Bloom filter is built from the rows that actually
@@ -86,10 +86,13 @@ func (e *Engine) RunMultiOpts(ctx context.Context, q *plan.MultiQuery, opts RunO
 		}
 		name := func(kind string) string { return fmt.Sprintf("%s%d", kind, ei) }
 		ed := joinEdge{EdgeExec: ex, parts: parts, names: edgeStreams{
-			dim: name("dim"), shuffle: name("shuffle"), toJEN: name("bf"), obs: name("obs"), dec: name("dec"),
+			dim: name("dim"), shuffle: name("shuffle"), relay: name("relay"), toJEN: name("bf"), obs: name("obs"), dec: name("dec"),
 		}}
 		if ex.UseBloom {
 			ed.dbF = bloomKeys
+		}
+		if ex.Algorithm == plan.EdgeBroadcast {
+			ed.relay = e.cfg.BroadcastRelay
 		}
 		if ei > 0 && ex.Algorithm == plan.EdgeRepartition && e.cfg.AdaptiveSwitch {
 			ed.gate = heldGate
@@ -132,7 +135,7 @@ func (e *Engine) materializeDim(ed *plan.EdgeExec) ([][]*batch.Batch, error) {
 			return nil, err
 		}
 		subAp := e.accessPlan(subTbl, sub.Pred, sub.Proj)
-		subHT = relop.NewHashTable(0) // sub wire leads with its join key
+		subHT = relop.NewHashTable(0, e.cfg.WorkerThreads) // sub wire leads with its join key
 		subParts := make([][]*batch.Batch, e.db.Workers())
 		err = par.ForEach(e.db.Workers(), func(w int) error {
 			bs, err := e.materialize(subTbl, w, subAp, sub.Proj)

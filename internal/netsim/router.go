@@ -137,12 +137,13 @@ func (r *Router) droppedLocked(stream string) bool {
 // same route twice is a programming error. Messages that arrived before the
 // subscription are in the channel, in arrival order, when Route returns —
 // the receivers' EOS accounting relies on it — however many there are:
-// until the route is published its channel is private, so Route sizes it
-// to the backlog and fills it without holding the lock and without ever
-// blocking. Anything arriving meanwhile stays pending for the next round.
+// until the route is published its channel is private, so Route makes it
+// only once it knows the backlog, sized to it, and fills it without holding
+// the lock and without ever blocking. Anything arriving meanwhile stays
+// pending for the next round.
 func (r *Router) Route(t MsgType, stream string) (<-chan Envelope, error) {
 	k := routeKey{t: t, stream: stream}
-	ch := make(chan Envelope, routeBuffer)
+	var ch chan Envelope
 	var backlog []Envelope
 	for {
 		r.mu.Lock()
@@ -160,6 +161,9 @@ func (r *Router) Route(t MsgType, stream string) (<-chan Envelope, error) {
 		}
 		more := r.pending[k]
 		if len(more) == 0 {
+			if ch == nil {
+				ch = make(chan Envelope, routeBuffer)
+			}
 			r.routes[k] = &route{ch: ch, gone: make(chan struct{})}
 			r.mu.Unlock()
 			return ch, nil

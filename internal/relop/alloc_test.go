@@ -87,7 +87,7 @@ func TestRelopAllocations(t *testing.T) {
 	build := keyedBatches(1<<15, 1<<15)
 	one := build[0]
 
-	sealed := NewHashTableParts(0, 4)
+	sealed := NewHashTable(0, 4)
 	for _, b := range keyedBatches(4096, 2048) {
 		if err := sealed.InsertBatch(b); err != nil {
 			t.Fatal(err)
@@ -113,7 +113,7 @@ func TestRelopAllocations(t *testing.T) {
 
 	checkAllocs(t, []allocCase{
 		{name: "InsertBatch: 512 rows into a new 4-partition table", runs: 100, allocs: 11, bytes: 53968,
-			run: func() error { return NewHashTableParts(0, 4).InsertBatch(one) }},
+			run: func() error { return NewHashTable(0, 4).InsertBatch(one) }},
 		// The sealed table holds one copy of its rows: 279 B per three-column
 		// row of distinct keys (96 staged, 96 in the arena, 24 per grouped row
 		// header, ~60 of slot table). Staging row by row into growing
@@ -121,7 +121,7 @@ func TestRelopAllocations(t *testing.T) {
 		// staging beside the arena costs ~390.
 		{name: "InsertBatch x64 + Build: 32768 rows, 4 partitions", runs: 3, allocs: 372, bytes: 9149376,
 			run: func() error {
-				h := NewHashTableParts(0, 4)
+				h := NewHashTable(0, 4)
 				for _, b := range build {
 					if err := h.InsertBatch(b); err != nil {
 						return err

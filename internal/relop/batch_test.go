@@ -170,8 +170,8 @@ func TestInsertBatchMatchesInsert(t *testing.T) {
 	for i := range rows {
 		rows[i] = types.Row{types.Int32(int32(i % 7)), types.String(fmt.Sprintf("r%d", i))}
 	}
-	rowHT := NewHashTable(0)
-	batchHT := NewHashTable(0)
+	rowHT := NewHashTable(0, 4)
+	batchHT := NewHashTable(0, 4)
 	b := batch.New(2, len(rows))
 	var sel []int32
 	for i, r := range rows {
@@ -220,7 +220,7 @@ func TestProbeBatchMatchesProbe(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, mk := range map[string]func() *HashTable{
-		"mem":   func() *HashTable { return NewHashTable(0) },
+		"mem":   func() *HashTable { return NewHashTable(0, 4) },
 		"spill": func() *HashTable { return spill },
 	} {
 		t.Run(name, func(t *testing.T) {

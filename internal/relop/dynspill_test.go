@@ -25,7 +25,7 @@ import (
 func TestDynamicJoinRegimesMatchInMemory(t *testing.T) {
 	build := mkRows(3000, 120, "b")
 	probe := mkRows(900, 240, "p")
-	want := joinAll(t, NewHashTable(0), build, probe, 0)
+	want := joinAll(t, NewHashTable(0, 4), build, probe, 0)
 	if len(want) == 0 {
 		t.Fatal("fixture produced no matches")
 	}
@@ -163,7 +163,7 @@ func TestDynamicJoinSingleHotKey(t *testing.T) {
 		{types.Int32(7), types.String("p-hit")},
 		{types.Int32(8), types.String("p-miss")},
 	}
-	want := joinAll(t, NewHashTable(0), build, probe, 0)
+	want := joinAll(t, NewHashTable(0, 4), build, probe, 0)
 	if len(want) != 600 {
 		t.Fatalf("fixture: %d matches, want 600", len(want))
 	}
@@ -200,7 +200,7 @@ func TestSharedBudgetPressureEvicts(t *testing.T) {
 	bud := mem.NewBudget(192 << 10)
 	build := mkRows(2500, 100, "b")
 	probe := mkRows(600, 200, "p")
-	want := joinAll(t, NewHashTable(0), build, probe, 0)
+	want := joinAll(t, NewHashTable(0, 4), build, probe, 0)
 
 	s1 := NewSharedSpillingHashTable(0, bud, t.TempDir())
 	// Fill s1 within budget: no eviction yet.

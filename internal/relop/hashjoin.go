@@ -106,14 +106,9 @@ type htPart struct {
 const parallelBuildRows = 1 << 14
 
 // NewHashTable creates a table keyed on column keyIdx of inserted rows, with
-// one radix partition per available CPU (rounded up to a power of two).
-func NewHashTable(keyIdx int) *HashTable {
-	return NewHashTableParts(keyIdx, runtime.GOMAXPROCS(0))
-}
-
-// NewHashTableParts creates a table with an explicit partition count
-// (rounded up to a power of two; values < 1 mean 1), for tests.
-func NewHashTableParts(keyIdx, parts int) *HashTable {
+// parts radix partitions (rounded up to a power of two; values < 1 mean 1):
+// the units of the parallel build, sized by the caller's plan.
+func NewHashTable(keyIdx, parts int) *HashTable {
 	h := &HashTable{keyIdx: keyIdx}
 	h.partition(parts)
 	return h
@@ -439,8 +434,11 @@ func project(b *batch.Batch, i int, proj []int, dst types.Row) types.Row {
 // code uses HashTable.
 type MemJoinTable struct{ H *HashTable }
 
-// NewMemJoinTable wraps a new in-memory hash table.
-func NewMemJoinTable(keyIdx int) *MemJoinTable { return &MemJoinTable{H: NewHashTable(keyIdx)} }
+// NewMemJoinTable wraps a new in-memory hash table with one partition per
+// available CPU.
+func NewMemJoinTable(keyIdx int) *MemJoinTable {
+	return &MemJoinTable{H: NewHashTable(keyIdx, runtime.GOMAXPROCS(0))}
+}
 
 // InsertBatch is HashTable.InsertBatch.
 func (m *MemJoinTable) InsertBatch(b *batch.Batch) error { return m.H.InsertBatch(b) }

@@ -55,7 +55,7 @@ func checkLane(t *testing.T, bucket []types.Row, lane []int64) {
 func TestHashTableLaneAlignedWithGroupedRows(t *testing.T) {
 	for _, n := range []int{500, parallelBuildRows + 500} {
 		var calls atomic.Int64
-		h := NewHashTableParts(0, 4).WithLane(valueLane(&calls))
+		h := NewHashTable(0, 4).WithLane(valueLane(&calls))
 		rows := laneRows(n, 37)
 		for _, r := range rows[:n-10] {
 			if err := h.Insert(r); err != nil {
@@ -93,7 +93,7 @@ func TestHashTableLaneAlignedWithGroupedRows(t *testing.T) {
 			t.Errorf("Len = %d, want %d", total, n)
 		}
 	}
-	plain := NewHashTable(0)
+	plain := NewHashTable(0, 4)
 	for _, r := range laneRows(50, 5) {
 		if err := plain.Insert(r); err != nil {
 			t.Fatal(err)
@@ -108,7 +108,7 @@ func TestHashTableLaneAlignedWithGroupedRows(t *testing.T) {
 // length, has no lane; the other partitions keep theirs.
 func TestHashTableLaneDeclinedPerPartition(t *testing.T) {
 	var calls atomic.Int64
-	h := NewHashTableParts(0, 4).WithLane(valueLane(&calls))
+	h := NewHashTable(0, 4).WithLane(valueLane(&calls))
 	rows := laneRows(400, 40)
 	rows[7][1] = types.Null // declines key 7's partition
 	for _, r := range rows {
@@ -128,7 +128,7 @@ func TestHashTableLaneDeclinedPerPartition(t *testing.T) {
 		}
 		checkLane(t, bucket, lane)
 	}
-	short := NewHashTableParts(0, 2).WithLane(func(rows []types.Row) ([]int64, bool) {
+	short := NewHashTable(0, 2).WithLane(func(rows []types.Row) ([]int64, bool) {
 		return make([]int64, len(rows)-1), true
 	})
 	for _, r := range laneRows(40, 4) {

@@ -88,7 +88,7 @@ func TestQuickFlatTableMatchesMapJoin(t *testing.T) {
 			buildKeys[i], buildKeys[j] = buildKeys[j], buildKeys[i]
 		})
 		nparts := 1 << (parts % 5) // 1, 2, 4, 8, 16
-		ht := NewHashTableParts(0, nparts)
+		ht := NewHashTable(0, nparts)
 		ref := map[int64][]types.Row{}
 		for i, k := range buildKeys {
 			key := int64(k%16) - 8 // include negative and zero keys
@@ -128,7 +128,7 @@ func TestQuickFlatTableMatchesMapJoin(t *testing.T) {
 // The flat table must stay correct across Build/insert interleavings: Build
 // is idempotent, and inserting after Build unseals and rebuilds.
 func TestFlatTableRebuildAfterInsert(t *testing.T) {
-	ht := NewHashTableParts(0, 4)
+	ht := NewHashTable(0, 4)
 	for i := 0; i < 10; i++ {
 		if err := ht.Insert(types.Row{types.Int64(int64(i % 3)), types.Int32(int32(i))}); err != nil {
 			t.Fatal(err)
@@ -155,7 +155,7 @@ func TestFlatTableRebuildAfterInsert(t *testing.T) {
 // cross product per key.
 func TestQuickJoinCardinality(t *testing.T) {
 	f := func(buildKeys, probeKeys []uint8) bool {
-		ht := NewHashTable(0)
+		ht := NewHashTable(0, 4)
 		buildCount := map[int64]int{}
 		for _, k := range buildKeys {
 			key := int64(k % 16)

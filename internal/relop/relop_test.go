@@ -12,7 +12,7 @@ import (
 )
 
 func TestHashTableBuildProbe(t *testing.T) {
-	h := NewHashTable(0)
+	h := NewHashTable(0, 4)
 	rows := []types.Row{
 		{types.Int32(1), types.String("a")},
 		{types.Int32(2), types.String("b")},
@@ -39,7 +39,7 @@ func TestHashTableBuildProbe(t *testing.T) {
 
 func TestHashTableJoin(t *testing.T) {
 	// Build side: (joinKey, name). Probe side: (uid, joinKey).
-	m := NewHashTable(0)
+	m := NewHashTable(0, 4)
 	for _, r := range []types.Row{
 		{types.Int32(1), types.String("a")},
 		{types.Int32(1), types.String("b")},
@@ -95,7 +95,7 @@ func TestHashTableJoin(t *testing.T) {
 // keep their insertion order, whether they came in by Insert, by
 // InsertBatch, or by both.
 func TestBuildGroupsBucketsContiguously(t *testing.T) {
-	h := NewHashTableParts(0, 4)
+	h := NewHashTable(0, 4)
 	b := batch.New(3, 64)
 	for i := 0; i < 64; i++ {
 		b.AppendRow(types.Row{types.Int64(int64(i % 5)), types.Int32(int32(i)), types.String("x")})

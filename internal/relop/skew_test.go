@@ -9,10 +9,10 @@ import (
 )
 
 func TestHashTableMaxBucket(t *testing.T) {
-	if got := NewHashTable(0).MaxBucket(); got != 0 {
+	if got := NewHashTable(0, 4).MaxBucket(); got != 0 {
 		t.Errorf("empty table MaxBucket = %d, want 0", got)
 	}
-	h := NewHashTableParts(0, 4)
+	h := NewHashTable(0, 4)
 	// Key 7 appears five times, key 1 twice, key 2 once.
 	for _, k := range []int32{7, 1, 7, 2, 7, 7, 1, 7} {
 		if err := h.Insert(types.Row{types.Int32(k), types.String("x")}); err != nil {
@@ -62,10 +62,10 @@ func TestReplicatedProbeExactness(t *testing.T) {
 		{types.Int64(1004), types.Int32(99)}, // matches nothing
 	}
 
-	single := NewHashTable(0)
+	single := NewHashTable(0, 4)
 	tables := make([]*HashTable, workers)
 	for w := range tables {
-		tables[w] = NewHashTable(0)
+		tables[w] = NewHashTable(0, 4)
 	}
 	rr := 0
 	for _, r := range build {

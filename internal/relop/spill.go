@@ -56,7 +56,7 @@ func NewSharedSpillingHashTable(keyIdx int, bud *mem.Budget, dir string) *HashTa
 
 // newBudgeted makes a budgeted table at rejoin level depth.
 func newBudgeted(keyIdx int, bud *mem.Budget, dir string, fanout, maxDepth, depth int) *HashTable {
-	h := NewHashTableParts(keyIdx, fanout)
+	h := NewHashTable(keyIdx, fanout)
 	h.bud, h.dir, h.maxDepth, h.depth = bud, dir, maxDepth, depth
 	h.salt = uint64(depth) * 0x9E3779B97F4A7C15
 	return h
@@ -261,10 +261,11 @@ func (h *HashTable) rejoinLocked(bf, pf *spillFile, emit BucketFunc) error {
 }
 
 // nestedLoopLocked builds budget-sized chunks of the build file, frame by
-// frame, into an in-memory table and streams the probe file past each: a
-// block nested-loop join, exact even for a key larger than the budget. A
-// build file the budget admits whole is one chunk, a plain rejoin; one it
-// does not counts in NLFallbacks.
+// frame, into an in-memory table of as many partitions as the table that
+// spilled, and streams the probe file past each: a block nested-loop join,
+// exact even for a key larger than the budget. A build file the budget
+// admits whole is one chunk, a plain rejoin; one it does not counts in
+// NLFallbacks.
 func (h *HashTable) nestedLoopLocked(bf, pf *spillFile, emit BucketFunc) error {
 	var ht *HashTable
 	var held int64
@@ -290,7 +291,7 @@ func (h *HashTable) nestedLoopLocked(bf, pf *spillFile, emit BucketFunc) error {
 			h.bud.Force(n)
 		}
 		if ht == nil {
-			ht = NewHashTable(h.keyIdx).WithLane(h.lane)
+			ht = NewHashTable(h.keyIdx, len(h.parts)).WithLane(h.lane)
 		}
 		h.reserved += n
 		held += n

@@ -77,7 +77,7 @@ func TestSpillingMatchesInMemory(t *testing.T) {
 	build := mkRows(2000, 150, "b")
 	probe := mkRows(500, 300, "p") // half the probe keys have no match
 
-	want := joinAll(t, NewHashTable(0), build, probe, 0)
+	want := joinAll(t, NewHashTable(0, 4), build, probe, 0)
 	if len(want) == 0 {
 		t.Fatal("fixture produced no matches")
 	}
@@ -127,7 +127,7 @@ func TestSpillingBatchesUnderMemoryPressure(t *testing.T) {
 		return bs
 	}
 
-	want := joinAll(t, NewHashTable(0), build, probe, 0)
+	want := joinAll(t, NewHashTable(0, 4), build, probe, 0)
 
 	sp, err := NewSpillingHashTable(0, 8192, t.TempDir())
 	if err != nil {
@@ -179,7 +179,7 @@ func TestSpillingStaysInMemoryUnderBudget(t *testing.T) {
 	if sp.Evictions != 0 {
 		t.Error("small input should not spill")
 	}
-	want := joinAll(t, NewHashTable(0), build, probe, 0)
+	want := joinAll(t, NewHashTable(0, 4), build, probe, 0)
 	if len(got) != len(want) {
 		t.Fatalf("%d matches, want %d", len(got), len(want))
 	}

@@ -81,8 +81,8 @@ type Config struct {
 	// MemBudgetBytes the shuffle joins' build sides spill the partitions
 	// that do not fit (the paper's stated future work).
 	SpillDir string
-	// BroadcastRelay switches the broadcast join to the §4.3 relay transfer
-	// scheme (each DB worker ships to one JEN worker, which relays).
+	// BroadcastRelay switches every broadcast edge, N-way included, to the
+	// §4.3 relay scheme (each DB worker ships to one JEN worker, which relays).
 	BroadcastRelay bool
 	// AdaptiveSwitch enables mid-query algorithm switching for the
 	// HDFS-side shuffle joins: after the first eight wire batches of each
